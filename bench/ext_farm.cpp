@@ -176,13 +176,7 @@ int main(int argc, char** argv) {
                       ref.records.size());
     const std::string ref_json = ref_json_ss.str();
     const std::string ref_store = opt.dir + "/reference.ulpf";
-    {
-        fleet::StoreHeader hdr;
-        hdr.cohorts = ref_opt.cohorts;
-        hdr.seed = ref_opt.seed;
-        hdr.devices = ref_opt.devices;
-        fleet::write_store(ref_store, hdr, ref.records);
-    }
+    fleet::write_store(ref_store, fleet::store_header(ref_opt), ref.records);
     std::cout << "reference: " << ref.records.size() << " devices in-process, "
               << ref.wall_s << " s\n";
 

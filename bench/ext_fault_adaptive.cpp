@@ -16,7 +16,7 @@
 // re-execution energy) than the best fixed interval in the ladder.
 //
 // Usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]
-//                           [--engine reference|fast|trace] [--shard K/N]
+//                           [--engine reference|fast|trace]
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -54,27 +54,13 @@ bool parse_u64(const char* s, std::uint64_t& out) {
     return true;
 }
 
-bool parse_shard(const std::string& s, unsigned& index, unsigned& count) {
-    const auto slash = s.find('/');
-    if (slash == std::string::npos) return false;
-    std::uint64_t k = 0, n = 0;
-    if (!parse_u64(s.substr(0, slash).c_str(), k)) return false;
-    if (!parse_u64(s.substr(slash + 1).c_str(), n)) return false;
-    if (n < 1 || k >= n) return false;
-    index = static_cast<unsigned>(k);
-    count = static_cast<unsigned>(n);
-    return true;
-}
-
 struct PolicyResult {
     std::string name;
     fault::CampaignResult r;
 };
 
-void write_json(std::ostream& os, const std::vector<PolicyResult>& results, unsigned cores,
-                unsigned shard_index, unsigned shard_count) {
+void write_json(std::ostream& os, const std::vector<PolicyResult>& results, unsigned cores) {
     os << "{\n";
-    if (shard_count > 1) os << "  \"shard\": \"" << shard_index << "/" << shard_count << "\",\n";
     os << "  \"campaigns\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto& r = results[i].r;
@@ -131,12 +117,9 @@ int main(int argc, char** argv) {
                           << "' (expected reference, fast or trace)\n";
                 return 2;
             }
-        } else if (arg == "--shard" && i + 1 < argc &&
-                   parse_shard(argv[++i], cfg.shard_index, cfg.shard_count)) {
-            // parsed in place
         } else {
             std::cerr << "usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]\n"
-                         "                          [--engine reference|fast|trace] [--shard K/N]\n";
+                         "                          [--engine reference|fast|trace]\n";
             return 2;
         }
     }
@@ -208,7 +191,7 @@ int main(int argc, char** argv) {
             std::cerr << "cannot write " << json_path << "\n";
             return 1;
         }
-        write_json(os, results, kNumCores, cfg.shard_index, cfg.shard_count);
+        write_json(os, results, kNumCores);
         std::cout << "\nwrote " << json_path << "\n";
     }
     return 0;

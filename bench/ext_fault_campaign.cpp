@@ -14,13 +14,9 @@
 //      the acceptance row: ECC + parity + generalized checkpointing
 //      reports ZERO silent corruptions.
 //
-// Campaigns shard across machines: --shard K/N runs the global injection
-// indices congruent to K mod N; tools/merge_campaign.py folds the shard
-// JSONs back into the byte-identical unsharded artifact.
-//
 // Usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]
 //                           [--engine reference|fast|trace|batched]
-//                           [--batch B] [--shard K/N]
+//                           [--batch B]
 //
 // --engine batched runs every campaign through the lockstep-sharing tier
 // (DESIGN.md §11): outcome/energy tables stay byte-identical to trace,
@@ -99,18 +95,6 @@ bool parse_u64(const char* s, std::uint64_t& out) {
     return true;
 }
 
-bool parse_shard(const std::string& s, unsigned& index, unsigned& count) {
-    const auto slash = s.find('/');
-    if (slash == std::string::npos) return false;
-    std::uint64_t k = 0, n = 0;
-    if (!parse_u64(s.substr(0, slash).c_str(), k)) return false;
-    if (!parse_u64(s.substr(slash + 1).c_str(), n)) return false;
-    if (n < 1 || k >= n) return false;
-    index = static_cast<unsigned>(k);
-    count = static_cast<unsigned>(n);
-    return true;
-}
-
 /// A campaign result tagged with the workload that produced it.
 struct TaggedResult {
     const char* workload; ///< "oneshot" | "streaming"
@@ -118,10 +102,8 @@ struct TaggedResult {
     const char* policy = nullptr; ///< extra identity tag (omitted when null)
 };
 
-void write_json(std::ostream& os, const std::vector<TaggedResult>& results, unsigned shard_index,
-                unsigned shard_count) {
+void write_json(std::ostream& os, const std::vector<TaggedResult>& results) {
     os << "{\n";
-    if (shard_count > 1) os << "  \"shard\": \"" << shard_index << "/" << shard_count << "\",\n";
     os << "  \"campaigns\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto& r = results[i].r;
@@ -183,25 +165,17 @@ int main(int argc, char** argv) {
         } else if (arg == "--batch" && i + 1 < argc && parse_u64(argv[++i], v) && v >= 1 &&
                    v <= 4096) {
             cfg.batch = static_cast<unsigned>(v);
-        } else if (arg == "--shard" && i + 1 < argc &&
-                   parse_shard(argv[++i], cfg.shard_index, cfg.shard_count)) {
-            // parsed in place
         } else {
             std::cerr << "usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]\n"
                          "                          [--engine reference|fast|trace|batched]\n"
-                         "                          [--batch B] [--shard K/N]\n";
+                         "                          [--batch B]\n";
             return 2;
         }
     }
 
     exp::print_experiment_header("Extension: fault-injection campaigns",
                                  "beyond the paper (dependability axis, DESIGN.md §9)");
-    std::cout << cfg.injections << " seeded strikes per campaign (seed " << cfg.seed << ")";
-    if (cfg.shard_count > 1) {
-        std::cout << ", shard " << cfg.shard_index << "/" << cfg.shard_count
-                  << " (tables show this shard's strikes only)";
-    }
-    std::cout << ".\n\n";
+    std::cout << cfg.injections << " seeded strikes per campaign (seed " << cfg.seed << ").\n\n";
 
     const app::EcgBenchmark bench{};
     sweep::SweepRunner pool;
@@ -442,7 +416,7 @@ int main(int argc, char** argv) {
             std::cerr << "cannot write " << json_path << "\n";
             return 1;
         }
-        write_json(os, results, cfg.shard_index, cfg.shard_count);
+        write_json(os, results);
         std::cout << "\nwrote " << json_path << "\n";
     }
     return 0;

@@ -207,7 +207,7 @@ StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      CheckpointedStreamMemo& memo) const {
     if (!memo.valid_) {
         // Capture pass: one fault-free continuous run, snapshotted at
-        // every block boundary. Amortized over the whole campaign shard
+        // every block boundary. Amortized over every campaign injection
         // this thread processes.
         memo.boundary_.resize(n_blocks_);
         memo.cum_.resize(n_blocks_);

@@ -49,15 +49,6 @@ cluster::ClusterConfig resilient_config(const app::EcgBenchmark& bench, cluster:
     return c;
 }
 
-/// The global injection indices this shard owns, in global order.
-std::vector<std::uint64_t> shard_indices(const CampaignConfig& cfg) {
-    ULPMC_EXPECTS(cfg.shard_count >= 1 && cfg.shard_index < cfg.shard_count);
-    std::vector<std::uint64_t> idx;
-    for (std::uint64_t g = cfg.shard_index; g < cfg.injections; g += cfg.shard_count)
-        idx.push_back(g);
-    return idx;
-}
-
 /// Per-thread campaign workspace: one reusable cluster plus a snapshot
 /// ladder of the fault-free run. Restoring the highest rung at or below
 /// the strike cycle replaces re-simulating the (deterministic) clean
@@ -222,8 +213,7 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
     const std::uint64_t nonce = next_campaign_nonce();
     const Cycle ladder_stride = std::max<Cycle>(1, res.clean_cycles / kLadderRungs);
 
-    const std::vector<std::uint64_t> globals = shard_indices(cfg);
-    res.runs.resize(globals.size());
+    res.runs.resize(cfg.injections);
 
     // Batched engine, one-shot recovery: lanes share the clean
     // representative (DESIGN.md §11). Each injection peels off the ladder
@@ -234,7 +224,7 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
     // re-execution makes lanes diverge from the clean schedule for good).
     const bool lockstep = cfg.engine == cluster::SimEngine::Batched && !cfg.checkpoint;
     const unsigned B = std::max(1u, cfg.batch);
-    const std::size_t groups = lockstep ? (globals.size() + B - 1) / B : 0;
+    const std::size_t groups = lockstep ? (cfg.injections + B - 1) / B : 0;
 
     if (lockstep) {
         pool.for_each_index(groups, [&](std::size_t g) {
@@ -267,10 +257,10 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
             bc.reset_lanes();
             const std::size_t lane0 = g * B;
             const auto nlanes =
-                static_cast<unsigned>(std::min<std::size_t>(B, globals.size() - lane0));
+                static_cast<unsigned>(std::min<std::size_t>(B, cfg.injections - lane0));
             for (unsigned j = 0; j < nlanes; ++j) {
                 const std::size_t i = lane0 + j;
-                FaultInjector inj(mix_seed(cfg.seed, globals[i]));
+                FaultInjector inj(mix_seed(cfg.seed, i));
                 InjectionRecord rec;
                 rec.fault = inj.draw(universe);
 
@@ -311,7 +301,7 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
             }
         });
     } else {
-        pool.for_each_index(globals.size(), [&](std::size_t i) {
+        pool.for_each_index(cfg.injections, [&](std::size_t i) {
             Workspace& ws = workspace();
             if (ws.key != nonce) {
                 // First injection this thread sees: replay the fault-free run
@@ -330,7 +320,7 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
                 ws.key = nonce;
             }
 
-            FaultInjector inj(mix_seed(cfg.seed, globals[i]));
+            FaultInjector inj(mix_seed(cfg.seed, i));
             InjectionRecord rec;
             rec.fault = inj.draw(universe);
 
@@ -426,10 +416,9 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
     // which is what makes the credit sound.
     const bool batched = cfg.engine == cluster::SimEngine::Batched;
 
-    const std::vector<std::uint64_t> globals = shard_indices(cfg);
-    res.runs.resize(globals.size());
-    pool.for_each_index(globals.size(), [&](std::size_t i) {
-        FaultInjector inj(mix_seed(cfg.seed, globals[i]));
+    res.runs.resize(cfg.injections);
+    pool.for_each_index(cfg.injections, [&](std::size_t i) {
+        FaultInjector inj(mix_seed(cfg.seed, i));
         InjectionRecord rec;
         rec.fault = inj.draw(universe);
         const unsigned target_block = inj.rng().below(bench.n_blocks());
@@ -584,11 +573,10 @@ CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
         .max_interval = std::min<Cycle>(4000, std::max<Cycle>(1000, res.clean_cycles / 32)),
     };
 
-    const std::vector<std::uint64_t> globals = shard_indices(cfg);
-    res.runs.resize(globals.size());
-    std::vector<std::uint64_t> updates(globals.size(), 0);
-    pool.for_each_index(globals.size(), [&](std::size_t i) {
-        FaultInjector inj(mix_seed(cfg.seed, globals[i]));
+    res.runs.resize(cfg.injections);
+    std::vector<std::uint64_t> updates(cfg.injections, 0);
+    pool.for_each_index(cfg.injections, [&](std::size_t i) {
+        FaultInjector inj(mix_seed(cfg.seed, i));
         InjectionRecord rec;
         rec.strikes = 0;
 
@@ -768,14 +756,13 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
     storage_universe.flip_bits = cfg.flip_bits;
     storage_universe.burst_len = cfg.burst_len;
 
-    const std::vector<std::uint64_t> globals = shard_indices(cfg);
-    res.runs.resize(globals.size());
+    res.runs.resize(cfg.injections);
     struct StoreAgg {
         std::uint64_t stored = 0, full = 0, crc = 0, fallbacks = 0;
     };
-    std::vector<StoreAgg> aggs(globals.size());
-    pool.for_each_index(globals.size(), [&](std::size_t i) {
-        FaultInjector inj(mix_seed(cfg.seed, globals[i]));
+    std::vector<StoreAgg> aggs(cfg.injections);
+    pool.for_each_index(cfg.injections, [&](std::size_t i) {
+        FaultInjector inj(mix_seed(cfg.seed, i));
         InjectionRecord rec;
         rec.fault = inj.draw(universe);
         const unsigned target_block = inj.rng().below(bench.n_blocks());

@@ -24,11 +24,9 @@
 //   Sdc         — silent data corruption: run completed, outputs wrong.
 //
 // Reproducibility contract: the per-injection RNG seed is
-// mix_seed(cfg.seed, i) with i the GLOBAL injection index, so the i-th
+// mix_seed(cfg.seed, i) with i the injection index, so the i-th
 // injection of a campaign is the same fault with the same classification
-// on every run, every thread count, every platform — and a campaign
-// sharded over N machines (shard k runs the indices congruent to k mod N)
-// aggregates to exactly the unsharded result (tools/merge_campaign.py).
+// on every run, every thread count, every platform.
 #pragma once
 
 #include <array>
@@ -96,10 +94,6 @@ struct CampaignConfig {
     cluster::SimEngine engine = cluster::SimEngine::Trace;
     /// Lanes per batch group under the batched engine (ignored otherwise).
     unsigned batch = 8;
-    /// Shard selector: this invocation runs the global injection indices
-    /// congruent to shard_index mod shard_count. (1, 0) = everything.
-    unsigned shard_count = 1;
-    unsigned shard_index = 0;
 };
 
 /// One injection, fully described and classified.
@@ -156,8 +150,7 @@ struct CampaignResult {
 /// on `arch`, parallelized over `pool`. Without cfg.checkpoint the
 /// outcomes are Masked / Latent / Corrected / Trapped / Hang / Sdc; with
 /// it, a trap inside one checkpoint interval of the strike rolls back and
-/// re-executes (RolledBack). When sharded, only this shard's injections
-/// are in `runs`/`counts`.
+/// re-executes (RolledBack).
 CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind arch,
                             const CampaignConfig& cfg, sweep::SweepRunner& pool);
 

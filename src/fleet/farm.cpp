@@ -147,53 +147,91 @@ void scan_journal(const std::string& path, JournalProgress& p) {
     std::fclose(f);
 }
 
-MergedFleet merge_stores(const FleetOptions& fleet, const std::string& timeline_name,
-                         double block_period_s, const std::vector<std::string>& store_paths) {
-    const unsigned n = static_cast<unsigned>(store_paths.size());
-    if (n == 0) throw FarmError("merge: no shard stores");
-    MergedFleet merged;
-    merged.records.resize(fleet.devices);
-    std::vector<bool> placed(fleet.devices, false);
-    for (unsigned k = 0; k < n; ++k) {
-        const LoadedStore s = read_store(store_paths[k]);
-        const StoreHeader& h = s.header;
-        if (h.seed != fleet.seed || h.devices != fleet.devices || h.cohorts != fleet.cohorts ||
-            h.shard_k != k || h.shard_n != n) {
+MergedFleet merge_stores(const FleetOptions& fleet, const scenario::Timeline& tl,
+                         const std::string& timeline_name,
+                         const std::vector<std::string>& store_paths) {
+    if (store_paths.empty()) throw FarmError("merge: no shard stores");
+    std::vector<LoadedStore> stores(store_paths.size());
+    for (std::size_t i = 0; i < store_paths.size(); ++i) {
+        try {
+            stores[i] = read_store(store_paths[i]);
+        } catch (const FleetStoreError& e) {
+            throw FarmError(std::string("merge: ") + e.what());
+        }
+        const StoreHeader& h = stores[i].header;
+        if (h.seed != fleet.seed || h.devices != fleet.devices || h.cohorts != fleet.cohorts) {
             std::ostringstream ss;
-            ss << "merge: " << store_paths[k] << ": header (seed " << h.seed << ", devices "
-               << h.devices << ", cohorts " << h.cohorts << ", shard " << h.shard_k << "/"
-               << h.shard_n << ") disagrees with the farm spec (seed " << fleet.seed
-               << ", devices " << fleet.devices << ", cohorts " << fleet.cohorts << ", shard "
-               << k << "/" << n << ")";
+            ss << "merge: " << store_paths[i] << ": header (seed " << h.seed << ", devices "
+               << h.devices << ", cohorts " << h.cohorts << ") disagrees with the spec (seed "
+               << fleet.seed << ", devices " << fleet.devices << ", cohorts " << fleet.cohorts
+               << ")";
             throw FarmError(ss.str());
         }
-        for (const DeviceRecord& r : s.records) {
-            if (r.gdi >= fleet.devices || placed[r.gdi])
-                throw FarmError("merge: " + store_paths[k] + ": record for device " +
-                                std::to_string(r.gdi) + " is out of range or duplicated");
+    }
+    // Each store is placed by its own header's shard key, so the input
+    // order is free; the set must be exactly shards 0..N-1 of a single N.
+    const unsigned n = stores[0].header.shard_n;
+    auto key = [&](std::size_t i) {
+        return std::to_string(stores[i].header.shard_k) + "/" +
+               std::to_string(stores[i].header.shard_n);
+    };
+    std::vector<std::size_t> by_shard(n, store_paths.size());
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+        const StoreHeader& h = stores[i].header;
+        if (h.shard_n != n)
+            throw FarmError("merge: mixed shard counts: " + store_paths[0] + " is shard " +
+                            key(0) + ", " + store_paths[i] + " is shard " + key(i));
+        if (by_shard[h.shard_k] != store_paths.size())
+            throw FarmError("merge: duplicate shard " + key(i) + ": " +
+                            store_paths[by_shard[h.shard_k]] + " and " + store_paths[i]);
+        by_shard[h.shard_k] = i;
+    }
+    for (unsigned k = 0; k < n; ++k)
+        if (by_shard[k] == store_paths.size())
+            throw FarmError("merge: incomplete shard set: shard " + std::to_string(k) + "/" +
+                            std::to_string(n) + " is missing");
+
+    // read_store proved each store holds exactly its shard's gdi sequence,
+    // so the complete set covers [0, devices) once. What a header cannot
+    // bind (the baseline fraction, --days) each record still carries.
+    const std::uint64_t blocks = scenario::lifetime_blocks(tl, fleet.days);
+    MergedFleet merged;
+    merged.records.resize(fleet.devices);
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+        for (const DeviceRecord& r : stores[i].records) {
+            auto reject = [&](const std::string& why) {
+                return FarmError("merge: " + store_paths[i] + ": device " +
+                                 std::to_string(r.gdi) + why);
+            };
+            const DeviceSpec spec = device_spec(fleet, r.gdi);
+            if (r.cohort != spec.cohort || r.arch != static_cast<std::uint8_t>(spec.arch) ||
+                r.policy != static_cast<std::uint8_t>(spec.policy))
+                throw reject(" does not match the spec's cohort/arch/policy "
+                             "(seed, cohorts or baseline differ)");
+            if (r.total_blocks != blocks)
+                throw reject(" ran " + std::to_string(r.total_blocks) +
+                             " blocks, the timeline and days imply " + std::to_string(blocks) +
+                             " (days differ)");
             merged.records[r.gdi] = r;
-            placed[r.gdi] = true;
         }
     }
-    for (std::uint64_t gdi = 0; gdi < fleet.devices; ++gdi)
-        if (!placed[gdi])
-            throw FarmError("merge: device " + std::to_string(gdi) +
-                            " missing from every shard store");
     // Ascending-gdi aggregation over the full fleet: the exact code path
     // an unsharded run takes, which is what makes the merged JSON
-    // byte-identical by construction rather than by porting effort.
+    // byte-identical by construction.
     for (const DeviceRecord& r : merged.records) merged.aggregate.add(r);
     FleetOptions unsharded = fleet;
     unsharded.shard_k = 0;
     unsharded.shard_n = 1;
     std::ostringstream out;
-    write_json(out, timeline_name, unsharded, block_period_s, merged.aggregate,
+    write_json(out, timeline_name, unsharded, tl.block_period_s, merged.aggregate,
                merged.records.size());
     merged.json = out.str();
     return merged;
 }
 
 Farm::Farm(const FarmOptions& opt, std::ostream* log) : opt_(opt), log_(log) {
+    opt_.fleet.shard_k = 0; // the farm owns the split
+    opt_.fleet.shard_n = 1;
     if (opt_.workers < 1) throw FarmError("farm: need at least one worker");
     if (opt_.workers > opt_.fleet.devices)
         throw FarmError("farm: more workers than devices leaves empty shards");
@@ -277,7 +315,6 @@ FarmReport Farm::run() {
             "--engine",   cluster::engine_name(opt_.fleet.engine),
             "--threads",  std::to_string(opt_.worker_threads),
             "--shard",    std::to_string(k) + "/" + std::to_string(opt_.workers),
-            "--json",     shard_path(k, ".json"),
             "--store",    shard_path(k, ".ulpf"),
             "--heartbeat", f64_arg(opt_.heartbeat_s),
             // Every attempt resumes: the first finds no journal and starts
@@ -476,20 +513,12 @@ FarmReport Farm::run() {
     if (rep.dead_shards.empty()) {
         std::vector<std::string> stores;
         for (unsigned k = 0; k < opt_.workers; ++k) stores.push_back(shard_path(k, ".ulpf"));
-        const MergedFleet merged =
-            merge_stores(opt_.fleet, timeline_name_, tl_.block_period_s, stores);
+        const MergedFleet merged = merge_stores(opt_.fleet, tl_, timeline_name_, stores);
         rep.merged_json = merged.json;
         rep.complete = true;
         if (!opt_.json_path.empty()) write_file_atomic(opt_.json_path, merged.json);
-        if (!opt_.store_path.empty()) {
-            StoreHeader hdr;
-            hdr.cohorts = opt_.fleet.cohorts;
-            hdr.seed = opt_.fleet.seed;
-            hdr.devices = opt_.fleet.devices;
-            hdr.shard_k = 0;
-            hdr.shard_n = 1;
-            write_store(opt_.store_path, hdr, merged.records);
-        }
+        if (!opt_.store_path.empty())
+            write_store(opt_.store_path, store_header(opt_.fleet), merged.records);
         log("merged " + std::to_string(merged.records.size()) + " devices from " +
             std::to_string(opt_.workers) + " shard stores");
     }

@@ -1,7 +1,7 @@
 // Fault-tolerant fleet farm (DESIGN.md §13 "Farming").
 //
-// `--shard K/N` merges are byte-exact and every shard run is
-// crash-resumable from its CRC-framed journal, so scattering shards over
+// Shard stores merge byte-exactly (merge_stores below) and every shard run
+// is crash-resumable from its CRC-framed journal, so scattering shards over
 // worker PROCESSES is plumbing — but plumbing that loses a worker loses
 // the run unless the supervisor is dependable. fleet::Farm is that
 // supervisor: it fork/execs one `ulpmc-fleet --shard k/N --resume
@@ -24,8 +24,8 @@
 //
 // When every shard completes, the farm merges the shard stores
 // IN-PROCESS into the same JSON artifact and ULPF store an unsharded
-// `ulpmc-fleet` run would have written, byte for byte (the C++ twin of
-// tools/merge_fleet.py; CI cross-checks the two with --verify-against).
+// `ulpmc-fleet` run would have written, byte for byte — the same
+// merge_stores `ulpmc-fleet --merge` runs.
 //
 // A seeded chaos mode SIGKILLs (or SIGSTOPs, to exercise the timeout
 // escalation) the farm's own workers at deterministic progress points;
@@ -57,7 +57,7 @@ struct FarmOptions {
     FleetOptions fleet;
     std::string timeline_path;
     std::string fleet_bin;     ///< worker binary (ulpmc-fleet)
-    std::string dir = "farm";  ///< scratch dir: shard_K.{jnl,json,ulpf,log}
+    std::string dir = "farm";  ///< scratch dir: shard_K.{jnl,ulpf,log}
     std::string json_path;     ///< merged JSON artifact ("" = skip)
     std::string store_path;    ///< merged ULPF store ("" = skip)
     unsigned workers = 4;      ///< shard count N (one process per shard)
@@ -153,12 +153,17 @@ struct MergedFleet {
     std::string json; ///< byte-identical to the unsharded ulpmc-fleet artifact
 };
 
-/// Merges the shard stores `store_paths[k]` (shard k of store_paths.size())
-/// into the unsharded artifact. Validates every header against the fleet
-/// spec (seed/devices/cohorts/shard arithmetic); throws FarmError or
-/// FleetStoreError on any disagreement. `fleet`'s shard fields are ignored.
-MergedFleet merge_stores(const FleetOptions& fleet, const std::string& timeline_name,
-                         double block_period_s, const std::vector<std::string>& store_paths);
+/// The one shard merge: rebuilds the unsharded artifact from a complete
+/// shard-store set, given in any order (each store is placed by its
+/// header's shard key). Throws a one-line FarmError for an unreadable or
+/// corrupt store, a header that disagrees with the spec (seed, devices,
+/// cohorts), a duplicate, missing or mixed-N shard set, and any record
+/// whose cohort/arch/policy is not device_spec(fleet, gdi) or whose
+/// block count is not the one `tl` and fleet.days imply. `fleet`'s shard
+/// fields are ignored.
+MergedFleet merge_stores(const FleetOptions& fleet, const scenario::Timeline& tl,
+                         const std::string& timeline_name,
+                         const std::vector<std::string>& store_paths);
 
 /// The supervisor. Construction validates options and loads the timeline
 /// (throws FarmError on unusable options, an unreadable timeline, or a
@@ -173,7 +178,7 @@ public:
     /// merged artifacts when json_path/store_path are set. Never throws
     /// for worker failures — those are the report's job; throws FarmError
     /// only for supervisor-level impossibilities (spawn failure, scratch
-    /// dir not creatable) and FleetStoreError for a corrupt final store.
+    /// dir not creatable, a final shard set that does not merge).
     FarmReport run();
 
 private:

@@ -60,22 +60,12 @@ void SliceTotals::add(const DeviceRecord& r) {
     total_blocks += r.total_blocks;
 }
 
-void SliceTotals::merge(const SliceTotals& o) {
-    devices += o.devices;
-    energy_nj += o.energy_nj;
-    samples_total += o.samples_total;
-    samples_delivered += o.samples_delivered;
-    sdc_blocks += o.sdc_blocks;
-    brownouts += o.brownouts;
-    total_blocks += o.total_blocks;
-}
-
 void FleetAggregate::add(const DeviceRecord& r) {
     total.add(r);
     by_policy[r.policy].add(r);
     by_arch[r.arch].add(r);
-    // Sketch inputs derive from the record's INTEGER fields, so a merged
-    // shard sees bit-identical doubles to the unsharded run.
+    // Sketch inputs derive from the record's INTEGER fields: the record
+    // alone (e.g. read back from a store) reproduces the exact doubles.
     energy_j.add(static_cast<double>(r.energy_nj) * 1e-9);
     delivered_fraction.add(r.samples_total > 0
                                ? static_cast<double>(r.samples_delivered) /
@@ -83,16 +73,6 @@ void FleetAggregate::add(const DeviceRecord& r) {
                                : 0.0);
     sdc_blocks.add(static_cast<double>(r.sdc_blocks));
     max_backoff_s.add(static_cast<double>(r.max_backoff_us) * 1e-6);
-}
-
-void FleetAggregate::merge(const FleetAggregate& o) {
-    total.merge(o.total);
-    for (int i = 0; i < 2; ++i) by_policy[i].merge(o.by_policy[i]);
-    for (int i = 0; i < 3; ++i) by_arch[i].merge(o.by_arch[i]);
-    energy_j.merge(o.energy_j);
-    delivered_fraction.merge(o.delivered_fraction);
-    sdc_blocks.merge(o.sdc_blocks);
-    max_backoff_s.merge(o.max_backoff_s);
 }
 
 DeviceRecord make_record(const DeviceSpec& spec, const scenario::LifetimeReport& rep) {

@@ -17,11 +17,12 @@
 // calibrations per device; the fleet pays them once per cohort.
 //
 // Aggregation is streaming: per-device results collapse into integer
-// totals plus mergeable quantile sketches (fleet/sketch), so memory is
-// O(devices) records + O(1) aggregate, never O(devices x blocks).
-// Energy is quantized to integer nanojoules at the device boundary, so
-// cross-shard sums are integer sums — commutative, which is what makes
-// merged shard artifacts byte-identical to the unsharded run.
+// totals plus quantile sketches (fleet/sketch), so memory is O(devices)
+// records + O(1) aggregate, never O(devices x blocks). Energy is
+// quantized to integer nanojoules at the device boundary, so totals are
+// integer sums. Shards merge at the record level (fleet/farm
+// merge_stores): the full record set is re-aggregated in ascending gdi
+// order, the exact path an unsharded run takes.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +84,9 @@ DeviceSpec device_spec(const FleetOptions& opt, std::uint64_t gdi);
 std::uint64_t shard_device_count(std::uint64_t devices, unsigned k, unsigned n);
 
 /// Compact per-device result (the append-only store's record, fixed
-/// 64 bytes). Quantities that feed cross-shard sums are integers
-/// (energy in nanojoules, backoff in microseconds): integer sums are
-/// order-free where float sums are not.
+/// 56 bytes). Quantities that feed fleet sums are integers (energy in
+/// nanojoules, backoff in microseconds): integer sums are order-free
+/// where float sums are not.
 struct DeviceRecord {
     std::uint64_t gdi = 0;
     std::uint64_t energy_nj = 0;         ///< total drain: compute+ckpt+reexec+radio
@@ -113,13 +114,10 @@ struct SliceTotals {
     std::uint64_t total_blocks = 0;
 
     void add(const DeviceRecord& r);
-    void merge(const SliceTotals& o);
 };
 
-/// Streaming fleet aggregate: integer totals + quantile sketches. add()
-/// and merge() are both commutative in effect (integer sums and sketch
-/// bin sums), so shards merged in any order reproduce the unsharded
-/// aggregate exactly — pinned by tests and the CI shard-merge diff.
+/// Streaming fleet aggregate: integer totals + quantile sketches, fed one
+/// record at a time in ascending gdi order.
 struct FleetAggregate {
     SliceTotals total;
     SliceTotals by_policy[2]; ///< indexed by scenario::Policy
@@ -130,7 +128,6 @@ struct FleetAggregate {
     QuantileSketch max_backoff_s;
 
     void add(const DeviceRecord& r);
-    void merge(const FleetAggregate& o);
 };
 
 /// Collapses one lifetime report into the store record for device `spec`.

@@ -3,13 +3,10 @@
 // The JSON is a DETERMINISTIC artifact: it contains only quantities that
 // are pure functions of (timeline, FleetOptions) — integer totals,
 // integer-derived floats and sketch payloads — never wall time, thread
-// counts, scheduler stats or the simulator tier. CI diffs the bytes
-// across thread counts, engine tiers and shard merges, and
-// tools/merge_fleet.py reproduces the unsharded bytes from shard
-// artifacts, so every float here must render identically from C++
-// (default ostream formatting, 6 significant digits) and Python ("%g").
-// Host-dependent numbers (wall time, device-hours/sec, steals) go to the
-// human summary on stdout only.
+// counts, scheduler stats or the simulator tier. The fleet smoke test
+// diffs the bytes across thread counts, engine tiers and `--merge`d
+// shard sets. Host-dependent numbers (wall time, device-hours/sec,
+// steals) go to the human summary on stdout only.
 #pragma once
 
 #include <iosfwd>

@@ -78,11 +78,12 @@ WorkStealingPool::run(std::uint64_t n, const std::function<void(std::uint64_t, u
                 bool stole = false;
                 for (unsigned hop = 1; hop < w && !stole; ++hop) {
                     WorkerDeque& victim = deques[(self + hop) % w];
-                    std::lock_guard lock(victim.m);
+                    // Both locks at once (deadlock-avoiding order): two
+                    // thieves robbing each other must not invert the order.
+                    std::scoped_lock lock(victim.m, mine.m);
                     const std::size_t nr = victim.ranges.size();
                     if (nr == 0) continue;
                     std::uint64_t moved = 0;
-                    std::lock_guard mylock(mine.m);
                     if (nr == 1) {
                         // Split the lone range in half; steal the top half.
                         Range& r = victim.ranges.front();

@@ -50,42 +50,14 @@ void QuantileSketch::add(double x, std::uint64_t count) {
         bins_.insert(it, {b, count});
 }
 
-void QuantileSketch::merge(const QuantileSketch& o) {
-    if (o.total_ == 0) return;
-    if (total_ == 0) {
-        min_ = o.min_;
-        max_ = o.max_;
-    } else {
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-    total_ += o.total_;
-    zero_ += o.zero_;
-    std::vector<std::pair<std::int32_t, std::uint64_t>> out;
-    out.reserve(bins_.size() + o.bins_.size());
-    std::size_t i = 0, j = 0;
-    while (i < bins_.size() || j < o.bins_.size()) {
-        if (j == o.bins_.size() || (i < bins_.size() && bins_[i].first < o.bins_[j].first)) {
-            out.push_back(bins_[i++]);
-        } else if (i == bins_.size() || o.bins_[j].first < bins_[i].first) {
-            out.push_back(o.bins_[j++]);
-        } else {
-            out.push_back({bins_[i].first, bins_[i].second + o.bins_[j].second});
-            ++i;
-            ++j;
-        }
-    }
-    bins_ = std::move(out);
-}
-
 double QuantileSketch::quantile(double q) const {
     if (total_ == 0) return 0.0;
     ULPMC_EXPECTS(q >= 0.0 && q <= 1.0);
     // Nearest-rank (0-based): the value whose cumulative count first
     // exceeds rank, reported as its bin's midpoint. Deliberately a pure
-    // function of the integer state (bins, zero, total) — never of the
-    // float extrema — so tools/merge_fleet.py reproduces every quantile
-    // bit-exactly from the merged integer payload alone.
+    // function of the integer state (bins, zero, total), never of the
+    // float extrema, so the artifact's quantiles follow from its own
+    // integer bin payload.
     const auto rank =
         static_cast<std::uint64_t>(q * static_cast<double>(total_ - 1));
     std::uint64_t cum = zero_;

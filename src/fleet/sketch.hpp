@@ -1,14 +1,11 @@
-// Deterministic mergeable quantile sketch (DESIGN.md §13).
+// Deterministic quantile sketch (DESIGN.md §13).
 //
 // Fleet aggregation needs per-metric percentiles over thousands of
 // devices WITHOUT holding per-device values (memory O(sketch), not
-// O(devices)), and shard merges must be byte-identical to the unsharded
-// run. Streaming estimators like P² or t-digest fail the second
-// requirement: their state depends on insertion order, so shard merges
-// cannot reproduce the unsharded artifact. This sketch is a log-binned
-// histogram instead — bin counts are integers, so merging is a
-// commutative, associative integer sum and every aggregation order
-// produces the same bytes.
+// O(devices)), and the artifact must not depend on insertion order.
+// Streaming estimators like P² or t-digest fail the second requirement.
+// This sketch is a log-binned histogram instead: bin counts are
+// integers, so every insertion order produces the same state.
 //
 // Binning is pure integer/frexp arithmetic (no libm log, whose last-ulp
 // behavior varies across libms): a positive value x = m * 2^e with
@@ -16,7 +13,6 @@
 // geometric sub-bins per octave, bounding the relative quantile error at
 // one sub-bin width (~2.2%). Non-positive values (a device that delivered
 // nothing, zero SDC blocks) get an exact dedicated zero bucket.
-// tools/merge_fleet.py mirrors the math via math.frexp/math.ldexp.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +36,9 @@ public:
     /// zero bucket (the metrics sketched are all non-negative).
     void add(double x, std::uint64_t count = 1);
 
-    /// Integer-sums the other sketch in: commutative and associative, so
-    /// any shard-merge order reproduces the unsharded sketch exactly.
-    void merge(const QuantileSketch& o);
-
     /// Quantile estimate for q in [0, 1]: nearest-rank walk over the zero
     /// bucket and the ascending bins, returning the matched bin's
-    /// midpoint clamped to the observed [min, max]. Deterministic, and
-    /// exactly reproduced by tools/merge_fleet.py. Returns 0 when empty.
+    /// midpoint. Deterministic; returns 0 when empty.
     double quantile(double q) const;
 
     std::uint64_t count() const { return total_; }

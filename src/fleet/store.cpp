@@ -7,6 +7,16 @@
 
 namespace ulpmc::fleet {
 
+StoreHeader store_header(const FleetOptions& opt) {
+    StoreHeader hdr;
+    hdr.cohorts = opt.cohorts;
+    hdr.seed = opt.seed;
+    hdr.devices = opt.devices;
+    hdr.shard_k = opt.shard_k;
+    hdr.shard_n = opt.shard_n;
+    return hdr;
+}
+
 void write_store(const std::string& path, const StoreHeader& hdr,
                  const std::vector<DeviceRecord>& records) {
     // Composed in memory and published with a fsync+rename so a killed

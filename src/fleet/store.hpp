@@ -39,6 +39,9 @@ struct StoreHeader {
 };
 static_assert(sizeof(StoreHeader) == 40, "store format: keep the header packed");
 
+/// The header binding a store to `opt`'s fleet and shard split.
+StoreHeader store_header(const FleetOptions& opt);
+
 /// Writes header + records to `path` (overwrites). Throws FleetStoreError
 /// on any I/O failure.
 void write_store(const std::string& path, const StoreHeader& hdr,

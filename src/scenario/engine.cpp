@@ -161,15 +161,18 @@ const LevelCalibration& LifetimeEngine::calibrate(DegradeLevel level) {
     return *calib_[idx];
 }
 
+std::uint64_t lifetime_blocks(const Timeline& tl, double max_days) {
+    const double sim_s = max_days > 0 ? max_days * 86400.0 : tl.total_s();
+    return static_cast<std::uint64_t>(std::floor(sim_s / tl.block_period_s + 1e-9));
+}
+
 LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool) {
     return run(pool, LifeResume{});
 }
 
 LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& resume) {
     const double period = tl_.block_period_s;
-    const double sim_s = dc_.max_days > 0 ? dc_.max_days * 86400.0 : tl_.total_s();
-    const auto total_blocks =
-        static_cast<std::uint64_t>(std::floor(sim_s / period + 1e-9));
+    const std::uint64_t total_blocks = lifetime_blocks(tl_, dc_.max_days);
     ULPMC_EXPECTS(total_blocks >= 1);
 
     LifetimeReport rep;

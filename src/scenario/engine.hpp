@@ -200,6 +200,11 @@ private:
     std::unordered_map<std::string, std::unique_ptr<Entry>> map_;
 };
 
+/// Blocks a lifetime of `max_days` (0 = one pass of the timeline) runs:
+/// whole block periods only. The one definition LifetimeEngine::run and
+/// the fleet merge's record check share.
+std::uint64_t lifetime_blocks(const Timeline& tl, double max_days);
+
 /// Runs one device lifetime. The per-level calibrations are cached inside
 /// the engine, so running both policies through one instance shares them;
 /// the fleet layer shares one benchmark and one CalibrationCache across

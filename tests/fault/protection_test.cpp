@@ -3,15 +3,10 @@
 // strike silently, never-read upsets are classified latent instead of
 // masked, adjacent-bit bursts defeat SEC-DED but not checkpoint replay,
 // the protected streaming campaign reaches zero SDC, and the
-// classification tables are identical across all three engine tiers and
-// across shard splits.
+// classification tables are identical across all three engine tiers.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <bit>
-#include <string>
-#include <vector>
 
 #include "app/benchmark.hpp"
 #include "app/streaming.hpp"
@@ -263,38 +258,6 @@ TEST(Campaign, ClassificationIsIdenticalAcrossEngineTiers) {
     }
     EXPECT_EQ(ref.counts, fast.counts);
     EXPECT_EQ(ref.counts, trace.counts);
-}
-
-TEST(Campaign, ShardedCountsSumToUnshardedRun) {
-    // Satellite 1, in process: shard K/N runs the global indices congruent
-    // to K mod N with globally-derived seeds, so summing shard counts must
-    // reproduce the unsharded table exactly.
-    const app::EcgBenchmark bench{};
-    CampaignConfig cfg;
-    cfg.seed = 29;
-    cfg.injections = 18;
-    cfg.ecc = true;
-    cfg.burst_len = 3;
-    sweep::SweepRunner pool;
-
-    const auto full = run_campaign(bench, cluster::ArchKind::UlpmcBank, cfg, pool);
-
-    std::array<unsigned, kOutcomeCount> summed{};
-    std::vector<std::string> sharded_faults;
-    cfg.shard_count = 3;
-    for (unsigned k = 0; k < 3; ++k) {
-        cfg.shard_index = k;
-        const auto shard = run_campaign(bench, cluster::ArchKind::UlpmcBank, cfg, pool);
-        EXPECT_EQ(shard.runs.size(), 6u);
-        for (unsigned o = 0; o < kOutcomeCount; ++o) summed[o] += shard.counts[o];
-        for (const auto& rec : shard.runs) sharded_faults.push_back(rec.fault.describe());
-    }
-    EXPECT_EQ(summed, full.counts);
-    std::vector<std::string> full_faults;
-    for (const auto& rec : full.runs) full_faults.push_back(rec.fault.describe());
-    std::sort(full_faults.begin(), full_faults.end());
-    std::sort(sharded_faults.begin(), sharded_faults.end());
-    EXPECT_EQ(full_faults, sharded_faults) << "shards partition the global draw set";
 }
 
 TEST(StreamingCampaign, ProtectedBurstCampaignHasZeroSdc) {

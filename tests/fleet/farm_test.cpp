@@ -2,7 +2,8 @@
 // are deterministic and land before shard completion, restart backoff
 // mirrors the BleLink discipline, the incremental journal scan tolerates
 // mid-append tails and counts re-simulated devices, merge_stores rebuilds
-// the unsharded artifact byte-for-byte from shard stores, and a real
+// the unsharded artifact byte-for-byte from shard stores in any order and
+// rejects every inconsistent set with a one-line diagnostic, and a real
 // supervised run — worker processes, chaos kill, resume — converges to
 // the in-process reference with no journaled device re-simulated.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -206,31 +208,72 @@ TEST_F(FarmTest, MergeStoresRebuildsTheUnshardedArtifact) {
         so.shard_k = k;
         so.shard_n = n;
         FleetEngine eng(tl, so);
-        const FleetResult res = eng.run();
-        StoreHeader hdr;
-        hdr.cohorts = so.cohorts;
-        hdr.seed = so.seed;
-        hdr.devices = so.devices;
-        hdr.shard_k = k;
-        hdr.shard_n = n;
         paths.push_back(dir_ + "/shard_" + std::to_string(k) + ".ulpf");
-        write_store(paths.back(), hdr, res.records);
+        write_store(paths.back(), store_header(so), eng.run().records);
     }
-    const MergedFleet merged = merge_stores(fo, "timeline.txt", tl.block_period_s, paths);
-    EXPECT_EQ(merged.json, ref_json.str()) << "merged JSON must be byte-identical";
-    ASSERT_EQ(merged.records.size(), ref.records.size());
-    EXPECT_EQ(0, std::memcmp(merged.records.data(), ref.records.data(),
-                             merged.records.size() * sizeof(DeviceRecord)));
+    // Any input order: each store is placed by its header's shard key.
+    const std::vector<std::vector<std::string>> orders = {
+        paths, {paths[1], paths[0], paths[2]}, {paths[2], paths[1], paths[0]}};
+    for (const std::vector<std::string>& order : orders) {
+        const MergedFleet merged = merge_stores(fo, tl, "timeline.txt", order);
+        EXPECT_EQ(merged.json, ref_json.str()) << "merged JSON must be byte-identical";
+        ASSERT_EQ(merged.records.size(), ref.records.size());
+        EXPECT_EQ(0, std::memcmp(merged.records.data(), ref.records.data(),
+                                 merged.records.size() * sizeof(DeviceRecord)));
+    }
 
-    // A store whose header disagrees with the farm spec must be rejected.
+    // The rejection ladder: every bad set throws a one-line FarmError.
+    auto expect_rejected = [&](const FleetOptions& spec, const std::vector<std::string>& set,
+                               const std::string& why) {
+        try {
+            merge_stores(spec, tl, "timeline.txt", set);
+            ADD_FAILURE() << why << ": merged without complaint";
+        } catch (const FarmError& e) {
+            const std::string msg = e.what();
+            EXPECT_EQ(msg.find('\n'), std::string::npos) << why << ": " << msg;
+            EXPECT_EQ(msg.rfind("merge: ", 0), 0u) << why << ": " << msg;
+        }
+    };
+    // Stores that are real records under a different split.
+    const std::string whole = dir_ + "/whole.ulpf";
+    write_store(whole, store_header(fo), ref.records);
+    FleetOptions half = fo;
+    half.shard_n = 2;
+    std::vector<DeviceRecord> evens;
+    for (const DeviceRecord& r : ref.records)
+        if (r.gdi % 2 == 0) evens.push_back(r);
+    const std::string half0 = dir_ + "/half_0.ulpf";
+    write_store(half0, store_header(half), evens);
+    // Stores that are not stores.
+    const std::string trunc = dir_ + "/trunc.ulpf";
+    {
+        std::ifstream src(paths[1], std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(src)), std::istreambuf_iterator<char>());
+        std::ofstream(trunc, std::ios::binary) << bytes.substr(0, 100);
+    }
+    const std::string json = dir_ + "/whole.json";
+    std::ofstream(json) << ref_json.str();
+
+    expect_rejected(fo, {}, "empty set");
+    expect_rejected(fo, {paths[0], paths[0], paths[1]}, "duplicate shard");
+    expect_rejected(fo, {paths[0], paths[2]}, "missing shard");
+    expect_rejected(fo, {paths[0], half0, paths[2]}, "mixed N");
+    expect_rejected(fo, {paths[0], paths[1], whole}, "unsharded store fed as a shard");
+    expect_rejected(fo, {paths[0], trunc, paths[2]}, "truncated store");
+    expect_rejected(fo, {paths[0], json, paths[2]}, "JSON fed as a store");
+    expect_rejected(fo, {paths[0], dir_ + "/nope.ulpf", paths[2]}, "missing file");
     FleetOptions wrong = fo;
     wrong.seed = 12;
-    EXPECT_THROW(merge_stores(wrong, "timeline.txt", tl.block_period_s, paths), FarmError);
-    std::vector<std::string> reordered = {paths[1], paths[0], paths[2]};
-    EXPECT_THROW(merge_stores(fo, "timeline.txt", tl.block_period_s, reordered), FarmError)
-        << "shard k must sit at index k";
-    EXPECT_THROW(merge_stores(fo, "timeline.txt", tl.block_period_s, {paths[0]}), FarmError)
-        << "a lone shard of 3 is not a complete set";
+    expect_rejected(wrong, paths, "seed mismatch");
+    wrong = fo;
+    wrong.cohorts = 3;
+    expect_rejected(wrong, paths, "cohorts mismatch");
+    wrong = fo;
+    wrong.baseline_fraction = 0.9;
+    expect_rejected(wrong, paths, "baseline mismatch");
+    wrong = fo;
+    wrong.days = 1;
+    expect_rejected(wrong, paths, "days mismatch");
 }
 
 TEST_F(FarmTest, ConstructorRejectsUnusableOptions) {

@@ -1,0 +1,115 @@
+# Fleet shard-merge smoke (DESIGN.md §13), end to end through the
+# ulpmc-fleet binary. Registered as the `fleet_smoke` ctest (label smoke):
+#
+#   cmake -DFLEET=build/tools/ulpmc-fleet \
+#         -DTIMELINE=bench/timelines/fleet_smoke.txt \
+#         -DWORK=build/tests/fleet_smoke -P tests/fleet/fleet_smoke.cmake
+#
+# The fleet artifact is a pure function of (timeline, spec options), so
+# every pair compared below must be byte-identical:
+#   * --threads 1 vs --threads 4 vs --engine batched (JSON and store);
+#   * `--merge` over shard stores 0/2 + 1/2 and 0/3 + 1/3 + 2/3, in more
+#     than one input order, vs the unsharded JSON and ULPF store.
+# Every malformed merge must exit 2 with a one-line diagnostic and write
+# nothing. WORK keeps the artifacts afterwards (whole.*, shard0.*, ...)
+# for offline checks such as tools/read_fleet.py.
+
+foreach(var FLEET TIMELINE WORK)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "fleet_smoke: -D${var}=... is required")
+  endif()
+endforeach()
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+set(SPEC --timeline "${TIMELINE}" --devices 64 --cohorts 2)
+
+# Runs ulpmc-fleet with the spec options plus ARGN; requires exit 0.
+function(fleet)
+  execute_process(COMMAND "${FLEET}" ${SPEC} ${ARGN}
+                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ulpmc-fleet ${ARGN}: exit ${rc}: ${err}")
+  endif()
+endfunction()
+
+# Requires every file after the first to be byte-identical to the first.
+function(same ref)
+  foreach(other ${ARGN})
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                            "${WORK}/${ref}" "${WORK}/${other}"
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "${other} differs from ${ref}")
+    endif()
+  endforeach()
+endfunction()
+
+# Requires ulpmc-fleet with the spec options plus ARGN to exit 2 with a
+# one-line diagnostic, writing neither artifact nor journal.
+function(rejects why)
+  set(outputs rejected.json rejected.ulpf rejected.jnl)
+  foreach(f ${outputs})
+    file(REMOVE "${WORK}/${f}")
+  endforeach()
+  execute_process(COMMAND "${FLEET}" ${SPEC} ${ARGN}
+                          --json rejected.json --store rejected.ulpf
+                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  string(STRIP "${err}" err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${why}: expected exit 2, got ${rc}: ${err}")
+  endif()
+  if(err STREQUAL "" OR err MATCHES "\n")
+    message(FATAL_ERROR "${why}: expected a one-line diagnostic, got:\n${err}")
+  endif()
+  foreach(f ${outputs})
+    if(EXISTS "${WORK}/${f}")
+      message(FATAL_ERROR "${why}: wrote ${f} despite the error")
+    endif()
+  endforeach()
+  message(STATUS "rejected (${why}): ${err}")
+endfunction()
+
+# ---- thread and engine invariance --------------------------------------
+fleet(--threads 1 --json whole.json --store whole.ulpf)
+fleet(--threads 4 --json threads4.json --store threads4.ulpf)
+fleet(--engine batched --threads 4 --json batched.json --store batched.ulpf)
+same(whole.json threads4.json batched.json)
+same(whole.ulpf threads4.ulpf batched.ulpf)
+
+# ---- shard runs merged back, in any order --------------------------------
+foreach(k 0 1)
+  fleet(--shard ${k}/2 --threads 2 --json shard${k}.json --store shard${k}.ulpf)
+endforeach()
+foreach(k 0 1 2)
+  fleet(--shard ${k}/3 --threads 2 --store third${k}.ulpf)
+endforeach()
+fleet(--merge shard0.ulpf,shard1.ulpf --json merged.json --store merged.ulpf)
+fleet(--merge shard1.ulpf,shard0.ulpf --json merged_rev.json --store merged_rev.ulpf)
+fleet(--merge third0.ulpf,third1.ulpf,third2.ulpf --json merged3.json --store merged3.ulpf)
+fleet(--merge third2.ulpf,third0.ulpf,third1.ulpf --json merged3_rot.json
+      --store merged3_rot.ulpf)
+same(whole.json merged.json merged_rev.json merged3.json merged3_rot.json)
+same(whole.ulpf merged.ulpf merged_rev.ulpf merged3.ulpf merged3_rot.ulpf)
+
+# ---- malformed merges -----------------------------------------------------
+execute_process(COMMAND head -c 100 whole.ulpf OUTPUT_FILE trunc.ulpf
+                WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot build the truncated store")
+endif()
+rejects("missing shard" --merge shard0.ulpf)
+rejects("duplicate shard" --merge shard0.ulpf,shard0.ulpf)
+rejects("mixed shard counts" --merge shard0.ulpf,third1.ulpf,third2.ulpf)
+rejects("unsharded store as a shard" --merge shard0.ulpf,whole.ulpf)
+rejects("truncated store" --merge shard0.ulpf,trunc.ulpf)
+rejects("JSON fed as a store" --merge shard0.ulpf,shard1.json)
+rejects("missing file" --merge shard0.ulpf,no-such-store.ulpf)
+rejects("empty list entry" --merge shard0.ulpf,,shard1.ulpf)
+rejects("seed mismatch" --seed 99 --merge shard0.ulpf,shard1.ulpf)
+rejects("baseline mismatch" --baseline 0.9 --merge shard0.ulpf,shard1.ulpf)
+rejects("days mismatch" --days 1 --merge shard0.ulpf,shard1.ulpf)
+rejects("--merge with --shard" --shard 0/2 --merge shard0.ulpf,shard1.ulpf)
+rejects("--merge with --journal" --journal rejected.jnl --merge shard0.ulpf,shard1.ulpf)
+rejects("--merge with --resume" --resume rejected.jnl --merge shard0.ulpf,shard1.ulpf)

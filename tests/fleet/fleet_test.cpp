@@ -1,7 +1,8 @@
 // Fleet determinism contract (DESIGN.md §13): the JSON artifact is a pure
 // function of (timeline, FleetOptions) — byte-identical across scheduler
-// thread counts, simulator engine tiers, and shard splits. These are the
-// same pins CI re-checks end-to-end through the ulpmc-fleet binary.
+// thread counts and simulator engine tiers; shard splits merge back to
+// the same bytes (farm_test.cpp). tests/fleet/fleet_smoke.cmake re-checks
+// both end-to-end through the ulpmc-fleet binary.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -122,28 +123,6 @@ TEST(Fleet, EngineTierNeverReachesTheArtifact) {
     opt.engine = cluster::SimEngine::Batched;
     const std::string batched = render(opt, run_fleet(opt).aggregate, opt.devices);
     EXPECT_EQ(trace, batched);
-}
-
-TEST(Fleet, MergedShardsReproduceUnshardedBytes) {
-    const FleetOptions opt = base_options();
-    const std::string whole = render(opt, run_fleet(opt).aggregate, opt.devices);
-
-    FleetOptions s0 = opt, s1 = opt;
-    s0.shard_k = 0;
-    s0.shard_n = 2;
-    s1.shard_k = 1;
-    s1.shard_n = 2;
-    const FleetResult r0 = run_fleet(s0);
-    const FleetResult r1 = run_fleet(s1);
-    EXPECT_EQ(r0.records.size() + r1.records.size(), opt.devices);
-
-    // Merge in both orders: the aggregate must be order-free.
-    FleetAggregate m01 = r0.aggregate;
-    m01.merge(r1.aggregate);
-    FleetAggregate m10 = r1.aggregate;
-    m10.merge(r0.aggregate);
-    EXPECT_EQ(render(opt, m01, opt.devices), whole);
-    EXPECT_EQ(render(opt, m10, opt.devices), whole);
 }
 
 TEST(Fleet, ResumeReplaysJournaledDevicesByteIdentical) {

@@ -59,41 +59,6 @@ TEST(Sketch, ZeroBucketIsExact) {
     EXPECT_GT(sk.quantile(0.95), 4.0);
 }
 
-TEST(Sketch, MergeIsOrderFree) {
-    // The shard-merge contract: any partition of the input, merged in any
-    // order, produces bit-identical state (bins, counts, extrema) to the
-    // sequential sketch.
-    Rng r(7);
-    std::vector<double> vals;
-    for (int i = 0; i < 5'000; ++i)
-        vals.push_back(r.uniform() < 0.05 ? 0.0 : 1e-6 * (1.0 + 1e5 * r.uniform()));
-
-    QuantileSketch whole;
-    for (double v : vals) whole.add(v);
-
-    QuantileSketch shards[3];
-    for (std::size_t i = 0; i < vals.size(); ++i) shards[i % 3].add(vals[i]);
-
-    QuantileSketch m1; // forward merge order
-    m1.merge(shards[0]);
-    m1.merge(shards[1]);
-    m1.merge(shards[2]);
-    QuantileSketch m2; // reversed
-    m2.merge(shards[2]);
-    m2.merge(shards[1]);
-    m2.merge(shards[0]);
-
-    for (const QuantileSketch* m : {&m1, &m2}) {
-        EXPECT_EQ(m->count(), whole.count());
-        EXPECT_EQ(m->zero_count(), whole.zero_count());
-        EXPECT_EQ(m->bins(), whole.bins());
-        EXPECT_DOUBLE_EQ(m->min(), whole.min());
-        EXPECT_DOUBLE_EQ(m->max(), whole.max());
-        for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-            EXPECT_DOUBLE_EQ(m->quantile(q), whole.quantile(q)) << "q=" << q;
-    }
-}
-
 TEST(Sketch, EmptyAndSingleton) {
     QuantileSketch sk;
     EXPECT_EQ(sk.count(), 0u);
@@ -102,7 +67,7 @@ TEST(Sketch, EmptyAndSingleton) {
     EXPECT_EQ(sk.count(), 1u);
     // A single observation: every quantile reports its bin midpoint
     // (quantiles are a pure function of the integer bins, never the float
-    // extrema — the merge tool relies on this).
+    // extrema).
     const std::int32_t b = QuantileSketch::bin_of(3.25);
     const double mid = (QuantileSketch::bin_lo(b) + QuantileSketch::bin_lo(b + 1)) * 0.5;
     EXPECT_DOUBLE_EQ(sk.quantile(0.0), mid);

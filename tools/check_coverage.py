@@ -4,7 +4,7 @@
 Usage: check_coverage.py BASELINE.json CURRENT.json
 
 Both files are campaign artifacts from `ext_fault_campaign --json` (or
-tools/merge_campaign.py). Campaigns are matched by their full identity —
+`ext_fault_adaptive --json`). Campaigns are matched by their full identity —
 workload, architecture, ECC, register protection, checkpoint mode, burst
 shape, seed and injection count — and, unlike the timing gate, the
 comparison is exact: the campaigns are seeded and deterministic, so any
@@ -16,8 +16,9 @@ must stay at zero.
 """
 
 import argparse
-import json
 import sys
+
+from jsonio import load_json
 
 ID_KEYS = (
     "workload",
@@ -34,18 +35,8 @@ ID_KEYS = (
 
 
 def load(path):
-    # A missing, truncated or hand-mangled artifact must fail the gate
-    # with a diagnosis, not a traceback (CI wires stderr to the check).
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("campaigns"), list):
+    doc = load_json(path)
+    if not isinstance(doc.get("campaigns"), list):
         sys.exit(f"{path}: not a campaign artifact (no 'campaigns' list)")
     index = {}
     for i, c in enumerate(doc["campaigns"]):

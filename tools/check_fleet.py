@@ -22,22 +22,15 @@ either roll back or trap — SDC is the baseline arm's failure mode).
 """
 
 import argparse
-import json
 import sys
+
+from jsonio import load_json
 
 
 def load(path):
-    try:
-        with open(path) as f:
-            # parse_float=str: deterministic floats compare as the exact
-            # bytes the C++ writer printed.
-            doc = json.load(f, parse_float=str)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
+    # parse_float=str: deterministic floats compare as the exact bytes the
+    # C++ writer printed.
+    doc = load_json(path, parse_float=str)
     for key in ("fleet", "aggregate", "throughput"):
         if key not in doc:
             sys.exit(f"{path}: not a fleet bench artifact (no '{key}' section)")

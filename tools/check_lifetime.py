@@ -17,8 +17,9 @@ earlier than the baseline.
 """
 
 import argparse
-import json
 import sys
+
+from jsonio import load_json
 
 ID_KEYS = ("timeline", "policy", "seed", "arch")
 
@@ -26,18 +27,8 @@ REQUIRED = ("delivered_fraction", "sdc_blocks", "first_brownout_s")
 
 
 def load(path):
-    # A missing, truncated or hand-mangled artifact must fail the gate
-    # with a diagnosis, not a traceback (CI wires stderr to the check).
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
+    doc = load_json(path)
+    if not isinstance(doc.get("runs"), list):
         sys.exit(f"{path}: not a lifetime artifact (no 'runs' list)")
     timeline = doc.get("timeline")
     index = {}

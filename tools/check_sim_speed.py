@@ -12,8 +12,9 @@ below its committed value fails the job.
 """
 
 import argparse
-import json
 import sys
+
+from jsonio import load_json
 
 # (label, optimized benchmark, reference benchmark, iterations-per-iteration
 # scale of the optimized one relative to the reference one)
@@ -42,19 +43,7 @@ PAIRS = [
 
 
 def load_times(path):
-    # A missing, truncated or binary artifact must fail the gate with a
-    # diagnosis, not a traceback (CI wires stderr to the check).
-    try:
-        with open(path) as f:
-            report = json.load(f)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
-    if not isinstance(report, dict):
-        sys.exit(f"{path}: not a benchmark report object")
+    report = load_json(path)
     times = {}
     for b in report.get("benchmarks", []):
         if b.get("run_type", "iteration") != "iteration":

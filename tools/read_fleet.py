@@ -18,9 +18,10 @@ or a JSON artifact whose totals disagree with the records.
 """
 
 import argparse
-import json
 import struct
 import sys
+
+from jsonio import load_json
 
 HEADER = struct.Struct("<4s3I2Q2I")  # magic, version, record_size, cohorts,
 #                                      seed, devices, shard_k, shard_n
@@ -171,15 +172,7 @@ def print_records(records, limit):
 
 
 def load_artifact(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        die(f"cannot read {path}: {e.strerror or e}")
-    except UnicodeDecodeError:
-        die(f"{path} is not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        die(f"{path} is not valid JSON: {e.msg} (line {e.lineno})")
+    doc = load_json(path)
     for key in ("fleet", "aggregate"):
         if key not in doc:
             die(f"{path} has no \"{key}\" section; not a fleet artifact")

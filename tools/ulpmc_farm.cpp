@@ -21,7 +21,7 @@
 //     --engine E        reference|fast|trace|batched (default trace)
 //     --workers N       shard worker processes (default 4)
 //     --worker-threads N  threads per worker, 0 = hardware (default 0)
-//     --dir DIR         scratch dir for shard_K.{jnl,json,ulpf,log} (default farm)
+//     --dir DIR         scratch dir for shard_K.{jnl,ulpf,log} (default farm)
 //     --json FILE       merged fleet JSON (byte-identical to unsharded)
 //     --store FILE      merged ULPF store (byte-identical to unsharded)
 //     --report FILE     supervision report JSON ('-' = stdout)
@@ -33,9 +33,9 @@
 //     --chaos SPEC      kills=K[,stalls=S][,seed=N] — SIGKILL/SIGSTOP own
 //                       workers at seeded progress points
 //
-// Exit codes: 0 complete (merged artifacts written), 2 bad usage,
-// 3 partial failure (a shard died after exhausting its retry budget; the
-// summary names it), 1 internal/merge error.
+// Exit codes: 0 complete (merged artifacts written), 2 bad usage or
+// shard stores that do not merge, 3 partial failure (a shard died after
+// exhausting its retry budget; the summary names it), 1 artifact I/O error.
 #include <iostream>
 #include <set>
 #include <sstream>

@@ -5,11 +5,12 @@
 // seed all derived from the global device index — over a work-stealing
 // pool, with shared cohort benchmarks and a shared calibration cache.
 // The JSON artifact is deterministic: byte-identical across thread
-// counts, simulator engine tiers, and shard splits (K shard artifacts
-// merged by tools/merge_fleet.py reproduce the unsharded bytes).
+// counts, simulator engine tiers, and shard splits (--merge over the K
+// shard stores reproduces the unsharded JSON and store bytes).
 //
 // Usage:
 //   ulpmc-fleet --timeline FILE [options]
+//   ulpmc-fleet --timeline FILE --merge S0.ulpf,S1.ulpf,... [spec options]
 //     --timeline FILE   phase script (required)
 //     --devices N       GLOBAL fleet size across all shards (default 1000)
 //     --seed N          fleet master seed (default 1)
@@ -19,6 +20,10 @@
 //     --engine E        reference|fast|trace|batched (default trace)
 //     --threads N       worker threads, 0 = hardware (default 0)
 //     --shard K/N       run shard K of N (devices with gdi % N == K)
+//     --merge LIST      simulate nothing: merge a complete set of shard stores
+//                       (comma-separated, any order) into the unsharded
+//                       --json/--store. Every store is checked against the
+//                       spec options; not with --shard/--journal/--resume
 //     --json FILE       write the deterministic artifact to FILE ('-' = stdout)
 //     --store FILE      write the per-device binary record store to FILE
 //     --journal FILE    append one durable frame per finished device to FILE
@@ -36,7 +41,8 @@
 // progress ends.
 //
 // Exit codes: 0 success, 2 bad usage (malformed, duplicate or
-// inconsistent options, unreadable or corrupt timeline/journal),
+// inconsistent options, unreadable or corrupt timeline/journal, a shard
+// set that does not merge),
 // 3 preempted by SIGTERM/SIGINT (journal flushed, artifacts unwritten).
 #include <atomic>
 #include <chrono>
@@ -58,6 +64,7 @@
 #include "common/crc32.hpp"
 #include "common/journal.hpp"
 #include "common/serial.hpp"
+#include "fleet/farm.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "fleet/store.hpp"
@@ -81,7 +88,9 @@ void usage(std::ostream& os) {
     os << "usage: ulpmc-fleet --timeline FILE [--devices N] [--seed N] [--cohorts N]\n"
           "                   [--days D] [--baseline F] [--engine E] [--threads N]\n"
           "                   [--shard K/N] [--json FILE] [--store FILE]\n"
-          "                   [--journal FILE | --resume FILE] [--heartbeat S]\n";
+          "                   [--journal FILE | --resume FILE] [--heartbeat S]\n"
+          "       ulpmc-fleet --timeline FILE --merge S0.ulpf,S1.ulpf,... [spec options]\n"
+          "                   [--json FILE] [--store FILE]\n";
 }
 
 /// CRC over the timeline's raw bytes: the journal must not resume against
@@ -145,10 +154,54 @@ bool parse_shard(const std::string& s, unsigned& k, unsigned& n) {
     return true;
 }
 
+std::vector<std::string> split_list(const std::string& s) {
+    std::vector<std::string> out;
+    std::string::size_type start = 0;
+    for (;;) {
+        const auto comma = s.find(',', start);
+        out.push_back(s.substr(start, comma - start));
+        if (comma == std::string::npos) return out;
+        start = comma + 1;
+    }
+}
+
+/// Publishes the store, then the JSON. Each is rendered in memory and
+/// published via fsync+rename: a killed run never leaves a truncated
+/// artifact for a gate to misread. Returns the exit code.
+int write_artifacts(const std::string& json_path, const std::string& store_path,
+                    const std::string& timeline_name, const ulpmc::scenario::Timeline& tl,
+                    const ulpmc::fleet::FleetOptions& opt,
+                    const std::vector<ulpmc::fleet::DeviceRecord>& records,
+                    const ulpmc::fleet::FleetAggregate& agg) {
+    if (!store_path.empty()) {
+        try {
+            ulpmc::fleet::write_store(store_path, ulpmc::fleet::store_header(opt), records);
+        } catch (const ulpmc::fleet::FleetStoreError& e) {
+            std::cerr << e.what() << "\n";
+            return 1;
+        }
+    }
+    if (json_path.empty()) return 0;
+    std::ostringstream out;
+    ulpmc::fleet::write_json(out, timeline_name, opt, tl.block_period_s, agg, records.size());
+    if (json_path == "-") {
+        std::cout << out.str();
+        return 0;
+    }
+    try {
+        ulpmc::write_file_atomic(json_path, out.str());
+    } catch (const ulpmc::AtomicFileError& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
+    return 0;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
     std::string timeline_path, json_path, store_path, journal_path;
+    std::vector<std::string> merge_paths;
     bool resume = false;
     double heartbeat_s = 0;
     ulpmc::fleet::FleetOptions opt;
@@ -214,6 +267,14 @@ int main(int argc, char** argv) {
                 std::cerr << "--shard: expected K/N with 0 <= K < N\n";
                 return 2;
             }
+        } else if (arg == "--merge") {
+            merge_paths = split_list(value("--merge"));
+            for (const std::string& p : merge_paths) {
+                if (p.empty()) {
+                    std::cerr << "--merge: expected a comma-separated list of shard stores\n";
+                    return 2;
+                }
+            }
         } else if (arg == "--json") {
             json_path = value("--json");
         } else if (arg == "--store") {
@@ -252,6 +313,10 @@ int main(int argc, char** argv) {
                      "(heartbeats are journal frames)\n";
         return 2;
     }
+    if (!merge_paths.empty() && (seen.count("--shard") || !journal_path.empty())) {
+        std::cerr << "--merge simulates nothing: it takes no --shard, --journal or --resume\n";
+        return 2;
+    }
 
     ulpmc::scenario::Timeline tl;
     try {
@@ -259,6 +324,23 @@ int main(int argc, char** argv) {
     } catch (const ulpmc::scenario::TimelineError& e) {
         std::cerr << timeline_path << ": " << e.what() << "\n";
         return 2;
+    }
+    std::string tl_name = timeline_path;
+    if (const auto slash = tl_name.find_last_of('/'); slash != std::string::npos)
+        tl_name = tl_name.substr(slash + 1);
+
+    if (!merge_paths.empty()) {
+        ulpmc::fleet::MergedFleet merged;
+        try {
+            merged = ulpmc::fleet::merge_stores(opt, tl, tl_name, merge_paths);
+        } catch (const ulpmc::fleet::FarmError& e) {
+            std::cerr << e.what() << "\n";
+            return 2;
+        }
+        std::cout << "merged " << merged.records.size() << " devices from "
+                  << merge_paths.size() << " shard stores\n";
+        return write_artifacts(json_path, store_path, tl_name, tl, opt, merged.records,
+                               merged.aggregate);
     }
 
     // ---- durable progress journal (DESIGN.md §9.6) ---------------------
@@ -413,42 +495,6 @@ int main(int argc, char** argv) {
     }
     stop_heartbeat();
     ulpmc::fleet::print_summary(std::cout, opt, res);
-
-    if (!store_path.empty()) {
-        ulpmc::fleet::StoreHeader hdr;
-        hdr.cohorts = opt.cohorts;
-        hdr.seed = opt.seed;
-        hdr.devices = opt.devices;
-        hdr.shard_k = opt.shard_k;
-        hdr.shard_n = opt.shard_n;
-        try {
-            ulpmc::fleet::write_store(store_path, hdr, res.records);
-        } catch (const ulpmc::fleet::FleetStoreError& e) {
-            std::cerr << e.what() << "\n";
-            return 1;
-        }
-    }
-
-    if (!json_path.empty()) {
-        std::string name = timeline_path;
-        if (const auto slash = name.find_last_of('/'); slash != std::string::npos)
-            name = name.substr(slash + 1);
-        if (json_path == "-") {
-            ulpmc::fleet::write_json(std::cout, name, opt, tl.block_period_s, res.aggregate,
-                                     res.records.size());
-        } else {
-            // Rendered in memory, published via fsync+rename: a killed run
-            // never leaves a truncated artifact for a CI gate to misread.
-            std::ostringstream out;
-            ulpmc::fleet::write_json(out, name, opt, tl.block_period_s, res.aggregate,
-                                     res.records.size());
-            try {
-                ulpmc::write_file_atomic(json_path, out.str());
-            } catch (const ulpmc::AtomicFileError& e) {
-                std::cerr << e.what() << "\n";
-                return 2;
-            }
-        }
-    }
-    return 0;
+    return write_artifacts(json_path, store_path, tl_name, tl, opt, res.records,
+                           res.aggregate);
 }
