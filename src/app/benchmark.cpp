@@ -96,6 +96,24 @@ void EcgBenchmark::load_inputs(cluster::Cluster& cl, unsigned cores) const {
     }
 }
 
+bool EcgBenchmark::verify(const cluster::Cluster& cl, unsigned cores) const {
+    for (unsigned p = 0; p < cores; ++p) {
+        const auto pid = static_cast<CoreId>(p);
+        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid)) return false;
+        const auto& y = golden_y_[p];
+        for (std::size_t i = 0; i < y.size(); ++i) {
+            if (cl.dm_peek(pid, static_cast<Addr>(layout_.y_base() + i)) != y[i]) return false;
+        }
+        const auto& words = golden_bits_[p].words;
+        if (cl.dm_peek(pid, layout_.out_count()) != words.size()) return false;
+        for (std::size_t i = 0; i < words.size(); ++i) {
+            if (cl.dm_peek(pid, static_cast<Addr>(layout_.out_base() + i)) != words[i])
+                return false;
+        }
+    }
+    return true;
+}
+
 EcgBenchmark::Outcome EcgBenchmark::run(const cluster::ClusterConfig& cfg_in) const {
     cluster::ClusterConfig cfg = cfg_in;
     cfg.barrier_enabled = layout_.use_barrier; // program and hardware agree
@@ -106,15 +124,10 @@ EcgBenchmark::Outcome EcgBenchmark::run(const cluster::ClusterConfig& cfg_in) co
 
     Outcome out;
     out.stats = cl.stats();
-    out.verified = true;
+    out.verified = verify(cl, cfg.cores);
 
     std::size_t total_bits = 0;
     for (unsigned p = 0; p < cfg.cores; ++p) {
-        if (cl.core_trap(static_cast<CoreId>(p)) != core::Trap::None ||
-            !cl.core_halted(static_cast<CoreId>(p))) {
-            out.verified = false;
-        }
-
         // Radio back end: drain the per-lead results.
         const Word n_words = cl.dm_peek(static_cast<CoreId>(p), layout_.out_count());
         BitStream bs;
@@ -124,15 +137,6 @@ EcgBenchmark::Outcome EcgBenchmark::run(const cluster::ClusterConfig& cfg_in) co
                 cl.dm_peek(static_cast<CoreId>(p), static_cast<Addr>(layout_.out_base() + i)));
         }
         bs.bits = golden_bits_[p].bits; // bit count verified via word count
-
-        // Verify measurements and bitstream against the golden pipeline.
-        for (std::size_t i = 0; i < golden_y_[p].size(); ++i) {
-            if (cl.dm_peek(static_cast<CoreId>(p), static_cast<Addr>(layout_.y_base() + i)) !=
-                golden_y_[p][i]) {
-                out.verified = false;
-            }
-        }
-        if (bs.words != golden_bits_[p].words) out.verified = false;
         total_bits += golden_bits_[p].bits;
         out.bitstreams.push_back(std::move(bs));
     }

@@ -65,6 +65,13 @@ public:
     /// dm_layout and barrier flag must match this benchmark's layout.
     Outcome run(const cluster::ClusterConfig& cfg) const;
 
+    /// The one golden-output check: true when each of the first `cores`
+    /// cores halted untrapped and left its CS measurements and bitstream
+    /// in DM bit-exact against the golden pipeline. run() verifies with
+    /// it; the fault campaigns and the lifetime engine, which pause the
+    /// simulation mid-flight to strike it, classify their runs with it.
+    bool verify(const cluster::Cluster& cl, unsigned cores) const;
+
     /// Sensor front end: injects each lead's sample block into its core's
     /// x buffer. Shared by run(), the streaming monitor and the fault
     /// campaigns (which pause the simulation mid-flight and so drive the

@@ -82,29 +82,6 @@ std::uint64_t next_campaign_nonce() {
 
 constexpr unsigned kLadderRungs = 12;
 
-/// Mirrors EcgBenchmark::run()'s end-of-run verification (we cannot reuse
-/// run() itself because the campaign pauses the simulation mid-flight to
-/// deposit the fault).
-bool outputs_verified(const cluster::Cluster& cl, const app::EcgBenchmark& bench,
-                      unsigned cores) {
-    const auto& lay = bench.layout();
-    for (unsigned p = 0; p < cores; ++p) {
-        const auto pid = static_cast<CoreId>(p);
-        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid)) return false;
-        const auto& y = bench.golden_measurements(p);
-        for (std::size_t i = 0; i < y.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(lay.y_base() + i)) != y[i]) return false;
-        }
-        const auto& bits = bench.golden_bitstream(p);
-        if (cl.dm_peek(pid, lay.out_count()) != bits.words.size()) return false;
-        for (std::size_t i = 0; i < bits.words.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(lay.out_base() + i)) != bits.words[i])
-                return false;
-        }
-    }
-    return true;
-}
-
 /// One-shot outcome classification, shared by the Trace and Batched paths
 /// so their tables are byte-identical by construction. `view` is the
 /// cluster embodying the injection's final state; `st` its (materialized)
@@ -127,7 +104,7 @@ void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats&
         rec.outcome = Outcome::Hang;
     } else if (rec.trap != core::Trap::None) {
         rec.outcome = Outcome::Trapped;
-    } else if (outputs_verified(view, bench, cores)) {
+    } else if (bench.verify(view, cores)) {
         if (rec.rollbacks > 0) {
             rec.outcome = Outcome::RolledBack;
         } else if (rec.ecc_corrected > 0 || st.reg_tmr_votes > 0 || st.im_scrub_corrected > 0 ||
@@ -186,7 +163,7 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
         cluster::Cluster& cl = cluster::pooled_cluster(ccfg, bench.image());
         bench.load_inputs(cl, ccfg.cores);
         res.clean_cycles = cl.run();
-        ULPMC_EXPECTS(outputs_verified(cl, bench, ccfg.cores));
+        ULPMC_EXPECTS(bench.verify(cl, ccfg.cores));
         if (interval == 0) interval = std::max<Cycle>(1, res.clean_cycles / 8);
         const double ckpts_per_run =
             cfg.checkpoint ? static_cast<double>(res.clean_cycles) / static_cast<double>(interval)

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "cluster/pool.hpp"
 #include "common/assert.hpp"
@@ -22,29 +21,6 @@ const char* policy_name(Policy p) {
 }
 
 namespace {
-
-/// Mirrors the campaign layer's end-of-run verification (campaign.cpp):
-/// golden CS measurements and the golden bitstream, bit-exact, from every
-/// active core, which must have halted untrapped.
-bool verified_against_golden(const cluster::Cluster& cl, const app::EcgBenchmark& bench,
-                             unsigned cores) {
-    const auto& lay = bench.layout();
-    for (unsigned p = 0; p < cores; ++p) {
-        const auto pid = static_cast<CoreId>(p);
-        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid)) return false;
-        const auto& y = bench.golden_measurements(p);
-        for (std::size_t i = 0; i < y.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(lay.y_base() + i)) != y[i]) return false;
-        }
-        const auto& bits = bench.golden_bitstream(p);
-        if (cl.dm_peek(pid, lay.out_count()) != bits.words.size()) return false;
-        for (std::size_t i = 0; i < bits.words.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(lay.out_base() + i)) != bits.words[i])
-                return false;
-        }
-    }
-    return true;
-}
 
 /// RNG stream allocation per global block index `gbi`: stream 2*gbi draws
 /// the strike decision, stream 2*gbi+1 seeds the injection. The link owns
@@ -119,7 +95,7 @@ LevelCalibration LifetimeEngine::compute_calibration(DegradeLevel level) const {
     cluster::Cluster& cl = cluster::pooled_cluster(c.cfg, bench_->image());
     bench_->load_inputs(cl, c.cfg.cores);
     c.clean_cycles = cl.run();
-    ULPMC_EXPECTS(verified_against_golden(cl, *bench_, c.cfg.cores));
+    ULPMC_EXPECTS(bench_->verify(cl, c.cfg.cores));
     c.ops = cl.stats().total_ops();
 
     const power::PowerModel model(dc_.arch);
@@ -305,9 +281,16 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
         std::size_t phase;
         DegradeLevel level;
         bool struck;
+        std::uint32_t job; ///< struck: index into specs/outcomes (dealt order)
     };
     struct StruckJob {
         std::uint64_t gbi;
+        DegradeLevel level;
+        fault::FaultSpec spec;
+    };
+    /// A run of jobs (contiguous in dealt order) that walks one clean run.
+    struct Group {
+        std::uint32_t begin, end;
         DegradeLevel level;
     };
     struct StruckOutcome {
@@ -315,6 +298,7 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
         bool ok = false;
         bool trapped = false;
     };
+    const unsigned threads = pool.threads();
 
     for (std::uint64_t chunk_start = start_chunk; chunk_start < total_blocks;
          chunk_start += dc_.chunk_blocks) {
@@ -334,8 +318,8 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
         const double ser = derated ? dc_.derate_ser_factor : 1.0;
 
         // ---- plan the chunk: per-block phase, effective level, and the
-        // seeded strike decision (independent of device state, so it can
-        // be drawn up front) ---------------------------------------------
+        // seeded strike decision and injection (independent of device
+        // state, so they can be drawn up front) --------------------------
         std::vector<Plan> plan(chunk_end - chunk_start);
         std::vector<StruckJob> jobs;
         for (std::uint64_t gbi = chunk_start; gbi < chunk_end; ++gbi) {
@@ -354,41 +338,69 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
                     : 0.0;
             pl.struck = p_strike > 0 &&
                         Rng(fault::mix_seed(dc_.seed, 2 * gbi)).uniform() < p_strike;
-            if (pl.struck) jobs.push_back({gbi, pl.level});
+            if (!pl.struck) continue;
+            fault::FaultInjector inj(fault::mix_seed(dc_.seed, 2 * gbi + 1));
+            fault::FaultUniverse u;
+            u.text_words = bench_->program().text.size();
+            u.dm_words = bench_->layout().dm_layout().limit();
+            u.cores = cal.cfg.cores;
+            u.window = cal.clean_cycles;
+            jobs.push_back({gbi, pl.level, inj.draw(u)});
         }
 
-        // ---- simulate the struck blocks in parallel (each is seeded by
-        // its global block index, so the outcome set is order-free) ------
-        const auto outcomes =
-            pool.map(std::span<const StruckJob>(jobs), [&](const StruckJob& job) {
-                const LevelCalibration& cal = *calib_[static_cast<unsigned>(job.level)];
-                cluster::Cluster& cl = cluster::pooled_cluster(cal.cfg, bench_->image());
-                bench_->load_inputs(cl, cal.cfg.cores);
-
-                fault::FaultInjector inj(fault::mix_seed(dc_.seed, 2 * job.gbi + 1));
-                fault::FaultUniverse u;
-                u.text_words = bench_->program().text.size();
-                u.dm_words = bench_->layout().dm_layout().limit();
-                u.cores = cal.cfg.cores;
-                u.window = cal.clean_cycles;
-                const fault::FaultSpec spec = inj.draw(u);
-                const Cycle bound = 4 * cal.clean_cycles + dc_.watchdog_cycles + 1000;
-                fault::FaultInjector::run_with_fault(cl, spec, bound);
-
-                StruckOutcome out;
-                out.events = cl.stats().upset_events();
-                bool any_running = false, any_trap = false;
-                for (unsigned p = 0; p < cal.cfg.cores; ++p) {
-                    const auto pid = static_cast<CoreId>(p);
-                    if (cl.core_trap(pid) != core::Trap::None) any_trap = true;
-                    else if (!cl.core_halted(pid)) any_running = true;
+        // ---- deal the struck blocks into forked walks: bucket by level,
+        // order each bucket by strike cycle, and deal it round-robin into
+        // min(threads, n) groups, so the groups stay balanced. Each group
+        // walks one clean run and forks every strike off it; a job's
+        // outcome is a function of its own spec alone, so neither the
+        // dealing nor the thread count can reach the bytes ---------------
+        std::sort(jobs.begin(), jobs.end(), [](const StruckJob& a, const StruckJob& b) {
+            if (a.level != b.level) return a.level < b.level;
+            if (a.spec.cycle != b.spec.cycle) return a.spec.cycle < b.spec.cycle;
+            return a.gbi < b.gbi;
+        });
+        std::vector<fault::FaultSpec> specs;
+        specs.reserve(jobs.size());
+        std::vector<Group> groups;
+        for (std::size_t b = 0; b < jobs.size();) {
+            std::size_t e = b;
+            while (e < jobs.size() && jobs[e].level == jobs[b].level) ++e;
+            const std::size_t n = e - b;
+            const std::size_t g = std::min<std::size_t>(threads, n);
+            for (std::size_t k = 0; k < g; ++k) {
+                const auto first = static_cast<std::uint32_t>(specs.size());
+                for (std::size_t j = b + k; j < e; j += g) {
+                    plan[jobs[j].gbi - chunk_start].job = static_cast<std::uint32_t>(specs.size());
+                    specs.push_back(jobs[j].spec);
                 }
-                out.trapped = any_trap || any_running;
-                out.ok = !out.trapped && verified_against_golden(cl, *bench_, cal.cfg.cores);
-                return out;
-            });
-        std::unordered_map<std::uint64_t, const StruckOutcome*> by_gbi;
-        for (std::size_t i = 0; i < jobs.size(); ++i) by_gbi[jobs[i].gbi] = &outcomes[i];
+                groups.push_back({first, static_cast<std::uint32_t>(specs.size()), jobs[b].level});
+            }
+            b = e;
+        }
+
+        std::vector<StruckOutcome> outcomes(specs.size());
+        pool.for_each_index(groups.size(), [&](std::size_t gi) {
+            const Group& grp = groups[gi];
+            const LevelCalibration& cal = *calib_[static_cast<unsigned>(grp.level)];
+            cluster::Cluster& cl = cluster::pooled_cluster(cal.cfg, bench_->image());
+            bench_->load_inputs(cl, cal.cfg.cores);
+            thread_local cluster::Cluster::Snapshot fork;
+            const Cycle bound = 4 * cal.clean_cycles + dc_.watchdog_cycles + 1000;
+            fault::run_strikes_forked(
+                cl, std::span<const fault::FaultSpec>(specs).subspan(grp.begin, grp.end - grp.begin),
+                bound, fork, [&](std::size_t i, const cluster::Cluster& done) {
+                    StruckOutcome& out = outcomes[grp.begin + i];
+                    out.events = done.stats().upset_events();
+                    bool any_running = false, any_trap = false;
+                    for (unsigned p = 0; p < cal.cfg.cores; ++p) {
+                        const auto pid = static_cast<CoreId>(p);
+                        if (done.core_trap(pid) != core::Trap::None) any_trap = true;
+                        else if (!done.core_halted(pid)) any_running = true;
+                    }
+                    out.trapped = any_trap || any_running;
+                    out.ok = !out.trapped && bench_->verify(done, cal.cfg.cores);
+                });
+        });
 
         // ---- apply the chunk in strict block order ---------------------
         for (std::uint64_t gbi = chunk_start; gbi < chunk_end; ++gbi) {
@@ -455,7 +467,7 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             Cycle observed_cycles = cal.clean_cycles;
             if (pl.struck) {
                 ++pr.struck_blocks;
-                const StruckOutcome& out = *by_gbi.at(gbi);
+                const StruckOutcome& out = outcomes[pl.job];
                 events = out.events;
                 if (dc_.policy == Policy::Ladder) {
                     if (!out.ok) {

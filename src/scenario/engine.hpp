@@ -24,17 +24,27 @@
 // Affordability and determinism: simulating days of wall time cycle-by-
 // cycle is impossible, so the engine simulates the CLUSTER only where it
 // matters — once per degradation level to calibrate (cycles, event rates,
-// verified outputs), and once per struck block (seeded injection,
+// verified outputs), and for the struck blocks (seeded injection,
 // classification against the golden outputs). Unstruck blocks are
 // credited from the calibration, which is exact: the firmware is
 // block-stateless, so every unperturbed block IS the calibration run
 // (the same crediting argument as the campaign layer's memoization).
-// Device time advances in fixed chunks of `chunk_blocks` block periods;
-// the ladder level and derating decision freeze at each chunk boundary
-// (the governor's control tick), struck blocks within a chunk simulate in
-// parallel (seeded per block index), and all device state (battery, link,
-// estimator) applies strictly in block order. Results are therefore
-// bit-identical across engine tiers AND SweepRunner thread counts.
+// Struck blocks share that argument too: every struck block's clean
+// prefix, up to its strike cycle, is the calibration run's prefix. So a
+// chunk's struck blocks of one level are sorted by strike cycle and dealt
+// round-robin into one group per pool thread; each group walks ONE clean
+// run and forks every strike off it (fault::run_strikes_forked: restore
+// the rolling fork, run to the strike, re-save, strike, run out). The
+// clean prefix is simulated once per group instead of once per block,
+// and since Cluster::restore is bit-exact each fork ends exactly where a
+// fresh run from cycle 0 would — which group a strike lands in cannot
+// move a byte. Device time advances in fixed chunks of `chunk_blocks`
+// block periods; the ladder level and derating decision freeze at each
+// chunk boundary (the governor's control tick), every strike is drawn
+// from a stream keyed by its global block index, outcomes are stored per
+// block, and all device state (battery, link, estimator) applies strictly
+// in block order. Results are therefore bit-identical across engine tiers
+// AND SweepRunner thread counts.
 #pragma once
 
 #include <array>
@@ -67,7 +77,8 @@ struct DeviceConfig {
     std::uint64_t seed = 1;
     Policy policy = Policy::Ladder;
     /// Governor tick: ladder level and derating freeze for this many
-    /// block periods; struck blocks inside a chunk simulate in parallel.
+    /// block periods; struck blocks inside a chunk simulate in parallel,
+    /// as forked walks of one clean run per pool thread.
     unsigned chunk_blocks = 32;
     /// Simulated lifetime in days; 0 = one pass of the timeline.
     double max_days = 0;

@@ -1,8 +1,9 @@
 // Zero-allocation guarantees for the reuse layer (own binary: it replaces
 // the global allocator with a counting one). After warm-up, steady-state
 // Cluster::step()/run() must not touch the heap, and neither must the
-// shapes the sweep runner and fault campaigns execute per point: reset()
-// with unchanged geometry, save() into a warm snapshot, and restore().
+// shapes the sweep runner, fault campaigns and lifetime engine execute per
+// point: reset() with unchanged geometry, save() into a warm snapshot,
+// restore(), and the forked strike walk built from them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
 #include "cluster/pool.hpp"
+#include "fault/fault.hpp"
 #include "isa/assembler.hpp"
 #include "isa/program_image.hpp"
 
@@ -125,6 +127,42 @@ TEST(ZeroAlloc, SweepAndCampaignInnerLoopIsHeapFree) {
         cl.save(snap); // campaigns re-snapshot per ladder rebuild
     }
     EXPECT_EQ(alloc_count(), before) << "reuse inner loop allocated on the heap";
+}
+
+TEST(ZeroAlloc, ForkedStrikeWalkIsHeapFree) {
+    // Lifetime shape (DESIGN.md §12): each group walks one clean run; per
+    // strike it restores the rolling fork, runs to the strike cycle,
+    // re-saves the fork into the same snapshot, strikes and runs out.
+    const auto prog = loop_program();
+    const auto cfg = make_cfg(4);
+    fault::FaultSpec specs[4];
+    specs[0].kind = fault::FaultKind::ImBitFlip;
+    specs[0].pc = 2;
+    specs[0].cycle = 50;
+    specs[1].kind = fault::FaultKind::DmBitFlip;
+    specs[1].vaddr = 700;
+    specs[1].cycle = 400;
+    specs[2].kind = fault::FaultKind::RegUpset;
+    specs[2].reg = 3;
+    specs[2].cycle = 400;
+    specs[3].kind = fault::FaultKind::DXbarGlitch;
+    specs[3].core = 1;
+    specs[3].cycle = 3'000;
+
+    cluster::Cluster cl(cfg, prog);
+    cluster::Cluster::Snapshot fork;
+    std::size_t done = 0;
+    const auto walk = [&] {
+        cl.reset(cfg, prog);
+        fault::run_strikes_forked(cl, specs, 100'000, fork,
+                                  [&](std::size_t, const cluster::Cluster&) { ++done; });
+    };
+    walk(); // warm-up: the fork and every scratch buffer reach capacity
+
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 4; ++i) walk();
+    EXPECT_EQ(alloc_count(), before) << "forked strike walk allocated on the heap";
+    EXPECT_EQ(done, 5 * std::size(specs));
 }
 
 TEST(ZeroAlloc, BatchedCampaignInnerLoopIsHeapFree) {

@@ -106,8 +106,54 @@ TEST(Lifetime, BaselineShipsWhatTheLadderCatches) {
     // structural property is pinned here — the bench gates the numbers).
     EXPECT_EQ(rollbacks, 0u);
     // Corrupt samples can only come from SDC blocks.
-    if (rep.sdc_blocks == 0) EXPECT_EQ(rep.link.samples_delivered_corrupt, 0u);
+    if (rep.sdc_blocks == 0) {
+        EXPECT_EQ(rep.link.samples_delivered_corrupt, 0u);
+    }
     EXPECT_GT(rep.delivered_fraction, 0.0);
+}
+
+/// Dense strikes: at lambda=1e-4 nearly every block is struck, so every
+/// forked walk of a chunk forks several strikes, at any thread count. The
+/// device starts at 20% charge, so the ladder's burst runs on the 4-core
+/// TightProtect rung while the arrhythmia episode overrides it to Full:
+/// the chunk deals two levels of jobs.
+constexpr const char* kDenseScript = R"(
+block_period_s 2.0
+battery_j 0.5
+phase burst   48 lambda=1e-4 ble_loss=0.1 harvest_uw=20
+phase episode 16 lambda=1e-4 arrhythmia=1 harvest_uw=20
+)";
+
+std::string dense_json(cluster::SimEngine engine, unsigned threads, Policy policy) {
+    std::istringstream in(kDenseScript);
+    DeviceConfig dc;
+    dc.seed = 5;
+    dc.engine = engine;
+    dc.policy = policy;
+    dc.battery.initial_fraction = 0.2;
+    LifetimeEngine eng(parse_timeline(in), dc);
+    sweep::SweepRunner pool(threads);
+    const LifetimeReport rep = eng.run(pool);
+    // Every block of the one 32-block chunk is struck: even at 4 threads,
+    // each group of either level forks two strikes or more.
+    EXPECT_EQ(rep.phases[0].struck_blocks, 24u);
+    EXPECT_EQ(rep.phases[1].struck_blocks, 8u);
+    if (policy == Policy::Ladder) {
+        EXPECT_EQ(rep.phases[0].deepest_level, static_cast<unsigned>(DegradeLevel::TightProtect));
+        EXPECT_EQ(rep.phases[1].deepest_level, static_cast<unsigned>(DegradeLevel::Full));
+    }
+    return as_json(rep);
+}
+
+TEST(Lifetime, DenseStrikesAreByteIdenticalAcrossEngineTiersAndThreadCounts) {
+    for (const Policy policy : {Policy::Ladder, Policy::Baseline}) {
+        SCOPED_TRACE(policy_name(policy));
+        const std::string reference = dense_json(cluster::SimEngine::Trace, 1, policy);
+        EXPECT_EQ(reference, dense_json(cluster::SimEngine::Trace, 4, policy));
+        EXPECT_EQ(reference, dense_json(cluster::SimEngine::Batched, 4, policy));
+        // The reference tier is the oracle at system level too.
+        EXPECT_EQ(reference, dense_json(cluster::SimEngine::Reference, 2, policy));
+    }
 }
 
 TEST(Lifetime, DaysCyclesTheScript) {
