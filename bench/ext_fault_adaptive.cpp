@@ -18,7 +18,6 @@
 // Usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]
 //                           [--engine reference|fast|trace]
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "app/streaming.hpp"
+#include "common/numparse.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
@@ -45,14 +45,6 @@ constexpr double kLambdaHigh = 1e-3;
 /// real contest against intervals tuned for either phase, not a strawman.
 constexpr Cycle kFixedIntervals[] = {200, 600, 2000, 6000};
 constexpr unsigned kBlocks = 6;
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') return false;
-    out = v;
-    return true;
-}
 
 struct PolicyResult {
     std::string name;

@@ -24,7 +24,6 @@
 // batch_lockstep_cycles / batch_lane_peels / batch_peel_reasons fields.
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -32,6 +31,7 @@
 #include "app/benchmark.hpp"
 #include "app/streaming.hpp"
 #include "cluster/stats.hpp"
+#include "common/numparse.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
@@ -86,14 +86,6 @@ constexpr Tier kStreamTiers[] = {
 /// SEC-DED decoder mis-corrects them silently.
 constexpr unsigned kBurstLen = 3;
 constexpr unsigned kRegBurst = 2;
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') return false;
-    out = v;
-    return true;
-}
 
 /// A campaign result tagged with the workload that produced it.
 struct TaggedResult {

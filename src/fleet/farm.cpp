@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <iomanip>
 #include <ostream>
@@ -18,7 +17,7 @@
 #include <unistd.h>
 
 #include "common/atomic_file.hpp"
-#include "common/crc32.hpp"
+#include "common/journal.hpp"
 #include "fault/fault.hpp"
 #include "fleet/report.hpp"
 #include "fleet/store.hpp"
@@ -26,10 +25,6 @@
 namespace ulpmc::fleet {
 
 namespace {
-
-/// Same bound as common/journal.cpp: a length beyond this is a torn
-/// header read as a length, not a real frame.
-constexpr std::uint32_t kMaxPayload = 64u << 20;
 
 double now_s() {
     return std::chrono::duration<double>(
@@ -105,46 +100,35 @@ double farm_backoff_s(double base_s, double max_s, unsigned restart, Rng& rng) {
 }
 
 void scan_journal(const std::string& path, JournalProgress& p) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) return; // no journal yet: no progress, not an error
-    std::fseek(f, 0, SEEK_END);
-    const std::uint64_t size = static_cast<std::uint64_t>(std::ftell(f));
-    if (size < p.offset) {
-        // The journal shrank (a restart truncated a torn tail past our
-        // scan point — possible only if our last head-read raced a
-        // partial append). Rescan from scratch; the set dedups.
-        p = JournalProgress{};
+    JournalContents jc;
+    try {
+        jc = read_journal(path, p.offset);
+        if (jc.file_bytes < p.offset) {
+            // The journal shrank (a restart truncated a torn tail past our
+            // scan point — possible only if our last read raced a partial
+            // append). Rescan from scratch; the set dedups.
+            p = JournalProgress{};
+            jc = read_journal(path);
+        }
+    } catch (const JournalError&) {
+        return; // no journal yet: no progress, not an error
     }
-    p.bytes = size;
-    if (std::fseek(f, static_cast<long>(p.offset), SEEK_SET) != 0) {
-        std::fclose(f);
-        return;
-    }
-    std::vector<std::uint8_t> buf;
-    for (;;) {
-        std::uint32_t head[2]; // kind, len
-        if (std::fread(head, 1, sizeof(head), f) != sizeof(head)) break;
-        if (head[1] > kMaxPayload) break; // garbage tail: wait, do not advance
-        buf.resize(head[1]);
-        if (head[1] > 0 && std::fread(buf.data(), 1, buf.size(), f) != buf.size()) break;
-        std::uint32_t stored_crc = 0;
-        if (std::fread(&stored_crc, 1, sizeof(stored_crc), f) != sizeof(stored_crc)) break;
-        if (crc32(buf.data(), buf.size(), crc32(head, sizeof(head))) != stored_crc) break;
-        // Only a complete, CRC-valid frame advances the offset; a frame
-        // still being appended stays in the tail for the next poll.
-        p.offset += sizeof(head) + buf.size() + sizeof(stored_crc);
-        if (head[0] == kFleetRecordFrame && buf.size() == sizeof(DeviceRecord)) {
+    p.bytes = jc.file_bytes;
+    // Only complete, CRC-valid frames advance the offset; a frame still
+    // being appended stays in the tail for the next poll.
+    p.offset = jc.clean_bytes;
+    for (const JournalFrame& fr : jc.frames) {
+        if (fr.kind == kFleetRecordFrame && fr.payload.size() == sizeof(DeviceRecord)) {
             ++p.record_frames;
             std::uint64_t gdi = 0;
-            std::memcpy(&gdi, buf.data(), sizeof(gdi)); // gdi is the record's first field
+            std::memcpy(&gdi, fr.payload.data(), sizeof(gdi)); // gdi is the record's first field
             if (!p.gdis.insert(gdi).second) ++p.duplicate_records;
-        } else if (head[0] == kFleetHeartbeatFrame && buf.size() == 16) {
+        } else if (fr.kind == kFleetHeartbeatFrame && fr.payload.size() == 16) {
             ++p.heartbeats;
-            std::memcpy(&p.heartbeat_devices, buf.data() + 8, 8);
+            std::memcpy(&p.heartbeat_devices, fr.payload.data() + 8, 8);
         }
         // Unknown kinds (META included) advance the offset and nothing else.
     }
-    std::fclose(f);
 }
 
 MergedFleet merge_stores(const FleetOptions& fleet, const scenario::Timeline& tl,

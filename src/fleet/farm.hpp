@@ -107,7 +107,7 @@ struct JournalProgress {
     std::unordered_set<std::uint64_t> gdis; ///< distinct journaled devices
 };
 
-/// Parses complete frames from `p.offset` onward, updating counts. A
+/// Counts the frames read_journal(path, p.offset) returns. A
 /// torn or mid-append tail is left alone (the offset only advances past
 /// CRC-valid frames); a missing file is simply "no progress yet".
 void scan_journal(const std::string& path, JournalProgress& p);

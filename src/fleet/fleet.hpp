@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cluster/config.hpp"
+#include "common/journal.hpp"
 #include "fleet/scheduler.hpp"
 #include "fleet/sketch.hpp"
 #include "scenario/engine.hpp"
@@ -45,7 +46,7 @@ namespace ulpmc::fleet {
 /// HRTB is a liveness heartbeat carrying [u64 seq][u64 devices-complete].
 /// Consumers skip kinds they do not recognize (forward compatibility), so
 /// a heartbeat-bearing journal still resumes under an older binary.
-inline constexpr std::uint32_t kFleetMetaFrame = 0x4154454Du;
+inline constexpr std::uint32_t kFleetMetaFrame = kJournalMetaFrame;
 inline constexpr std::uint32_t kFleetRecordFrame = 0x44434552u;
 inline constexpr std::uint32_t kFleetHeartbeatFrame = 0x42545248u;
 

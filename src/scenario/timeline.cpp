@@ -1,9 +1,11 @@
 #include "scenario/timeline.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+
+#include "common/crc32.hpp"
+#include "common/numparse.hpp"
 
 namespace ulpmc::scenario {
 
@@ -15,11 +17,7 @@ namespace {
 
 double parse_double(unsigned line, const std::string& key, const std::string& value) {
     double v = 0;
-    const char* begin = value.data();
-    const char* end = begin + value.size();
-    const auto [p, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc{} || p != end || !std::isfinite(v))
-        fail(line, key + ": '" + value + "' is not a number");
+    if (!ulpmc::parse_double(value, v)) fail(line, key + ": '" + value + "' is not a number");
     return v;
 }
 
@@ -121,10 +119,15 @@ Timeline parse_timeline(std::istream& in) {
     return tl;
 }
 
-Timeline load_timeline(const std::string& path) {
-    std::ifstream in(path);
+Timeline load_timeline(const std::string& path, std::uint32_t* bytes_crc) {
+    std::ifstream in(path, std::ios::binary);
     if (!in) throw TimelineError(path + ": cannot open");
-    return parse_timeline(in);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string text = bytes.str();
+    if (bytes_crc) *bytes_crc = crc32(text.data(), text.size());
+    std::istringstream parsed(text);
+    return parse_timeline(parsed);
 }
 
 } // namespace ulpmc::scenario

@@ -3,12 +3,17 @@
 // leaves) is truncated to the clean prefix instead of poisoning the
 // resume, a corrupt frame stops the replay at the last durable point,
 // re-opening at clean_bytes drops the tail so append continues the
-// chain, and write_file_atomic never exposes a half-written artifact.
+// chain, a read from any frame boundary sees exactly the tail frames,
+// the shared resume path (open_run_journal) binds, refuses, drops and
+// skips as the protocol says, and write_file_atomic never exposes a
+// half-written artifact.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 
 #include "common/atomic_file.hpp"
@@ -178,6 +183,181 @@ TEST_F(JournalTest, TrailingGarbageAfterIntactFramesIsATornTail) {
     const JournalContents c = read_journal(path_);
     EXPECT_TRUE(c.torn_tail);
     EXPECT_EQ(c.frames.size(), 1u);
+}
+
+TEST_F(JournalTest, ReadFromAnyFrameBoundaryReturnsExactlyTheTailFrames) {
+    {
+        JournalWriter w(path_);
+        w.append(1, bytes({0xAA}));
+        w.append(2, {});
+        w.append(3, bytes({1, 2, 3}));
+        w.append(4, bytes({9, 9}));
+    }
+    std::filesystem::resize_file(path_, file_size(path_) - 2); // torn last frame
+    const JournalContents all = read_journal(path_);
+    ASSERT_EQ(all.frames.size(), 3u);
+    std::uint64_t boundary = 0;
+    for (std::size_t i = 0; i <= all.frames.size(); ++i) {
+        const JournalContents tail = read_journal(path_, boundary);
+        ASSERT_EQ(tail.frames.size(), all.frames.size() - i) << "from " << boundary;
+        for (std::size_t j = 0; j < tail.frames.size(); ++j) {
+            EXPECT_EQ(tail.frames[j].kind, all.frames[i + j].kind);
+            EXPECT_EQ(tail.frames[j].payload, all.frames[i + j].payload);
+        }
+        EXPECT_EQ(tail.clean_bytes, all.clean_bytes) << "clean_bytes is absolute";
+        EXPECT_EQ(tail.file_bytes, file_size(path_));
+        EXPECT_TRUE(tail.torn_tail);
+        if (i < all.frames.size()) boundary += 12 + all.frames[i].payload.size();
+    }
+    // Past the end (the file shrank under a reader): nothing, and
+    // file_bytes < clean_bytes says so.
+    const JournalContents past = read_journal(path_, all.file_bytes + 100);
+    EXPECT_TRUE(past.frames.empty());
+    EXPECT_LT(past.file_bytes, past.clean_bytes);
+}
+
+/// The resume path as a tool uses it: CHNK-like frames (kind 7) are
+/// replayed into `got`, anything else is an unknown kind.
+class RunJournalTest : public JournalTest {
+protected:
+    static constexpr std::uint32_t kWork = 7;
+    const std::vector<std::uint8_t> meta_ = bytes({'r', 'u', 'n', 1});
+
+    RunJournal open(bool resume, const std::vector<std::uint8_t>& meta) {
+        got_.clear();
+        notes_.str("");
+        return open_run_journal(
+            path_, resume, meta,
+            [&](std::size_t, const JournalFrame& fr) {
+                if (fr.kind != kWork) return false;
+                got_.push_back(fr.payload);
+                return true;
+            },
+            notes_);
+    }
+    std::string file_bytes_of() const {
+        std::ifstream f(path_, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+    }
+
+    std::vector<std::vector<std::uint8_t>> got_;
+    std::ostringstream notes_;
+};
+
+TEST_F(RunJournalTest, MissingFileOnResumeStartsFreshAndWritesMeta) {
+    const RunJournal rj = open(true, meta_);
+    EXPECT_FALSE(rj.resumed);
+    EXPECT_NE(notes_.str().find("no journal yet, starting fresh"), std::string::npos);
+    const JournalContents c = read_journal(path_);
+    ASSERT_EQ(c.frames.size(), 1u);
+    EXPECT_EQ(c.frames[0].kind, kJournalMetaFrame);
+    EXPECT_EQ(c.frames[0].payload, meta_);
+}
+
+TEST_F(RunJournalTest, WithoutResumeAnOldJournalIsReplacedNotReplayed) {
+    {
+        RunJournal rj = open(false, meta_);
+        rj.writer->append(kWork, bytes({1}));
+    }
+    RunJournal rj = open(false, meta_);
+    EXPECT_FALSE(rj.resumed);
+    EXPECT_TRUE(got_.empty());
+    EXPECT_EQ(read_journal(path_).frames.size(), 1u) << "only the new META";
+}
+
+TEST_F(RunJournalTest, MetaMismatchIsRefusedAndLeavesTheFileByteIdentical) {
+    {
+        RunJournal rj = open(false, meta_);
+        rj.writer->append(kWork, bytes({1, 2}));
+    }
+    std::filesystem::resize_file(path_, file_size(path_) - 1); // and a torn tail
+    const std::string before = file_bytes_of();
+    try {
+        open(true, bytes({'r', 'u', 'n', 2}));
+        FAIL() << "a different run's journal must be refused";
+    } catch (const JournalError& e) {
+        EXPECT_NE(std::string(e.what()).find("written by a different run"), std::string::npos);
+    }
+    EXPECT_EQ(file_bytes_of(), before);
+    EXPECT_TRUE(got_.empty()) << "nothing is replayed from a refused journal";
+    // A decoder refusal (a malformed frame) leaves the file untouched
+    // too, torn tail included.
+    {
+        JournalWriter w(path_);
+        w.append(kJournalMetaFrame, meta_);
+        w.append(kWork, bytes({3}));
+    }
+    std::ofstream(path_, std::ios::binary | std::ios::app).write("\x07\x00", 2);
+    const std::string good = file_bytes_of();
+    EXPECT_THROW(open_run_journal(
+                     path_, true, meta_,
+                     [](std::size_t, const JournalFrame&) -> bool {
+                         throw JournalError("malformed");
+                     },
+                     notes_),
+                 JournalError);
+    EXPECT_EQ(file_bytes_of(), good);
+}
+
+TEST_F(RunJournalTest, TornTailIsDroppedAndTheNextAppendContinuesAValidChain) {
+    {
+        RunJournal rj = open(false, meta_);
+        rj.writer->append(kWork, bytes({1}));
+        rj.writer->append(kWork, bytes({2, 2}));
+    }
+    const std::uint64_t intact = file_size(path_);
+    {
+        std::ofstream f(path_, std::ios::binary | std::ios::app);
+        f.write("CHNK\x05", 5); // half a header, as a SIGKILL leaves it
+    }
+    {
+        RunJournal rj = open(true, meta_);
+        EXPECT_TRUE(rj.resumed);
+        EXPECT_NE(notes_.str().find("dropping torn frame after " + std::to_string(intact) +
+                                    " bytes"),
+                  std::string::npos)
+            << notes_.str();
+        rj.writer->append(kWork, bytes({3}));
+    }
+    const JournalContents c = read_journal(path_);
+    EXPECT_FALSE(c.torn_tail);
+    ASSERT_EQ(c.frames.size(), 4u);
+    EXPECT_EQ(c.frames[0].kind, kJournalMetaFrame) << "META is not appended twice";
+    EXPECT_EQ(c.frames[3].payload, bytes({3}));
+}
+
+TEST_F(RunJournalTest, UnknownKindsAreSkippedAndCounted) {
+    {
+        RunJournal rj = open(false, meta_);
+        rj.writer->append(kWork, bytes({1}));
+        rj.writer->append(0x58585858u, bytes({9}));
+        rj.writer->append(kWork, bytes({2}));
+        rj.writer->append(0x59595959u, {});
+    }
+    const RunJournal rj = open(true, meta_);
+    EXPECT_TRUE(rj.resumed);
+    EXPECT_EQ(got_, (std::vector<std::vector<std::uint8_t>>{bytes({1}), bytes({2})}));
+    EXPECT_EQ(notes_.str(), "note: " + path_ +
+                                ": skipping 2 frame(s) of unknown kind (newer writer?)\n");
+}
+
+TEST_F(RunJournalTest, ReplayedFramesEqualTheAppendedOnes) {
+    std::vector<std::vector<std::uint8_t>> appended;
+    {
+        RunJournal rj = open(false, meta_);
+        for (int i = 0; i < 20; ++i) {
+            appended.push_back(std::vector<std::uint8_t>(static_cast<std::size_t>(i),
+                                                         static_cast<std::uint8_t>(i)));
+            rj.writer->append(kWork, appended.back());
+        }
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+        // Resuming twice replays the same frames: a resume appends nothing.
+        const RunJournal rj = open(true, meta_);
+        EXPECT_TRUE(rj.resumed);
+        EXPECT_EQ(got_, appended);
+        EXPECT_EQ(notes_.str(), "");
+    }
 }
 
 TEST_F(JournalTest, AtomicWriteReplacesTheTargetWithoutATempResidue) {

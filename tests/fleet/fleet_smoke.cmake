@@ -10,8 +10,8 @@
 #   * --threads 1 vs --threads 4 vs --engine batched (JSON and store);
 #   * `--merge` over shard stores 0/2 + 1/2 and 0/3 + 1/3 + 2/3, in more
 #     than one input order, vs the unsharded JSON and ULPF store.
-# Every malformed merge must exit 2 with a one-line diagnostic and write
-# nothing. WORK keeps the artifacts afterwards (whole.*, shard0.*, ...)
+# Every malformed merge or invocation must exit 2 with a one-line
+# diagnostic and write nothing. WORK keeps the artifacts afterwards (whole.*, shard0.*, ...)
 # for offline checks such as tools/read_fleet.py.
 
 foreach(var FLEET TIMELINE WORK)
@@ -113,3 +113,21 @@ rejects("days mismatch" --days 1 --merge shard0.ulpf,shard1.ulpf)
 rejects("--merge with --shard" --shard 0/2 --merge shard0.ulpf,shard1.ulpf)
 rejects("--merge with --journal" --journal rejected.jnl --merge shard0.ulpf,shard1.ulpf)
 rejects("--merge with --resume" --resume rejected.jnl --merge shard0.ulpf,shard1.ulpf)
+
+# ---- malformed invocations ------------------------------------------------
+file(WRITE "${WORK}/corrupt_timeline.txt" "phase a 10 lambda=oops\n")
+rejects("--journal with --resume" --journal rejected.jnl --resume rejected.jnl)
+rejects("shard past the count" --shard 3/2)
+rejects("negative thread count" --threads -1)
+rejects("signed thread count" --threads +3)
+rejects("space before the thread count" --threads " 7")
+rejects("thread count over 1024" --threads 1025)
+rejects("negative seed" --seed -1)
+rejects("signed baseline" --baseline +0.5)
+# The last few swap a piece of the spec itself.
+set(SPEC --timeline corrupt_timeline.txt --devices 64 --cohorts 2)
+rejects("corrupt timeline")
+set(SPEC --timeline no-such-timeline.txt --devices 64 --cohorts 2)
+rejects("missing timeline")
+set(SPEC --timeline "${TIMELINE}" --devices -1 --cohorts 2)
+rejects("negative device count")

@@ -9,8 +9,8 @@
 # One (timeline, seed) pair fully determines a device lifetime, so the JSON
 # may depend on neither the engine tier nor the worker count: trace on 1
 # thread, batched on 4 and the reference oracle on 2 must give the same
-# bytes. WORK keeps the artifacts afterwards; smoke_trace.json is the
-# uninterrupted reference a kill-and-resume check diffs against.
+# bytes. Every malformed invocation must exit 2 with a one-line
+# diagnostic and write nothing. WORK keeps the artifacts afterwards.
 
 foreach(var LIFE TIMELINE WORK)
   if(NOT DEFINED ${var})
@@ -44,3 +44,40 @@ foreach(other batched reference)
     message(FATAL_ERROR "smoke_${other}.json differs from smoke_trace.json")
   endif()
 endforeach()
+
+# Requires ulpmc-life with ARGN to exit 2 with a one-line diagnostic,
+# writing neither JSON nor journal.
+function(rejects why)
+  set(outputs rejected.json rejected.jnl)
+  foreach(f ${outputs})
+    file(REMOVE "${WORK}/${f}")
+  endforeach()
+  execute_process(COMMAND "${LIFE}" ${ARGN} --json rejected.json
+                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_VARIABLE err)
+  string(STRIP "${err}" err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${why}: expected exit 2, got ${rc}: ${err}")
+  endif()
+  if(err STREQUAL "" OR err MATCHES "\n")
+    message(FATAL_ERROR "${why}: expected a one-line diagnostic, got:\n${err}")
+  endif()
+  foreach(f ${outputs})
+    if(EXISTS "${WORK}/${f}")
+      message(FATAL_ERROR "${why}: wrote ${f} despite the error")
+    endif()
+  endforeach()
+  message(STATUS "rejected (${why}): ${err}")
+endfunction()
+
+file(WRITE "${WORK}/corrupt_timeline.txt" "phase a 10 lambda=oops\n")
+rejects("corrupt timeline" --timeline corrupt_timeline.txt)
+rejects("missing timeline" --timeline no-such-timeline.txt)
+rejects("--journal with --resume" --timeline "${TIMELINE}"
+        --journal rejected.jnl --resume rejected.jnl)
+rejects("negative thread count" --timeline "${TIMELINE}" --threads -1)
+rejects("signed thread count" --timeline "${TIMELINE}" --threads +3)
+rejects("space before the thread count" --timeline "${TIMELINE}" --threads " 7")
+rejects("thread count over 1024" --timeline "${TIMELINE}" --threads 1025)
+rejects("negative seed" --timeline "${TIMELINE}" --seed -1)
+rejects("signed days" --timeline "${TIMELINE}" --days +1)

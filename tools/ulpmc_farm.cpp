@@ -42,10 +42,14 @@
 #include <string>
 
 #include "common/atomic_file.hpp"
+#include "common/numparse.hpp"
 #include "fleet/farm.hpp"
 #include "fleet/store.hpp"
 
 namespace {
+
+using ulpmc::parse_double;
+using ulpmc::parse_u64;
 
 void usage(std::ostream& os) {
     os << "usage: ulpmc-farm --timeline FILE --fleet-bin PATH [--devices N] [--seed N]\n"
@@ -55,26 +59,6 @@ void usage(std::ostream& os) {
           "                  [--heartbeat S] [--timeout S] [--grace S]\n"
           "                  [--backoff BASE/MAX] [--retries N]\n"
           "                  [--chaos kills=K[,stalls=S][,seed=N]]\n";
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_double(const std::string& s, double& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
 }
 
 /// kills=K[,stalls=S][,seed=N], any order, each key at most once.

@@ -27,18 +27,15 @@
 //     --json FILE       write the deterministic artifact to FILE ('-' = stdout)
 //     --store FILE      write the per-device binary record store to FILE
 //     --journal FILE    append one durable frame per finished device to FILE
-//     --resume FILE     replay FILE's intact frames, then continue journaling
-//                       to it (missing file: fresh run). The journal binds to
-//                       the run's options and timeline bytes; a mismatch is a
-//                       usage error, never a silent partial replay.
+//     --resume FILE     continue the run journaled in FILE: journaled devices
+//                       are adopted, not re-simulated
 //     --heartbeat S     append a liveness heartbeat frame to the journal every
 //                       S seconds (requires --journal/--resume) so a farm
 //                       supervisor can tell "slow device" from "hung worker"
 //
-// SIGTERM/SIGINT preempt gracefully: in-flight devices finish and their
-// frames reach the journal, then the run exits 3 without writing the
-// (incomplete) artifacts — a later --resume continues where durable
-// progress ends.
+// --journal, --resume and graceful SIGTERM/SIGINT preemption (in-flight
+// devices' frames land, then exit 3 with no artifacts) follow the
+// durable-run protocol of DESIGN.md §9.6.
 //
 // Exit codes: 0 success, 2 bad usage (malformed, duplicate or
 // inconsistent options, unreadable or corrupt timeline/journal, a shard
@@ -47,9 +44,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -61,8 +56,8 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "common/crc32.hpp"
 #include "common/journal.hpp"
+#include "common/numparse.hpp"
 #include "common/serial.hpp"
 #include "fleet/farm.hpp"
 #include "fleet/fleet.hpp"
@@ -73,16 +68,9 @@
 namespace {
 
 using ulpmc::fleet::kFleetHeartbeatFrame;
-using ulpmc::fleet::kFleetMetaFrame;
 using ulpmc::fleet::kFleetRecordFrame;
-
-/// Set by the SIGTERM/SIGINT handler; the device hooks poll it and throw
-/// Preempted so the pool drains in-flight work and the run exits 3.
-volatile std::sig_atomic_t g_preempt = 0;
-
-struct Preempted {};
-
-void on_preempt_signal(int) { g_preempt = 1; }
+using ulpmc::parse_double;
+using ulpmc::parse_u64;
 
 void usage(std::ostream& os) {
     os << "usage: ulpmc-fleet --timeline FILE [--devices N] [--seed N] [--cohorts N]\n"
@@ -91,18 +79,6 @@ void usage(std::ostream& os) {
           "                   [--journal FILE | --resume FILE] [--heartbeat S]\n"
           "       ulpmc-fleet --timeline FILE --merge S0.ulpf,S1.ulpf,... [spec options]\n"
           "                   [--json FILE] [--store FILE]\n";
-}
-
-/// CRC over the timeline's raw bytes: the journal must not resume against
-/// an edited script (same path, different phases -> different devices).
-bool file_crc32(const std::string& path, std::uint32_t& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
-    out = ulpmc::crc32(bytes.data(), bytes.size());
-    return true;
 }
 
 /// Everything a journaled record depends on. `threads` is deliberately
@@ -121,26 +97,6 @@ std::vector<std::uint8_t> meta_payload(const ulpmc::fleet::FleetOptions& opt,
     ulpmc::put_raw(m, static_cast<std::uint8_t>(opt.engine));
     ulpmc::put_raw(m, timeline_crc);
     return m;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_double(const std::string& s, double& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
 }
 
 bool parse_shard(const std::string& s, unsigned& k, unsigned& n) {
@@ -319,8 +275,9 @@ int main(int argc, char** argv) {
     }
 
     ulpmc::scenario::Timeline tl;
+    std::uint32_t tl_crc = 0; // the journal must not resume against an edited script
     try {
-        tl = ulpmc::scenario::load_timeline(timeline_path);
+        tl = ulpmc::scenario::load_timeline(timeline_path, &tl_crc);
     } catch (const ulpmc::scenario::TimelineError& e) {
         std::cerr << timeline_path << ": " << e.what() << "\n";
         return 2;
@@ -347,70 +304,30 @@ int main(int argc, char** argv) {
     std::unique_ptr<ulpmc::JournalWriter> journal;
     std::unordered_map<std::uint64_t, ulpmc::fleet::DeviceRecord> replay;
     if (!journal_path.empty()) {
-        std::uint32_t tl_crc = 0;
-        if (!file_crc32(timeline_path, tl_crc)) {
-            std::cerr << timeline_path << ": cannot re-read for journal binding\n";
-            return 2;
-        }
-        const std::vector<std::uint8_t> meta = meta_payload(opt, tl_crc);
-        std::uint64_t keep = 0;
-        bool have_meta = false;
-        if (resume) {
-            ulpmc::JournalContents jc;
-            bool exists = true;
-            try {
-                jc = ulpmc::read_journal(journal_path);
-            } catch (const ulpmc::JournalError&) {
-                exists = false;
-                std::cerr << "note: " << journal_path << ": no journal yet, starting fresh\n";
-            }
-            if (exists && !jc.frames.empty()) {
-                if (jc.frames[0].kind != kFleetMetaFrame || jc.frames[0].payload != meta) {
-                    std::cerr << journal_path
-                              << ": journal was written by a different run "
-                                 "(options or timeline changed); refusing to resume\n";
-                    return 2;
-                }
-                have_meta = true;
-                std::uint64_t skipped = 0;
-                for (std::size_t f = 1; f < jc.frames.size(); ++f) {
-                    const ulpmc::JournalFrame& fr = jc.frames[f];
-                    ulpmc::fleet::DeviceRecord r;
-                    if (fr.kind != kFleetRecordFrame) {
-                        // Forward compatibility: a kind this binary does not
-                        // know (a heartbeat, or a frame from a newer writer)
-                        // carries no replay state — skip it, don't die on it.
-                        if (fr.kind != kFleetHeartbeatFrame) ++skipped;
-                        continue;
-                    }
-                    if (fr.payload.size() != sizeof(r)) {
-                        std::cerr << journal_path << ": frame " << f << ": record payload is "
-                                  << fr.payload.size() << " bytes, expected " << sizeof(r)
-                                  << "; refusing to resume\n";
-                        return 2;
-                    }
-                    std::memcpy(&r, fr.payload.data(), sizeof(r));
-                    if (r.gdi >= opt.devices || r.gdi % opt.shard_n != opt.shard_k) {
-                        std::cerr << journal_path << ": journaled device " << r.gdi
-                                  << " is outside this shard; refusing to resume\n";
-                        return 2;
-                    }
-                    replay[r.gdi] = r;
-                }
-                keep = jc.clean_bytes;
-                if (jc.torn_tail)
-                    std::cerr << "note: " << journal_path
-                              << ": dropping torn frame after " << keep << " bytes\n";
-                if (skipped > 0)
-                    std::cerr << "note: " << journal_path << ": skipping " << skipped
-                              << " frame(s) of unknown kind (newer writer?)\n";
+        auto replay_frame = [&](std::size_t f, const ulpmc::JournalFrame& fr) {
+            // A heartbeat carries no replay state but is not unknown.
+            if (fr.kind != kFleetRecordFrame) return fr.kind == kFleetHeartbeatFrame;
+            ulpmc::fleet::DeviceRecord r;
+            if (fr.payload.size() != sizeof(r))
+                throw ulpmc::JournalError(
+                    journal_path + ": frame " + std::to_string(f) + ": record payload is " +
+                    std::to_string(fr.payload.size()) + " bytes, expected " +
+                    std::to_string(sizeof(r)) + "; refusing to resume");
+            std::memcpy(&r, fr.payload.data(), sizeof(r));
+            if (r.gdi >= opt.devices || r.gdi % opt.shard_n != opt.shard_k)
+                throw ulpmc::JournalError(journal_path + ": journaled device " +
+                                          std::to_string(r.gdi) +
+                                          " is outside this shard; refusing to resume");
+            replay[r.gdi] = r;
+            return true;
+        };
+        try {
+            ulpmc::RunJournal rj = ulpmc::open_run_journal(
+                journal_path, resume, meta_payload(opt, tl_crc), replay_frame, std::cerr);
+            if (rj.resumed)
                 std::cerr << "note: resuming with " << replay.size()
                           << " journaled device(s)\n";
-            }
-        }
-        try {
-            journal = std::make_unique<ulpmc::JournalWriter>(journal_path, keep);
-            if (!have_meta) journal->append(kFleetMetaFrame, meta);
+            journal = std::move(rj.writer);
         } catch (const ulpmc::JournalError& e) {
             std::cerr << e.what() << "\n";
             return 2;
@@ -422,8 +339,7 @@ int main(int argc, char** argv) {
     // hook, any worker thread) against heartbeat appends (its own thread):
     // JournalWriter is not concurrency-safe and interleaved fwrites would
     // tear frames.
-    std::signal(SIGTERM, on_preempt_signal);
-    std::signal(SIGINT, on_preempt_signal);
+    ulpmc::install_preempt_handlers();
     std::mutex journal_m;
     std::atomic<std::uint64_t> completed{replay.size()};
     std::atomic<bool> hb_stop{false};
@@ -459,7 +375,7 @@ int main(int argc, char** argv) {
     ulpmc::fleet::FleetEngine engine(tl, opt);
     ulpmc::fleet::FleetResume hooks;
     hooks.lookup = [&](std::uint64_t gdi, ulpmc::fleet::DeviceRecord& out) {
-        if (g_preempt) throw Preempted{};
+        if (ulpmc::preempt_requested()) throw ulpmc::Preempted{};
         const auto it = replay.find(gdi);
         if (it == replay.end()) return false;
         out = it->second;
@@ -479,7 +395,7 @@ int main(int argc, char** argv) {
     ulpmc::fleet::FleetResult res;
     try {
         res = engine.run(hooks);
-    } catch (const Preempted&) {
+    } catch (const ulpmc::Preempted&) {
         // In-flight devices finished and journaled before the pool
         // drained; everything else resumes from the journal next run.
         stop_heartbeat();

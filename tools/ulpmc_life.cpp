@@ -16,22 +16,16 @@
 //     --threads N       worker threads, 0 = hardware (default 0)
 //     --json FILE       write the report JSON to FILE ('-' = stdout)
 //     --journal FILE    append one durable frame per simulated chunk to FILE
-//     --resume FILE     replay FILE's intact frames (restarting each policy
-//                       from its last journaled chunk boundary), then continue
-//                       journaling to it (missing file: fresh run). The
-//                       journal binds to the run's options and timeline
-//                       bytes; a mismatch is a usage error.
+//     --resume FILE     continue the run journaled in FILE, each policy from
+//                       its last journaled chunk boundary
 //
-// SIGTERM/SIGINT preempt gracefully: the in-flight chunk finishes and its
-// frame reaches the journal, then the run exits 3 without writing the
-// (incomplete) JSON — a later --resume continues from the journaled
-// chunk boundary.
+// --journal, --resume and graceful SIGTERM/SIGINT preemption (the
+// in-flight chunk's frame lands, then exit 3 with no JSON) follow the
+// durable-run protocol of DESIGN.md §9.6.
 //
 // Exit codes: 0 success, 2 bad usage (malformed, duplicate or
 // inconsistent options, unreadable or corrupt timeline/journal),
 // 3 preempted by SIGTERM/SIGINT (journal flushed, artifacts unwritten).
-#include <csignal>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <set>
@@ -40,8 +34,8 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "common/crc32.hpp"
 #include "common/journal.hpp"
+#include "common/numparse.hpp"
 #include "common/serial.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/report.hpp"
@@ -50,32 +44,13 @@
 
 namespace {
 
-/// Journal frame kinds ("META" / "CHNK" in ASCII).
-constexpr std::uint32_t kMetaFrame = 0x4154454Du;
+/// Chunk journal frame kind ("CHNK" in ASCII): [u8 policy][engine state].
 constexpr std::uint32_t kChunkFrame = 0x4B4E4843u;
-
-/// Set by the SIGTERM/SIGINT handler; the chunk hook polls it and throws
-/// Preempted so the run stops at a journaled chunk boundary and exits 3.
-volatile std::sig_atomic_t g_preempt = 0;
-
-struct Preempted {};
-
-void on_preempt_signal(int) { g_preempt = 1; }
 
 void usage(std::ostream& os) {
     os << "usage: ulpmc-life --timeline FILE [--seed N] [--engine E] [--days D]\n"
           "                  [--policy ladder|baseline|both] [--threads N] [--json FILE]\n"
           "                  [--journal FILE | --resume FILE]\n";
-}
-
-bool file_crc32(const std::string& path, std::uint32_t& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
-    out = ulpmc::crc32(bytes.data(), bytes.size());
-    return true;
 }
 
 /// Everything a journaled chunk state depends on (`threads` deliberately
@@ -93,29 +68,11 @@ std::vector<std::uint8_t> meta_payload(std::uint64_t seed, double days,
     return m;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_double(const std::string& s, double& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
+    using ulpmc::parse_double;
+    using ulpmc::parse_u64;
     using ulpmc::scenario::Policy;
 
     std::string timeline_path;
@@ -150,8 +107,8 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--threads") {
-            if (!parse_u64(value("--threads"), threads)) {
-                std::cerr << "--threads: not a number\n";
+            if (!parse_u64(value("--threads"), threads) || threads > 1024) {
+                std::cerr << "--threads: expected a count in [0, 1024]\n";
                 return 2;
             }
         } else if (arg == "--days") {
@@ -202,83 +159,40 @@ int main(int argc, char** argv) {
     }
 
     ulpmc::scenario::Timeline tl;
+    std::uint32_t tl_crc = 0;
     try {
-        tl = ulpmc::scenario::load_timeline(timeline_path);
+        tl = ulpmc::scenario::load_timeline(timeline_path, &tl_crc);
     } catch (const ulpmc::scenario::TimelineError& e) {
         std::cerr << timeline_path << ": " << e.what() << "\n";
         return 2;
     }
 
     // ---- durable progress journal (DESIGN.md §9.6) ---------------------
-    // One frame per simulated chunk: [u8 policy][engine boundary state].
     // Resume restarts each policy from its LAST intact chunk frame.
     std::unique_ptr<ulpmc::JournalWriter> journal;
     std::vector<std::uint8_t> replay_state[2]; // indexed by Policy
     if (!journal_path.empty()) {
-        std::uint32_t tl_crc = 0;
-        if (!file_crc32(timeline_path, tl_crc)) {
-            std::cerr << timeline_path << ": cannot re-read for journal binding\n";
-            return 2;
-        }
-        const std::vector<std::uint8_t> meta =
-            meta_payload(seed, days, engine, ladder, baseline, tl_crc);
-        std::uint64_t keep = 0;
-        bool have_meta = false;
-        if (resume) {
-            ulpmc::JournalContents jc;
-            bool exists = true;
-            try {
-                jc = ulpmc::read_journal(journal_path);
-            } catch (const ulpmc::JournalError&) {
-                exists = false;
-                std::cerr << "note: " << journal_path << ": no journal yet, starting fresh\n";
-            }
-            if (exists && !jc.frames.empty()) {
-                if (jc.frames[0].kind != kMetaFrame || jc.frames[0].payload != meta) {
-                    std::cerr << journal_path
-                              << ": journal was written by a different run "
-                                 "(options or timeline changed); refusing to resume\n";
-                    return 2;
-                }
-                have_meta = true;
-                std::uint64_t skipped = 0;
-                for (std::size_t f = 1; f < jc.frames.size(); ++f) {
-                    const ulpmc::JournalFrame& fr = jc.frames[f];
-                    if (fr.kind != kChunkFrame) {
-                        // Forward compatibility: frames of a kind this
-                        // binary does not know carry no replay state for
-                        // it — skip them rather than refusing the journal.
-                        ++skipped;
-                        continue;
-                    }
-                    if (fr.payload.size() < 2 || fr.payload[0] > 1) {
-                        std::cerr << journal_path << ": frame " << f
-                                  << ": malformed chunk payload; refusing to resume\n";
-                        return 2;
-                    }
-                    replay_state[fr.payload[0]].assign(fr.payload.begin() + 1,
-                                                       fr.payload.end());
-                }
-                keep = jc.clean_bytes;
-                if (jc.torn_tail)
-                    std::cerr << "note: " << journal_path
-                              << ": dropping torn frame after " << keep << " bytes\n";
-                if (skipped > 0)
-                    std::cerr << "note: " << journal_path << ": skipping " << skipped
-                              << " frame(s) of unknown kind (newer writer?)\n";
-            }
-        }
+        auto replay = [&](std::size_t f, const ulpmc::JournalFrame& fr) {
+            if (fr.kind != kChunkFrame) return false;
+            if (fr.payload.size() < 2 || fr.payload[0] > 1)
+                throw ulpmc::JournalError(journal_path + ": frame " + std::to_string(f) +
+                                          ": malformed chunk payload; refusing to resume");
+            replay_state[fr.payload[0]].assign(fr.payload.begin() + 1, fr.payload.end());
+            return true;
+        };
         try {
-            journal = std::make_unique<ulpmc::JournalWriter>(journal_path, keep);
-            if (!have_meta) journal->append(kMetaFrame, meta);
+            journal = ulpmc::open_run_journal(
+                          journal_path, resume,
+                          meta_payload(seed, days, engine, ladder, baseline, tl_crc), replay,
+                          std::cerr)
+                          .writer;
         } catch (const ulpmc::JournalError& e) {
             std::cerr << e.what() << "\n";
             return 2;
         }
     }
 
-    std::signal(SIGTERM, on_preempt_signal);
-    std::signal(SIGINT, on_preempt_signal);
+    ulpmc::install_preempt_handlers();
     ulpmc::sweep::SweepRunner pool(static_cast<unsigned>(threads));
     std::vector<ulpmc::scenario::LifetimeReport> runs;
     for (const Policy policy : {Policy::Ladder, Policy::Baseline}) {
@@ -304,11 +218,11 @@ int main(int argc, char** argv) {
                 p.insert(p.end(), state.begin(), state.end());
                 journal->append(kChunkFrame, p);
             }
-            if (g_preempt) throw Preempted{};
+            if (ulpmc::preempt_requested()) throw ulpmc::Preempted{};
         };
         try {
             runs.push_back(eng.run(pool, hooks));
-        } catch (const Preempted&) {
+        } catch (const ulpmc::Preempted&) {
             if (journal)
                 std::cerr << "preempted at a journaled chunk boundary; "
                              "resume to continue\n";

@@ -27,7 +27,6 @@
 // Exit codes: 0 all cores halted, 1 load error, 2 bad usage (malformed,
 // duplicate or inconsistent options), 3 a core trapped (name printed),
 // 4 the max-cycles limit was hit.
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -38,6 +37,7 @@
 
 #include "cluster/batched.hpp"
 #include "cluster/cluster.hpp"
+#include "common/numparse.hpp"
 #include "common/table.hpp"
 #include "isa/assembler.hpp"
 #include "isa/binfmt.hpp"
@@ -62,8 +62,7 @@ int usage() {
 std::uint64_t parse_num(const std::string& arg, const std::string& value, std::uint64_t min,
                         std::uint64_t max) {
     std::uint64_t v = 0;
-    const auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc{} || p != value.data() + value.size()) {
+    if (!parse_u64(value, v)) {
         std::cerr << arg << ": '" << value << "' is not a number\n";
         std::exit(2);
     }
