@@ -16,12 +16,12 @@
 //
 // Usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]
 //                           [--engine reference|fast|trace|batched]
-//                           [--batch B]
 //
-// --engine batched runs every campaign through the lockstep-sharing tier
-// (DESIGN.md §11): outcome/energy tables stay byte-identical to trace,
-// only wall-clock changes, and the JSON artifact gains per-campaign
-// batch_lockstep_cycles / batch_lane_peels / batch_peel_reasons fields.
+// --engine batched runs every campaign through the memoized campaign
+// paths (DESIGN.md §11): outcome/energy tables stay byte-identical to
+// trace, only wall-clock changes, and the JSON artifact gains
+// per-campaign batch_lockstep_cycles / batch_lane_peels /
+// batch_peel_reasons fields.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -154,13 +154,9 @@ int main(int argc, char** argv) {
                           << "' (expected reference, fast, trace or batched)\n";
                 return 2;
             }
-        } else if (arg == "--batch" && i + 1 < argc && parse_u64(argv[++i], v) && v >= 1 &&
-                   v <= 4096) {
-            cfg.batch = static_cast<unsigned>(v);
         } else {
             std::cerr << "usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]\n"
-                         "                          [--engine reference|fast|trace|batched]\n"
-                         "                          [--batch B]\n";
+                         "                          [--engine reference|fast|trace|batched]\n";
             return 2;
         }
     }

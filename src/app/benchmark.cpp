@@ -104,12 +104,17 @@ bool EcgBenchmark::verify(const cluster::Cluster& cl, unsigned cores) const {
         for (std::size_t i = 0; i < y.size(); ++i) {
             if (cl.dm_peek(pid, static_cast<Addr>(layout_.y_base() + i)) != y[i]) return false;
         }
-        const auto& words = golden_bits_[p].words;
-        if (cl.dm_peek(pid, layout_.out_count()) != words.size()) return false;
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(layout_.out_base() + i)) != words[i])
-                return false;
-        }
+        if (!bitstream_ok(cl, p)) return false;
+    }
+    return true;
+}
+
+bool EcgBenchmark::bitstream_ok(const cluster::Cluster& cl, unsigned lead) const {
+    const auto pid = static_cast<CoreId>(lead);
+    const auto& words = golden_bits_[lead].words;
+    if (cl.dm_peek(pid, layout_.out_count()) != words.size()) return false;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        if (cl.dm_peek(pid, static_cast<Addr>(layout_.out_base() + i)) != words[i]) return false;
     }
     return true;
 }

@@ -72,6 +72,11 @@ public:
     /// simulation mid-flight to strike it, classify their runs with it.
     bool verify(const cluster::Cluster& cl, unsigned cores) const;
 
+    /// The per-lead half of verify(): true when core `lead`'s output
+    /// window holds exactly its golden bitstream (word count and words).
+    /// The streaming monitor checks every block with it.
+    bool bitstream_ok(const cluster::Cluster& cl, unsigned lead) const;
+
     /// Sensor front end: injects each lead's sample block into its core's
     /// x buffer. Shared by run(), the streaming monitor and the fault
     /// campaigns (which pause the simulation mid-flight and so drive the

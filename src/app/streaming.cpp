@@ -24,7 +24,6 @@ StreamingBenchmark::Outcome StreamingBenchmark::run(const cluster::ClusterConfig
     cfg.barrier_enabled = base_.layout().use_barrier;
 
     cluster::Cluster& cl = cluster::pooled_cluster(cfg, image_);
-    const auto& lay = base_.layout();
     base_.load_inputs(cl, cfg.cores);
 
     cl.run(static_cast<Cycle>(n_blocks_) * 400'000);
@@ -33,25 +32,11 @@ StreamingBenchmark::Outcome StreamingBenchmark::run(const cluster::ClusterConfig
     out.stats = cl.stats();
     out.verified = true;
     for (unsigned p = 0; p < cfg.cores; ++p) {
-        if (cl.core_trap(static_cast<CoreId>(p)) != core::Trap::None ||
-            !cl.core_halted(static_cast<CoreId>(p))) {
-            out.verified = false;
-            continue;
-        }
         // Every block recomputes the same outputs; verify the final state.
-        const auto& golden = base_.golden_bitstream(p);
-        const Word n_words = cl.dm_peek(static_cast<CoreId>(p), lay.out_count());
-        if (n_words != golden.words.size()) {
+        const auto pid = static_cast<CoreId>(p);
+        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid) ||
+            !base_.bitstream_ok(cl, p))
             out.verified = false;
-            continue;
-        }
-        for (Word i = 0; i < n_words; ++i) {
-            if (cl.dm_peek(static_cast<CoreId>(p), static_cast<Addr>(lay.out_base() + i)) !=
-                golden.words[i]) {
-                out.verified = false;
-                break;
-            }
-        }
     }
 
     out.cycles_per_block = static_cast<double>(out.stats.cycles) / n_blocks_;
@@ -80,7 +65,6 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
                                   Cycle known_clean_block) const {
     cluster::ClusterConfig cfg = cfg_in;
     cfg.barrier_enabled = base_.layout().use_barrier;
-    const auto& lay = base_.layout();
 
     // One block = one checkpoint interval, executed on the single-block
     // program; re-initializing the cluster from the program image IS the
@@ -96,20 +80,9 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
         return cl;
     };
     const auto lead_ok = [&](const cluster::Cluster& c, unsigned p) {
-        if (c.core_trap(static_cast<CoreId>(p)) != core::Trap::None ||
-            !c.core_halted(static_cast<CoreId>(p))) {
-            return false;
-        }
-        const auto& golden = base_.golden_bitstream(p);
-        if (c.dm_peek(static_cast<CoreId>(p), lay.out_count()) != golden.words.size())
-            return false;
-        for (std::size_t i = 0; i < golden.words.size(); ++i) {
-            if (c.dm_peek(static_cast<CoreId>(p), static_cast<Addr>(lay.out_base() + i)) !=
-                golden.words[i]) {
-                return false;
-            }
-        }
-        return true;
+        const auto pid = static_cast<CoreId>(p);
+        return c.core_trap(pid) == core::Trap::None && c.core_halted(pid) &&
+               base_.bitstream_ok(c, p);
     };
 
     ResilientOutcome out;
@@ -191,45 +164,47 @@ StreamingBenchmark::run_checkpointed(cluster::ArchKind arch, const BlockFaultHoo
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook) const {
-    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, false);
+    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, nullptr);
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook,
                                      const DurableOptions& durable) const {
-    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, false, &durable);
+    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, nullptr, &durable);
+}
+
+StreamingBenchmark::ResilientOutcome
+StreamingBenchmark::capture_stream(const cluster::ClusterConfig& cfg_in,
+                                   CheckpointedStreamMemo& memo) const {
+    memo.boundary_.resize(n_blocks_);
+    memo.cum_.resize(n_blocks_);
+    const ResilientOutcome clean = run_checkpointed_impl(cfg_in, {}, nullptr, nullptr, &memo);
+    ULPMC_EXPECTS(clean.rollbacks == 0 && clean.leads_dropped == 0);
+    memo.clean_block_cycles_ = clean.clean_block_cycles;
+    return clean;
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook, const BlockPerturbed& perturbed,
-                                     CheckpointedStreamMemo& memo) const {
-    if (!memo.valid_) {
-        // Capture pass: one fault-free continuous run, snapshotted at
-        // every block boundary. Amortized over every campaign injection
-        // this thread processes.
-        memo.boundary_.resize(n_blocks_);
-        memo.cum_.resize(n_blocks_);
-        const ResilientOutcome clean = run_checkpointed_impl(cfg_in, {}, nullptr, &memo, true);
-        ULPMC_EXPECTS(clean.rollbacks == 0 && clean.leads_dropped == 0);
-        memo.clean_block_cycles_ = clean.clean_block_cycles;
-        memo.valid_ = true;
-    }
-    return run_checkpointed_impl(cfg_in, hook, &perturbed, &memo, false);
+                                     const CheckpointedStreamMemo& memo) const {
+    ULPMC_EXPECTS(memo.boundary_.size() == n_blocks_);
+    return run_checkpointed_impl(cfg_in, hook, &perturbed, &memo, nullptr);
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
                                           const BlockFaultHook& hook,
                                           const BlockPerturbed* perturbed,
-                                          CheckpointedStreamMemo* memo, bool capture,
+                                          const CheckpointedStreamMemo* memo,
+                                          CheckpointedStreamMemo* capture,
                                           const DurableOptions* durable) const {
     const bool durable_on = durable != nullptr && durable->enabled;
     // The memoized clean stream assumes every rollback restores the block
     // being retried; keyframe fallback breaks that, so durable storage is
     // a trace-path feature.
-    ULPMC_EXPECTS(!(durable_on && (memo != nullptr || capture)));
+    ULPMC_EXPECTS(!(durable_on && (memo != nullptr || capture != nullptr)));
     cluster::ClusterConfig cfg = cfg_in;
     cfg.barrier_enabled = base_.layout().use_barrier;
     const auto& lay = base_.layout();
@@ -237,7 +212,7 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     ResilientOutcome out;
     out.lead_alive.assign(cfg.cores, 1);
 
-    if (memo && memo->valid_) {
+    if (memo) {
         out.clean_block_cycles = memo->clean_block_cycles_;
     } else { // fault-free single-block reference: calibrates the attempt budget
         cluster::Cluster& ref = cluster::pooled_cluster(cfg, base_.image());
@@ -288,13 +263,7 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
         } else if (cl.dm_peek(pid, counter_addr) > block_remaining(block)) {
             return true; // never finished the block inside the budget
         }
-        const auto& golden = base_.golden_bitstream(p);
-        if (cl.dm_peek(pid, lay.out_count()) != golden.words.size()) return true;
-        for (std::size_t i = 0; i < golden.words.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(lay.out_base() + i)) != golden.words[i])
-                return true;
-        }
-        return false;
+        return !base_.bitstream_ok(cl, p);
     };
     const auto settled = [&](unsigned block) {
         for (unsigned p = 0; p < cfg.cores; ++p) {
@@ -347,7 +316,7 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     // block's boundary snapshot (stats and all) instead of simulating the
     // prefix. Exact: the restored state, the committed-block count and the
     // later lead_failed() block arithmetic all line up by determinism.
-    const bool memoized = !capture && memo && memo->valid_ && perturbed && *perturbed;
+    const bool memoized = memo && perturbed && *perturbed;
     unsigned start_block = 0;
     if (memoized) {
         while (start_block + 1 < n_blocks_ && !(*perturbed)(start_block, 0)) ++start_block;
@@ -383,8 +352,8 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     std::vector<unsigned> corrupted;
     for (unsigned block = start_block; block < n_blocks_;) {
         if (capture) {
-            cl.save(memo->boundary_[block]);
-            memo->cum_[block] = clean_cum_now();
+            cl.save(capture->boundary_[block]);
+            capture->cum_[block] = clean_cum_now();
         }
         // Block boundary = recovery point. The runner owns the pre-save
         // register scrub (checkpoint() sweeps the files through the
@@ -506,8 +475,8 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     }
 
     if (capture) {
-        memo->final_ = clean_cum_now();
-        memo->final_latent_ = cl.pending_reg_faults();
+        capture->final_ = clean_cum_now();
+        capture->final_latent_ = cl.pending_reg_faults();
     }
 
     bool any_alive = false;

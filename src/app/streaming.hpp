@@ -164,18 +164,14 @@ public:
 
     /// Memoized clean stream for run_checkpointed (batched engine): one
     /// portable snapshot per block boundary of the fault-free continuous
-    /// run, captured once per (campaign, thread) and then used to skip the
-    /// clean prefix of every injection — and, when the injection's state
+    /// run. capture_stream() fills it once per campaign; every injection
+    /// then reads it to skip its clean prefix — and, when its state
     /// converges back onto the fault-free stream (a successful rollback
     /// restores the clean checkpoint bit-exactly), its clean tail too.
-    /// Opaque to callers; reusable across injections under the SAME
-    /// configuration.
+    /// Opaque to callers and immutable once captured, so one copy serves
+    /// every thread of a campaign under the configuration it was captured
+    /// with.
     class CheckpointedStreamMemo {
-    public:
-        CheckpointedStreamMemo() = default;
-        bool valid() const { return valid_; }
-        void invalidate() { valid_ = false; }
-
     private:
         friend class StreamingBenchmark;
         /// Cumulative clean-run outcome counters, sampled at each block's
@@ -185,7 +181,6 @@ public:
             Cycle cycles = 0;
             std::uint64_t ecc = 0, parity = 0, tmr = 0, wd = 0, chk = 0, scrub = 0;
         };
-        bool valid_ = false;
         std::vector<cluster::Cluster::Snapshot> boundary_; ///< per block, at its top
         std::vector<CleanCum> cum_;                        ///< per block, at its top
         CleanCum final_;                                   ///< after drain + commit
@@ -193,26 +188,36 @@ public:
         Cycle clean_block_cycles_ = 0;
     };
 
-    /// Memoizing variant (batched engine): the first call under `memo`
-    /// captures the fault-free stream's block-boundary snapshots; later
-    /// calls restore the snapshot of the first perturbed block and only
-    /// simulate from there — the skipped clean prefix is credited to
-    /// memoized_cycles and the prefix's blocks/checkpoints to their
-    /// counters. Exact by determinism: the clean prefix of every injection
-    /// IS the fault-free stream. Symmetrically, once the last perturbed
-    /// block commits and state_equals() proves the continuous state is
-    /// back on the fault-free stream (rollback restored the clean
-    /// checkpoint, or the upset was corrected/overwritten in place), the
-    /// clean tail is credited the same way instead of being simulated.
+    /// Runs the fault-free stream once, exactly as run_checkpointed(cfg)
+    /// does, and captures its block-boundary snapshots into `memo`.
+    /// Returns the clean outcome.
+    ResilientOutcome capture_stream(const cluster::ClusterConfig& cfg,
+                                    CheckpointedStreamMemo& memo) const;
+
+    /// Memoizing variant (batched engine): restores the memo's snapshot
+    /// of the first perturbed block and only simulates from there — the
+    /// skipped clean prefix is credited to memoized_cycles and the
+    /// prefix's blocks/checkpoints to their counters. Exact by
+    /// determinism: the clean prefix of every injection IS the fault-free
+    /// stream. Symmetrically, once the last perturbed block commits and
+    /// state_equals() proves the continuous state is back on the
+    /// fault-free stream (rollback restored the clean checkpoint, or the
+    /// upset was corrected/overwritten in place), the clean tail is
+    /// credited the same way instead of being simulated. `memo` must come
+    /// from capture_stream() under the same `cfg`.
     ResilientOutcome run_checkpointed(const cluster::ClusterConfig& cfg,
                                       const BlockFaultHook& hook, const BlockPerturbed& perturbed,
-                                      CheckpointedStreamMemo& memo) const;
+                                      const CheckpointedStreamMemo& memo) const;
 
 private:
+    /// The one checkpointed monitor. `memo` replays a captured clean
+    /// stream (with `perturbed`); `capture` records one. At most one of
+    /// `memo`, `capture` and `durable` is set.
     ResilientOutcome run_checkpointed_impl(const cluster::ClusterConfig& cfg,
                                            const BlockFaultHook& hook,
                                            const BlockPerturbed* perturbed,
-                                           CheckpointedStreamMemo* memo, bool capture,
+                                           const CheckpointedStreamMemo* memo,
+                                           CheckpointedStreamMemo* capture,
                                            const DurableOptions* durable = nullptr) const;
 
     EcgBenchmark base_;

@@ -275,8 +275,8 @@ void Cluster::save(Snapshot& out) const {
     out.cores = cores_;
     // Materialize every live EX slot into its ex_buf so the snapshot is
     // self-contained: a slot aliasing this instance's predecoded_ array
-    // would otherwise pin the snapshot to this instance (the batched tier
-    // restores a representative's rung into per-lane clusters). Content is
+    // would otherwise pin the snapshot to this instance (campaign threads
+    // restore one shared ladder's rungs into their own clusters). Content is
     // identical either way — the re-latch in im_poke/inject_im_fault just
     // becomes a no-op for restored cores.
     out.ex_in_buf.assign(cores_.size(), 0);

@@ -242,8 +242,8 @@ public:
     /// whose contents are genuinely per-instance, are captured in full.
     ///
     /// Contract: a snapshot is portable across instances sharing the same
-    /// configuration and program image (batched-tier lane peeling restores
-    /// the representative's rung into a private lane cluster). Restore
+    /// configuration and program image (every campaign thread restores
+    /// rungs of one shared clean-run ladder into its own cluster). Restore
     /// into a different geometry or program is undefined. Restoring undoes
     /// everything after the save point, including injected faults and IM
     /// patches.
@@ -275,7 +275,7 @@ public:
         std::vector<std::uint32_t> dm_scrub_ptr;
 
     public:
-        /// Read-only views for the batched tier's rejoin bookkeeping.
+        /// Read-only views for the clean-run ladder's rung bookkeeping.
         Cycle saved_cycle() const { return cycle; }
         const ClusterStats& saved_stats() const { return stats; }
         /// Raw IM cells captured — one per dirty-PC bank replica, NOT
@@ -294,10 +294,10 @@ public:
     /// and microarchitectural state, memories, arbitration and pending
     /// fault machinery, but NOT statistics or event counters — is
     /// bit-identical to the state captured in `s` (same config + image).
-    /// The batched tier's lane-rejoin test: the simulator is deterministic,
+    /// The clean-run ladder's rejoin test: the simulator is deterministic,
     /// so two executions in this relation produce identical futures, and a
-    /// peeled lane whose divergence has washed out can ride the shared
-    /// representative again (DESIGN.md §11).
+    /// struck run whose divergence has washed out can take its tail from
+    /// the clean run (DESIGN.md §11).
     bool state_equals(const Snapshot& s) const;
 
 private:

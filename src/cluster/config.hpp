@@ -28,8 +28,8 @@ enum class SimEngine : std::uint8_t {
     Reference, ///< decode-every-fetch, full round-robin arbitration
     Fast,      ///< PR 1: pre-decoded IM + conflict-free crossbar fast path
     Trace,     ///< PR 3: Fast + superblock dispatch with memoized timing
-    Batched    ///< PR 6: Trace inside one instance, plus campaign-level
-               ///< lockstep sharing across instances (DESIGN.md §11)
+    Batched    ///< Trace inside one instance, plus the memoized
+               ///< campaign paths (DESIGN.md §11)
 };
 
 /// Display / CLI name: "reference", "fast", "trace", "batched".
@@ -131,10 +131,12 @@ struct ClusterConfig {
     /// True for the trace-compiled tiers (Trace and Batched): superblock
     /// dispatch, memo lanes and the text-image/blockmap caches are active.
     /// A Batched cluster behaves exactly like a Trace cluster inside one
-    /// instance; the batching itself lives above Cluster (DESIGN.md §11).
+    /// instance; the memoized campaign paths live above Cluster (DESIGN.md §11).
     bool trace_path() const {
         return engine == SimEngine::Trace || engine == SimEngine::Batched;
     }
+
+    friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
 };
 
 /// Virtual data address of the barrier register (extension).

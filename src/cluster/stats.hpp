@@ -16,15 +16,14 @@
 
 namespace ulpmc::cluster {
 
-/// Why a batched-tier lane left lockstep (DESIGN.md §11). Lives here, not
-/// in batched.hpp, because the per-reason counters are part of
-/// ClusterStats.
+/// Why a batched-engine injection left the clean run (DESIGN.md §11).
+/// Lives here because the per-reason counters are part of ClusterStats.
 enum class PeelReason : std::uint8_t {
-    FaultStrike,   ///< a memory/register fault was injected into the lane
+    FaultStrike,   ///< a memory/register fault was injected
     CrossbarUpset, ///< an arbiter glitch/state upset was injected
-    Trap,          ///< the lane trapped while its siblings kept running
-    Watchdog,      ///< the lane's watchdog fired off-lockstep
-    MemoBail       ///< rejoin comparison failed; lane ran out privately
+    Trap,          ///< a trap off the clean run (no campaign path counts it yet)
+    Watchdog,      ///< never rejoined, and the watchdog fired
+    MemoBail       ///< never rejoined: ran out privately
 };
 inline constexpr unsigned kPeelReasonCount = 5;
 
@@ -91,11 +90,11 @@ struct ClusterStats {
     std::uint64_t dm_scrub_corrected = 0;     ///< latent DM upsets repaired by the walker
     std::uint64_t dm_scrub_uncorrectable = 0; ///< double-bit DM words the walker found
 
-    // Batched-tier lane-divergence counters (DESIGN.md §11). A plain
-    // Cluster never touches these; BatchedCluster::lane_stats() fills them
-    // in so batched-tier efficiency is observable per lane: how many cycles
-    // the lane rode the shared lockstep representative instead of being
-    // simulated privately, how often it peeled off, and why.
+    // Batched-engine divergence counters (DESIGN.md §11). A Cluster never
+    // touches these; the campaign drivers fill them per injection so the
+    // memoized paths' efficiency is observable: how many cycles were taken
+    // from the clean run instead of simulated, how often the injection
+    // diverged from it, and why.
     std::uint64_t batch_lockstep_cycles = 0;
     std::uint64_t batch_lane_peels = 0;
     std::array<std::uint64_t, kPeelReasonCount> batch_peel_reasons{};

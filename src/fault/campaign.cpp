@@ -1,13 +1,13 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <functional>
 #include <memory>
 
-#include "cluster/batched.hpp"
 #include "cluster/checkpoint.hpp"
 #include "cluster/ckpt_store.hpp"
+#include "cluster/clean_run.hpp"
 #include "cluster/pool.hpp"
 #include "common/assert.hpp"
 #include "power/calibration.hpp"
@@ -49,25 +49,12 @@ cluster::ClusterConfig resilient_config(const app::EcgBenchmark& bench, cluster:
     return c;
 }
 
-/// Per-thread campaign workspace: one reusable cluster plus a snapshot
-/// ladder of the fault-free run. Restoring the highest rung at or below
-/// the strike cycle replaces re-simulating the (deterministic) clean
-/// prefix of every injection — on average half the run — and the reused
-/// buffers make the injection loop allocation-free once warm. Keyed by a
-/// campaign nonce so a thread rebuilds its ladder exactly once per
-/// campaign.
+/// Per-thread injection cluster, reused across campaigns so the
+/// injection loop allocates nothing once warm.
 struct Workspace {
-    std::uint64_t key = 0; ///< nonce of the campaign the ladder belongs to
     std::unique_ptr<cluster::Cluster> cl;
     std::unique_ptr<cluster::CheckpointRunner> runner; ///< bound to *cl
-    std::vector<cluster::Cluster::Snapshot> ladder;
-    std::vector<Cycle> rung_cycle;
-    // ---- batched engine ----------------------------------------------
-    std::unique_ptr<cluster::BatchedCluster> bc; ///< lanes + clean representative
-    cluster::ClusterStats stats_buf;             ///< lane_stats_into scratch
-    /// Memoized clean stream of the checkpointed streaming campaign.
-    std::uint64_t stream_key = 0;
-    app::StreamingBenchmark::CheckpointedStreamMemo stream_memo;
+    cluster::ClusterStats credited;                    ///< a rejoined run's statistics
 };
 
 Workspace& workspace() {
@@ -75,18 +62,11 @@ Workspace& workspace() {
     return ws;
 }
 
-std::uint64_t next_campaign_nonce() {
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-constexpr unsigned kLadderRungs = 12;
-
 /// One-shot outcome classification, shared by the Trace and Batched paths
 /// so their tables are byte-identical by construction. `view` is the
 /// cluster embodying the injection's final state; `st` its (materialized)
-/// statistics — the same object for a plain run, base+tail for a rejoined
-/// batch lane.
+/// statistics — the same object for a plain run; the clean final state and
+/// the credited statistics for a rejoined one.
 void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats& st,
                       const app::EcgBenchmark& bench, unsigned cores, InjectionRecord& rec) {
     rec.ecc_corrected = st.ecc_corrected();
@@ -120,7 +100,7 @@ void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats&
     }
 }
 
-/// The divergence bucket a fault kind peels a batch lane into.
+/// The divergence bucket a fault kind's injection is counted in.
 cluster::PeelReason peel_reason_of(FaultKind k) {
     switch (k) {
     case FaultKind::IXbarGlitch:
@@ -147,6 +127,70 @@ double checkpoint_words_per_op(double checkpoints, unsigned cores, std::uint64_t
            static_cast<double>(power::cal::kCheckpointWordsPerCore) / static_cast<double>(ops);
 }
 
+/// The strike universe of one campaign: IM strikes over `prog`'s text,
+/// DM strikes over `bench`'s layout, strike cycles within `window`.
+FaultUniverse universe_of(const isa::Program& prog, const app::EcgBenchmark& bench,
+                          unsigned cores, Cycle window, const CampaignConfig& cfg) {
+    FaultUniverse u;
+    u.text_words = prog.text.size();
+    u.dm_words = bench.layout().dm_layout().limit();
+    u.cores = cores;
+    u.window = window;
+    u.kinds = cfg.kinds;
+    u.flip_bits = cfg.flip_bits;
+    u.burst_len = cfg.burst_len;
+    u.reg_burst = cfg.reg_burst;
+    return u;
+}
+
+/// Fills `rec` from one streaming run and classifies it. The storage
+/// terms (exhausted record store, keyframe fallbacks) are zero outside
+/// run_storage_campaign.
+void classify_stream(const app::StreamingBenchmark::ResilientOutcome& ro, InjectionRecord& rec) {
+    rec.cycles = ro.total_cycles;
+    rec.ecc_corrected = ro.ecc_corrected;
+    rec.rollbacks = ro.rollbacks;
+    rec.checkpoints = ro.checkpoints;
+    rec.reexec_cycles = ro.reexec_cycles;
+    if (ro.storage_exhausted) {
+        // Every stored record rejected: a DETECTED, fail-stop loss (the
+        // run refuses to restore garbage), not silent corruption.
+        rec.outcome = Outcome::Trapped;
+    } else if (ro.leads_dropped > 0) {
+        // LeadDropped before Sdc: a zero-survivor outage is a DETECTED
+        // fail-stop (the monitor dropped every lead after failed
+        // retries), not a silent corruption.
+        rec.outcome = Outcome::LeadDropped;
+    } else if (!ro.all_surviving_verified) {
+        rec.outcome = Outcome::Sdc;
+    } else if (ro.rollbacks > 0 || ro.ckpt_fallbacks > 0) {
+        rec.outcome = Outcome::RolledBack;
+    } else if (rec.ecc_corrected > 0 || ro.reg_tmr_votes > 0 || ro.xbar_selfchecks > 0 ||
+               ro.im_scrub_corrected > 0) {
+        rec.outcome = Outcome::Corrected;
+    } else if (ro.latent_reg_faults > 0) {
+        rec.outcome = Outcome::Latent;
+    } else {
+        rec.outcome = Outcome::Masked;
+    }
+}
+
+/// Folds every run into the campaign totals; `extra(i)` adds a
+/// campaign's own per-injection aggregates.
+void tally(CampaignResult& res, const std::function<void(std::size_t)>& extra = {}) {
+    for (std::size_t i = 0; i < res.runs.size(); ++i) {
+        const InjectionRecord& r = res.runs[i];
+        ++res.counts[static_cast<unsigned>(r.outcome)];
+        res.checkpoints += r.checkpoints;
+        res.reexec_cycles += r.reexec_cycles;
+        res.batch_lockstep_cycles += r.batch_lockstep_cycles;
+        res.batch_lane_peels += r.batch_lane_peels;
+        for (unsigned b = 0; b < cluster::kPeelReasonCount; ++b)
+            res.batch_peel_reasons[b] += r.batch_peel_reasons[b];
+        if (extra) extra(i);
+    }
+}
+
 } // namespace
 
 CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind arch,
@@ -158,161 +202,66 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
 
     const cluster::ClusterConfig ccfg = resilient_config(bench, arch, cfg);
 
+    // The golden run, captured once before the pool starts and shared
+    // read-only by every thread: its ladder rungs seed every injection
+    // (restoring the rung below the strike replaces re-simulating the
+    // clean prefix — on average half the run), and `golden` stays parked
+    // at the verified final state.
+    cluster::Cluster golden(ccfg, bench.image());
+    bench.load_inputs(golden, ccfg.cores);
+    const cluster::CleanRun clean(golden);
+    res.clean_cycles = clean.cycles();
+    ULPMC_EXPECTS(bench.verify(golden, ccfg.cores));
     Cycle interval = cfg.checkpoint_interval;
-    { // fault-free reference: cycle count, energy, and injection window
-        cluster::Cluster& cl = cluster::pooled_cluster(ccfg, bench.image());
-        bench.load_inputs(cl, ccfg.cores);
-        res.clean_cycles = cl.run();
-        ULPMC_EXPECTS(bench.verify(cl, ccfg.cores));
-        if (interval == 0) interval = std::max<Cycle>(1, res.clean_cycles / 8);
-        const double ckpts_per_run =
-            cfg.checkpoint ? static_cast<double>(res.clean_cycles) / static_cast<double>(interval)
-                           : 0.0;
-        res.energy_per_op = clean_energy_per_op(
-            arch, cl.stats(),
-            checkpoint_words_per_op(ckpts_per_run, ccfg.cores, cl.stats().total_ops()));
-    }
+    if (interval == 0) interval = std::max<Cycle>(1, res.clean_cycles / 8);
+    const double ckpts_per_run =
+        cfg.checkpoint ? static_cast<double>(res.clean_cycles) / static_cast<double>(interval)
+                       : 0.0;
+    res.energy_per_op = clean_energy_per_op(
+        arch, golden.stats(),
+        checkpoint_words_per_op(ckpts_per_run, ccfg.cores, golden.stats().total_ops()));
 
-    FaultUniverse universe;
-    universe.text_words = bench.program().text.size();
-    universe.dm_words = bench.layout().dm_layout().limit();
-    universe.cores = ccfg.cores;
-    universe.window = res.clean_cycles;
-    universe.kinds = cfg.kinds;
-    universe.flip_bits = cfg.flip_bits;
-    universe.burst_len = cfg.burst_len;
-    universe.reg_burst = cfg.reg_burst;
-
+    const FaultUniverse universe =
+        universe_of(bench.program(), bench, ccfg.cores, res.clean_cycles, cfg);
     const auto bound =
         static_cast<Cycle>(cfg.max_cycles_factor * static_cast<double>(res.clean_cycles)) +
         cfg.watchdog_cycles + 1000;
 
-    const std::uint64_t nonce = next_campaign_nonce();
-    const Cycle ladder_stride = std::max<Cycle>(1, res.clean_cycles / kLadderRungs);
+    // Batched engine, one-shot recovery (DESIGN.md §11): after the strike
+    // the injection walks the later rungs, and at the first one whose
+    // state it matches, the rest of the run is credited from the clean
+    // run instead of simulated. The checkpointed mode never rejoins
+    // (rollback re-execution leaves the clean schedule for good).
+    const bool rejoin = cfg.engine == cluster::SimEngine::Batched && !cfg.checkpoint;
+    const std::size_t per_task = std::max(1u, cfg.batch);
+    const std::size_t tasks = (cfg.injections + per_task - 1) / per_task;
 
     res.runs.resize(cfg.injections);
+    pool.for_each_index(tasks, [&](std::size_t t) {
+        Workspace& ws = workspace();
+        if (!ws.cl) {
+            ws.cl = std::make_unique<cluster::Cluster>(ccfg, bench.image());
+            ws.runner = std::make_unique<cluster::CheckpointRunner>(*ws.cl);
+        } else if (ws.cl->config() != ccfg || &ws.cl->image() != bench.image().get()) {
+            // Another campaign's geometry or program. Otherwise every
+            // injection's restore_below() overwrites all of the state.
+            ws.cl->reset(ccfg, bench.image());
+        }
+        cluster::Cluster& cl = *ws.cl;
+        cluster::ClusterStats& credited = ws.credited;
 
-    // Batched engine, one-shot recovery: lanes share the clean
-    // representative (DESIGN.md §11). Each injection peels off the ladder
-    // rung below its strike, simulates privately only while divergent, and
-    // rejoins the clean run at the first boundary where its state matches
-    // — the entire remaining tail is then credited, not simulated. The
-    // checkpointed one-shot mode keeps the per-lane path below (rollback
-    // re-execution makes lanes diverge from the clean schedule for good).
-    const bool lockstep = cfg.engine == cluster::SimEngine::Batched && !cfg.checkpoint;
-    const unsigned B = std::max(1u, cfg.batch);
-    const std::size_t groups = lockstep ? (cfg.injections + B - 1) / B : 0;
-
-    if (lockstep) {
-        pool.for_each_index(groups, [&](std::size_t g) {
-            Workspace& ws = workspace();
-            if (ws.key != nonce) {
-                // Replay the fault-free run once per thread: ladder rungs
-                // are both peel seeds and rejoin boundaries, and the
-                // representative parks at the verified final state.
-                if (!ws.bc) {
-                    ws.bc = std::make_unique<cluster::BatchedCluster>(ccfg, bench.image(), B);
-                } else {
-                    ws.bc->reset(ccfg, bench.image(), B);
-                }
-                cluster::Cluster& rep = ws.bc->rep();
-                bench.load_inputs(rep, ccfg.cores);
-                ws.ladder.resize(kLadderRungs + 1);
-                ws.rung_cycle.resize(kLadderRungs + 1);
-                for (unsigned r = 0; r < kLadderRungs; ++r) {
-                    rep.run(static_cast<Cycle>(r) * ladder_stride);
-                    ws.rung_cycle[r] = rep.stats().cycles;
-                    rep.save(ws.ladder[r]);
-                }
-                rep.run(); // clean completion = the shared tail every rejoined lane rides
-                ws.rung_cycle[kLadderRungs] = rep.stats().cycles;
-                rep.save(ws.ladder[kLadderRungs]);
-                ws.key = nonce;
-            }
-
-            cluster::BatchedCluster& bc = *ws.bc;
-            bc.reset_lanes();
-            const std::size_t lane0 = g * B;
-            const auto nlanes =
-                static_cast<unsigned>(std::min<std::size_t>(B, cfg.injections - lane0));
-            for (unsigned j = 0; j < nlanes; ++j) {
-                const std::size_t i = lane0 + j;
-                FaultInjector inj(mix_seed(cfg.seed, i));
-                InjectionRecord rec;
-                rec.fault = inj.draw(universe);
-
-                unsigned rung = 0;
-                for (unsigned r = 1; r < kLadderRungs; ++r)
-                    if (ws.rung_cycle[r] <= rec.fault.cycle) rung = r;
-                cluster::Cluster& lane =
-                    bc.peel_at(j, ws.ladder[rung], peel_reason_of(rec.fault.kind));
-                lane.run(rec.fault.cycle);
-                FaultInjector::apply(lane, rec.fault);
-
-                // Ladder walk: advance to each later clean boundary and try
-                // to prove the divergence has washed out.
-                bool joined = false;
-                for (unsigned r = rung + 1; r <= kLadderRungs && !joined; ++r) {
-                    lane.run(ws.rung_cycle[r]);
-                    joined = bc.try_rejoin(j, ws.ladder[r]);
-                }
-                if (!joined) {
-                    lane.run(bound); // divergent to the end: pay full simulation
-                    if (lane.stats().watchdog_trips > 0) {
-                        bc.add_peel_reason(j, cluster::PeelReason::Watchdog);
-                    } else {
-                        bc.add_peel_reason(j, cluster::PeelReason::MemoBail);
-                    }
-                }
-
-                bc.lane_stats_into(j, ws.stats_buf);
-                rec.cycles = ws.stats_buf.cycles;
-                rec.batch_lockstep_cycles = ws.stats_buf.batch_lockstep_cycles;
-                rec.batch_lane_peels = ws.stats_buf.batch_lane_peels;
-                rec.batch_peel_reasons = ws.stats_buf.batch_peel_reasons;
-                // A rejoined lane's view is the representative at the
-                // verified clean end — classification sees exactly the
-                // final state a standalone run would have reached.
-                classify_oneshot(bc.lane_view(j), ws.stats_buf, bench, ccfg.cores, rec);
-                res.runs[i] = std::move(rec);
-            }
-        });
-    } else {
-        pool.for_each_index(cfg.injections, [&](std::size_t i) {
-            Workspace& ws = workspace();
-            if (ws.key != nonce) {
-                // First injection this thread sees: replay the fault-free run
-                // once, snapshotting it at kLadderRungs evenly spaced cycles.
-                if (!ws.cl) ws.cl = std::make_unique<cluster::Cluster>(ccfg, bench.image());
-                else ws.cl->reset(ccfg, bench.image());
-                bench.load_inputs(*ws.cl, ccfg.cores);
-                ws.ladder.resize(kLadderRungs);
-                ws.rung_cycle.resize(kLadderRungs);
-                for (unsigned r = 0; r < kLadderRungs; ++r) {
-                    ws.cl->run(static_cast<Cycle>(r) * ladder_stride);
-                    ws.rung_cycle[r] = ws.cl->stats().cycles;
-                    ws.cl->save(ws.ladder[r]);
-                }
-                if (!ws.runner) ws.runner = std::make_unique<cluster::CheckpointRunner>(*ws.cl);
-                ws.key = nonce;
-            }
-
+        const std::size_t end = std::min<std::size_t>(cfg.injections, (t + 1) * per_task);
+        for (std::size_t i = t * per_task; i < end; ++i) {
             FaultInjector inj(mix_seed(cfg.seed, i));
-            InjectionRecord rec;
+            InjectionRecord& rec = res.runs[i];
             rec.fault = inj.draw(universe);
 
-            // Resume the deterministic clean run from the highest rung at or
-            // below the strike cycle instead of re-simulating its prefix.
-            cluster::Cluster& cl = *ws.cl;
-            unsigned rung = 0;
-            for (unsigned r = 1; r < kLadderRungs; ++r)
-                if (ws.rung_cycle[r] <= rec.fault.cycle) rung = r;
-            cl.restore(ws.ladder[rung]);
+            const unsigned rung = clean.restore_below(cl, rec.fault.cycle);
             if (cfg.checkpoint) {
                 // Generalized recovery: interval checkpoints, and any trap
-                // (ECC double-bit, register parity, watchdog) re-executes from
-                // the last one. Deterministic: the restored rung state and the
-                // strike cycle fully determine every checkpoint.
+                // (ECC double-bit, register parity, watchdog) re-executes
+                // from the last one. Deterministic: the restored rung state
+                // and the strike cycle fully determine every checkpoint.
                 cluster::CheckpointRunner& runner = *ws.runner;
                 runner.reset({.interval = interval, .max_retries = 2, .parity_guard = true});
                 runner.checkpoint(); // recovery point at the rung (pre-fault)
@@ -322,24 +271,36 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
                 rec.rollbacks = runner.stats().rollbacks;
                 rec.checkpoints = runner.stats().checkpoints;
                 rec.reexec_cycles = runner.stats().reexec_cycles;
-            } else {
-                rec.cycles = FaultInjector::run_with_fault(cl, rec.fault, bound);
+                classify_oneshot(cl, cl.stats(), bench, ccfg.cores, rec);
+                continue;
             }
 
+            cl.run(rec.fault.cycle);
+            FaultInjector::apply(cl, rec.fault);
+            if (rejoin) {
+                rec.batch_lockstep_cycles = clean.rung(rung).saved_cycle();
+                rec.batch_lane_peels = 1;
+                ++rec.batch_peel_reasons[static_cast<unsigned>(peel_reason_of(rec.fault.kind))];
+                if (clean.rejoin(cl, rung, credited)) {
+                    // Classified on the clean final state: exactly the
+                    // state a standalone run would have reached.
+                    rec.batch_lockstep_cycles += credited.cycles - cl.stats().cycles;
+                    rec.cycles = credited.cycles;
+                    classify_oneshot(golden, credited, bench, ccfg.cores, rec);
+                    continue;
+                }
+            }
+            rec.cycles = cl.run(bound); // divergent to the end: full simulation
+            if (rejoin) {
+                const auto why = cl.stats().watchdog_trips > 0 ? cluster::PeelReason::Watchdog
+                                                               : cluster::PeelReason::MemoBail;
+                ++rec.batch_peel_reasons[static_cast<unsigned>(why)];
+            }
             classify_oneshot(cl, cl.stats(), bench, ccfg.cores, rec);
-            res.runs[i] = std::move(rec);
-        });
-    }
+        }
+    });
 
-    for (const auto& r : res.runs) {
-        ++res.counts[static_cast<unsigned>(r.outcome)];
-        res.checkpoints += r.checkpoints;
-        res.reexec_cycles += r.reexec_cycles;
-        res.batch_lockstep_cycles += r.batch_lockstep_cycles;
-        res.batch_lane_peels += r.batch_lane_peels;
-        for (unsigned b = 0; b < cluster::kPeelReasonCount; ++b)
-            res.batch_peel_reasons[b] += r.batch_peel_reasons[b];
-    }
+    tally(res);
     return res;
 }
 
@@ -352,12 +313,21 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
     res.cfg = cfg;
 
     const cluster::ClusterConfig ccfg = resilient_config(bench.base(), arch, cfg);
+    // Batched engine: the fault-free stream is memoized (DESIGN.md §11) —
+    // unperturbed blocks are credited from it instead of re-simulated. The
+    // perturbs() predicate below mirrors the hook's early-return exactly,
+    // which is what makes the credit sound.
+    const bool batched = cfg.engine == cluster::SimEngine::Batched;
 
     Cycle clean_block = 0;
     std::uint64_t clean_checkpoints = 0;
+    // The checkpointed stream memo, captured once from the reference run
+    // and shared read-only by every thread.
+    app::StreamingBenchmark::CheckpointedStreamMemo memo;
     { // fault-free resilient reference
-        const auto clean =
-            cfg.checkpoint ? bench.run_checkpointed(ccfg) : bench.run_resilient(ccfg);
+        const auto clean = !cfg.checkpoint ? bench.run_resilient(ccfg)
+                           : batched       ? bench.capture_stream(ccfg, memo)
+                                           : bench.run_checkpointed(ccfg);
         ULPMC_EXPECTS(clean.rollbacks == 0 && clean.leads_dropped == 0);
         res.clean_cycles = clean.total_cycles;
         clean_block = clean.clean_block_cycles;
@@ -376,22 +346,8 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
             checkpoint_words_per_op(ckpts_per_block, ccfg.cores, cl.stats().total_ops()));
     }
 
-    FaultUniverse universe;
-    universe.text_words = bench.base().program().text.size();
-    universe.dm_words = bench.base().layout().dm_layout().limit();
-    universe.cores = ccfg.cores;
-    universe.window = clean_block; // within-block strike cycle
-    universe.kinds = cfg.kinds;
-    universe.flip_bits = cfg.flip_bits;
-    universe.burst_len = cfg.burst_len;
-    universe.reg_burst = cfg.reg_burst;
-
-    const std::uint64_t nonce = next_campaign_nonce();
-    // Batched engine: the fault-free stream is memoized (DESIGN.md §11) —
-    // unperturbed blocks are credited from it instead of re-simulated. The
-    // perturbed() predicate below mirrors the hook's early-return exactly,
-    // which is what makes the credit sound.
-    const bool batched = cfg.engine == cluster::SimEngine::Batched;
+    const FaultUniverse universe = // within-block strike cycle
+        universe_of(bench.base().program(), bench.base(), ccfg.cores, clean_block, cfg);
 
     res.runs.resize(cfg.injections);
     pool.for_each_index(cfg.injections, [&](std::size_t i) {
@@ -419,12 +375,7 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
         };
         app::StreamingBenchmark::ResilientOutcome ro;
         if (batched && cfg.checkpoint) {
-            Workspace& ws = workspace();
-            if (ws.stream_key != nonce) { // new campaign: recapture lazily
-                ws.stream_memo.invalidate();
-                ws.stream_key = nonce;
-            }
-            ro = bench.run_checkpointed(ccfg, hook, perturbs, ws.stream_memo);
+            ro = bench.run_checkpointed(ccfg, hook, perturbs, memo);
         } else if (batched) {
             ro = bench.run_resilient(ccfg, hook, perturbs, clean_block);
         } else if (cfg.checkpoint) {
@@ -433,45 +384,16 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
             ro = bench.run_resilient(ccfg, hook);
         }
 
-        rec.cycles = ro.total_cycles;
+        classify_stream(ro, rec);
         rec.batch_lockstep_cycles = ro.memoized_cycles;
         if (batched) { // one "peel" = the struck block actually simulated
             rec.batch_lane_peels = 1;
             rec.batch_peel_reasons[static_cast<unsigned>(peel_reason_of(rec.fault.kind))] = 1;
         }
-        rec.ecc_corrected = ro.ecc_corrected;
-        rec.rollbacks = ro.rollbacks;
-        rec.checkpoints = ro.checkpoints;
-        rec.reexec_cycles = ro.reexec_cycles;
-        // LeadDropped before Sdc: a zero-survivor outage is a DETECTED
-        // fail-stop (the monitor dropped every lead after failed retries),
-        // not a silent corruption.
-        if (ro.leads_dropped > 0) {
-            rec.outcome = Outcome::LeadDropped;
-        } else if (!ro.all_surviving_verified) {
-            rec.outcome = Outcome::Sdc;
-        } else if (ro.rollbacks > 0) {
-            rec.outcome = Outcome::RolledBack;
-        } else if (rec.ecc_corrected > 0 || ro.reg_tmr_votes > 0 || ro.xbar_selfchecks > 0 ||
-                   ro.im_scrub_corrected > 0) {
-            rec.outcome = Outcome::Corrected;
-        } else if (ro.latent_reg_faults > 0) {
-            rec.outcome = Outcome::Latent;
-        } else {
-            rec.outcome = Outcome::Masked;
-        }
         res.runs[i] = std::move(rec);
     });
 
-    for (const auto& r : res.runs) {
-        ++res.counts[static_cast<unsigned>(r.outcome)];
-        res.checkpoints += r.checkpoints;
-        res.reexec_cycles += r.reexec_cycles;
-        res.batch_lockstep_cycles += r.batch_lockstep_cycles;
-        res.batch_lane_peels += r.batch_lane_peels;
-        for (unsigned b = 0; b < cluster::kPeelReasonCount; ++b)
-            res.batch_peel_reasons[b] += r.batch_peel_reasons[b];
-    }
+    tally(res);
     return res;
 }
 
@@ -482,16 +404,10 @@ namespace {
 /// match the single-block golden bitstream on every core.
 bool stream_verified(const cluster::Cluster& cl, const app::StreamingBenchmark& bench,
                      unsigned cores) {
-    const auto& lay = bench.base().layout();
     for (unsigned p = 0; p < cores; ++p) {
         const auto pid = static_cast<CoreId>(p);
         if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid)) return false;
-        const auto& golden = bench.base().golden_bitstream(p);
-        if (cl.dm_peek(pid, lay.out_count()) != golden.words.size()) return false;
-        for (std::size_t i = 0; i < golden.words.size(); ++i) {
-            if (cl.dm_peek(pid, static_cast<Addr>(lay.out_base() + i)) != golden.words[i])
-                return false;
-        }
+        if (!bench.base().bitstream_ok(cl, p)) return false;
     }
     return true;
 }
@@ -517,15 +433,8 @@ CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
         res.energy_per_op = clean_energy_per_op(arch, cl.stats());
     }
 
-    FaultUniverse universe;
-    universe.text_words = bench.program().text.size();
-    universe.dm_words = bench.base().layout().dm_layout().limit();
-    universe.cores = ccfg.cores;
-    universe.window = res.clean_cycles;
-    universe.kinds = cfg.kinds;
-    universe.flip_bits = cfg.flip_bits;
-    universe.burst_len = cfg.burst_len;
-    universe.reg_burst = cfg.reg_burst;
+    const FaultUniverse universe =
+        universe_of(bench.program(), bench.base(), ccfg.cores, res.clean_cycles, cfg);
 
     const auto bound =
         static_cast<Cycle>(cfg.max_cycles_factor * static_cast<double>(res.clean_cycles)) +
@@ -636,14 +545,10 @@ CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
         res.runs[i] = std::move(rec);
     });
 
-    for (std::size_t i = 0; i < res.runs.size(); ++i) {
-        const auto& r = res.runs[i];
-        ++res.counts[static_cast<unsigned>(r.outcome)];
-        res.checkpoints += r.checkpoints;
-        res.reexec_cycles += r.reexec_cycles;
-        res.strikes += r.strikes;
+    tally(res, [&](std::size_t i) {
+        res.strikes += res.runs[i].strikes;
         res.interval_updates += updates[i];
-    }
+    });
     // The policy's overhead in the calibrated energy model: every save
     // streams cores x kCheckpointWordsPerCore words at kCheckpointWordEnergy
     // each, every re-executed cycle burns the cluster's core energy — the
@@ -715,15 +620,8 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
         keyframe_words = probe.payload_words(0);
     }
 
-    FaultUniverse universe;
-    universe.text_words = bench.base().program().text.size();
-    universe.dm_words = bench.base().layout().dm_layout().limit();
-    universe.cores = ccfg.cores;
-    universe.window = clean_block; // within-block strike cycle
-    universe.kinds = cfg.kinds;
-    universe.flip_bits = cfg.flip_bits;
-    universe.burst_len = cfg.burst_len;
-    universe.reg_burst = cfg.reg_burst;
+    const FaultUniverse universe = // within-block strike cycle
+        universe_of(bench.base().program(), bench.base(), ccfg.cores, clean_block, cfg);
 
     FaultUniverse storage_universe;
     storage_universe.cores = 1;
@@ -772,44 +670,18 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
         }
         const auto ro = bench.run_checkpointed(ccfg, hook, durable);
 
-        rec.cycles = ro.total_cycles;
-        rec.ecc_corrected = ro.ecc_corrected;
-        rec.rollbacks = ro.rollbacks;
-        rec.checkpoints = ro.checkpoints;
-        rec.reexec_cycles = ro.reexec_cycles;
+        classify_stream(ro, rec);
         aggs[i] = {ro.ckpt_stored_bytes, ro.ckpt_full_bytes, ro.ckpt_crc_failures,
                    ro.ckpt_fallbacks};
-        if (ro.storage_exhausted) {
-            // Every stored record rejected: a DETECTED, fail-stop loss
-            // (the run refuses to restore garbage), not silent corruption.
-            rec.outcome = Outcome::Trapped;
-        } else if (ro.leads_dropped > 0) {
-            rec.outcome = Outcome::LeadDropped;
-        } else if (!ro.all_surviving_verified) {
-            rec.outcome = Outcome::Sdc;
-        } else if (ro.rollbacks > 0 || ro.ckpt_fallbacks > 0) {
-            rec.outcome = Outcome::RolledBack;
-        } else if (rec.ecc_corrected > 0 || ro.reg_tmr_votes > 0 || ro.xbar_selfchecks > 0 ||
-                   ro.im_scrub_corrected > 0) {
-            rec.outcome = Outcome::Corrected;
-        } else if (ro.latent_reg_faults > 0) {
-            rec.outcome = Outcome::Latent;
-        } else {
-            rec.outcome = Outcome::Masked;
-        }
         res.runs[i] = std::move(rec);
     });
 
-    for (std::size_t i = 0; i < res.runs.size(); ++i) {
-        const auto& r = res.runs[i];
-        ++res.counts[static_cast<unsigned>(r.outcome)];
-        res.checkpoints += r.checkpoints;
-        res.reexec_cycles += r.reexec_cycles;
+    tally(res, [&](std::size_t i) {
         res.ckpt_stored_bytes += aggs[i].stored;
         res.ckpt_full_bytes += aggs[i].full;
         res.ckpt_crc_failures += aggs[i].crc;
         res.ckpt_fallbacks += aggs[i].fallbacks;
-    }
+    });
     return res;
 }
 

@@ -86,13 +86,15 @@ struct CampaignConfig {
     /// Hang bound as a multiple of the fault-free run's cycle count.
     double max_cycles_factor = 4.0;
     /// Simulator tier (no effect on outcomes — differential-tested).
-    /// SimEngine::Batched additionally turns on campaign-level lockstep
-    /// sharing: one-shot injections run as batches of `batch` lanes over a
-    /// shared representative (peel on strike, rejoin on convergence), and
-    /// streaming injections memoize the fault-free stream. Outcome tables
-    /// stay byte-identical to Trace; only wall-clock changes.
+    /// SimEngine::Batched additionally selects the memoized campaign
+    /// paths (DESIGN.md §11): a struck one-shot run rejoins the
+    /// campaign's clean-run ladder once its state converges, and
+    /// streaming injections credit unperturbed blocks from the memoized
+    /// fault-free stream. Outcome tables stay byte-identical to Trace;
+    /// only wall-clock and the batch_* counters change.
     cluster::SimEngine engine = cluster::SimEngine::Trace;
-    /// Lanes per batch group under the batched engine (ignored otherwise).
+    /// One-shot injections per pool task, under every engine. Outputs do
+    /// not depend on it.
     unsigned batch = 8;
 };
 
@@ -108,12 +110,12 @@ struct InjectionRecord {
     Cycle reexec_cycles = 0;         ///< cycles re-executed after rollbacks
     std::uint64_t strikes = 1;       ///< upsets deposited (adaptive runs: many)
     // ---- batched-engine observability (zero under other engines) ------
-    /// Cycles this injection rode on shared/memoized execution instead of
-    /// simulating privately (lockstep prefix + rejoined tail, or the
-    /// memoized clean stream).
+    /// Cycles this injection took from the clean run instead of
+    /// simulating them (restored prefix + credited tail, or the memoized
+    /// clean stream).
     std::uint64_t batch_lockstep_cycles = 0;
-    std::uint64_t batch_lane_peels = 0; ///< divergences from the representative
-    /// Per-PeelReason divergence breakdown of this injection's lane.
+    std::uint64_t batch_lane_peels = 0; ///< divergences from the clean run
+    /// Per-PeelReason divergence breakdown of this injection.
     std::array<std::uint64_t, cluster::kPeelReasonCount> batch_peel_reasons{};
 };
 
@@ -132,7 +134,7 @@ struct CampaignResult {
     double overhead_energy = 0;         ///< checkpoint-save + re-execution energy [J]
     // Batched-engine aggregates (zero elsewhere).
     std::uint64_t batch_lockstep_cycles = 0; ///< total shared/memoized cycles
-    std::uint64_t batch_lane_peels = 0;      ///< total lane divergences
+    std::uint64_t batch_lane_peels = 0;      ///< total divergences
     std::array<std::uint64_t, cluster::kPeelReasonCount> batch_peel_reasons{};
     // Storage-campaign aggregates (run_storage_campaign only, zero elsewhere).
     std::uint64_t ckpt_stored_bytes = 0;  ///< checkpoint bytes actually persisted

@@ -122,7 +122,7 @@ public:
 
     /// True when the bank's future-determining state — cells, check bits,
     /// gating and the sticky uncorrectable flag, but NOT statistics —
-    /// matches the snapshot. The batched tier's lane-rejoin comparator.
+    /// matches the snapshot. The clean-run ladder's rejoin comparator.
     bool state_equals(const BankSnapshot& s) const;
 
     /// Statistics restore for deduplicated snapshots (full restores go

@@ -145,8 +145,8 @@ public:
     }
 
     /// True when the future-determining state (everything save() captures
-    /// EXCEPT the statistics) matches the snapshot. The batched tier's
-    /// lane-rejoin comparator: two crossbars in this relation arbitrate
+    /// EXCEPT the statistics) matches the snapshot. The clean-run ladder's
+    /// rejoin comparator: two crossbars in this relation arbitrate
     /// identically forever given identical request streams.
     bool state_equals(const XbarSnapshot& s) const {
         return last_denied_ == s.last_denied && glitch_armed_ == s.glitch_armed &&

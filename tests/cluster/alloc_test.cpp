@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "cluster/batched.hpp"
+#include "cluster/clean_run.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
 #include "cluster/pool.hpp"
@@ -171,43 +171,40 @@ TEST(ZeroAlloc, BatchedCampaignInnerLoopIsHeapFree) {
     auto cfg = make_cfg(4);
     cfg.engine = cluster::SimEngine::Batched;
 
-    // Campaign shape: the representative runs the clean schedule once and
-    // snapshots a rung; every injection group then resets the lanes, peels
-    // one lane from the rung, runs it, attempts a rejoin and materializes
-    // its statistics. DM faults only, so the snapshot's IM dirt list stays
-    // at its warm capacity.
-    cluster::BatchedCluster bc(cfg, image, 4);
-    cluster::Cluster::Snapshot rung, final_snap;
-    bc.rep().run(60);
-    bc.rep().save(rung);
-    bc.rep().run(100'000);
-    bc.rep().save(final_snap);
-    cluster::ClusterStats stats_buf;
+    // Campaign shape: the clean run is captured once; every injection
+    // then restores the rung below its strike, strikes, walks the later
+    // rungs trying to rejoin, and either materializes its credited
+    // statistics or simulates to the end. DM faults only, so the
+    // snapshots' IM dirt lists stay at their warm capacity.
+    cluster::Cluster golden(cfg, image);
+    const cluster::CleanRun clean(golden);
+    constexpr unsigned kRungs = cluster::CleanRun::kRungs;
+    cluster::Cluster cl(cfg, image);
+    cluster::ClusterStats credited;
+    std::uint64_t joined = 0;
+    const auto inject = [&](Cycle strike, Word mask) {
+        const unsigned from = clean.restore_below(cl, strike);
+        cl.run(strike);
+        if (mask != 0) cl.inject_dm_fault(0, 700, mask);
+        if (clean.rejoin(cl, from, credited)) {
+            ++joined;
+        } else {
+            cl.run(100'000);
+        }
+    };
 
-    // Warm-up pass: every lane's private cluster gets built once.
-    for (unsigned l = 0; l < bc.lanes(); ++l) {
-        bc.reset_lanes();
-        cluster::Cluster& lane = bc.peel_at(l, rung, cluster::PeelReason::FaultStrike);
-        lane.inject_dm_fault(0, 700, 0xFF);
-        lane.run(100'000);
-        if (!bc.try_rejoin(l, final_snap)) bc.add_peel_reason(l, cluster::PeelReason::MemoBail);
-        bc.lane_stats_into(l, stats_buf);
-    }
+    // Warm-up pass: every rung restored once, the stats buffer sized.
+    for (unsigned r = 0; r < kRungs; ++r) inject(clean.rung(r).saved_cycle() + 1, 0xFF);
 
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 4; ++i) {
-        bc.reset_lanes();
-        for (unsigned l = 0; l < bc.lanes(); ++l) {
-            cluster::Cluster& lane = bc.peel_at(l, rung, cluster::PeelReason::FaultStrike);
-            lane.run(80);
-            lane.inject_dm_fault(0, 700, 0x0F);
-            lane.run(100'000);
-            if (!bc.try_rejoin(l, final_snap))
-                bc.add_peel_reason(l, cluster::PeelReason::MemoBail);
-            bc.lane_stats_into(l, stats_buf);
+        for (unsigned r = 0; r < kRungs; ++r) {
+            inject(clean.rung(r).saved_cycle() + 5, 0x0F);
+            inject(clean.rung(r).saved_cycle() + 2, 0); // unstruck: rejoins
         }
     }
     EXPECT_EQ(alloc_count(), before) << "batched campaign inner loop allocated on the heap";
+    EXPECT_GE(joined, 4u * kRungs) << "the unstruck injections must rejoin";
 }
 
 TEST(ZeroAlloc, FleetHeterogeneousPoolLoopIsHeapFree) {

@@ -9,8 +9,6 @@
 //     --engine reference|fast|trace|batched  simulator tier (default trace;
 //                                          results are identical, see
 //                                          DESIGN.md §10-11)
-//     --batch B                            lanes under --engine batched
-//                                          (default 8)
 //     --ecc                                SEC-DED on every memory bank
 //     --regprot none|parity|tmr            register-file protection mode
 //     --im-scrub                           idle-cycle IM scrub walker
@@ -22,26 +20,23 @@
 //     --max-cycles N                       safety limit (default 10M)
 //
 // Assembly sources are also accepted directly (detected by extension).
-// Every option may be given at most once, and --batch is only meaningful
-// under --engine batched — violations are rejected with a one-line error.
+// Every option may be given at most once — a repeat is rejected with a
+// one-line error.
 // Exit codes: 0 all cores halted, 1 load error, 2 bad usage (malformed,
 // duplicate or inconsistent options), 3 a core trapped (name printed),
 // 4 the max-cycles limit was hit.
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 
-#include "cluster/batched.hpp"
 #include "cluster/cluster.hpp"
 #include "common/numparse.hpp"
 #include "common/table.hpp"
 #include "isa/assembler.hpp"
 #include "isa/binfmt.hpp"
-#include "isa/program_image.hpp"
 
 using namespace ulpmc;
 
@@ -49,7 +44,7 @@ namespace {
 
 int usage() {
     std::cerr << "usage: ulpmc-run <prog.upmc|prog.asm> [--arch A] [--cores N]\n"
-                 "                 [--shared W] [--private W] [--engine E] [--batch B]\n"
+                 "                 [--shared W] [--private W] [--engine E]\n"
                  "                 [--ecc]\n"
                  "                 [--regprot none|parity|tmr] [--im-scrub] [--dm-scrub]\n"
                  "                 [--xbar-selfcheck] [--watchdog N]\n"
@@ -87,8 +82,6 @@ int main(int argc, char** argv) {
     bool xbar_self_check = false;
     core::RegProtection regprot = core::RegProtection::None;
     cluster::SimEngine engine = cluster::SimEngine::Trace;
-    unsigned batch = 8;
-    bool batch_given = false;
     Cycle watchdog = 0;
     std::size_t trace_n = 0;
     long dump_addr = -1;
@@ -143,9 +136,6 @@ int main(int argc, char** argv) {
                           << "' (expected reference, fast, trace or batched)\n";
                 return 2;
             }
-        } else if (arg == "--batch") {
-            batch = static_cast<unsigned>(parse_num(arg, next("a lane count"), 1, 4096));
-            batch_given = true;
         } else if (arg == "--watchdog") {
             watchdog = parse_num(arg, next("a cycle count"), 1, 1'000'000'000);
         } else if (arg == "--trace") {
@@ -167,10 +157,6 @@ int main(int argc, char** argv) {
         }
     }
     if (input.empty()) return usage();
-    if (batch_given && engine != cluster::SimEngine::Batched) {
-        std::cerr << "--batch requires --engine batched (lanes only exist in the batched tier)\n";
-        return 2;
-    }
 
     // --- load the program ----------------------------------------------------
     isa::Program prog;
@@ -252,24 +238,10 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    // Under --engine batched, B identical lanes run over one shared
-    // representative (all stay in lockstep without fault injection); the
-    // report below reads the representative, which embodies every lane.
-    const auto image = isa::ProgramImage::build(prog);
-    std::unique_ptr<cluster::BatchedCluster> bc;
-    std::unique_ptr<cluster::Cluster> solo;
-    if (engine == cluster::SimEngine::Batched)
-        bc = std::make_unique<cluster::BatchedCluster>(cfg, image, batch);
-    else
-        solo = std::make_unique<cluster::Cluster>(cfg, image);
-    cluster::Cluster& cl = bc ? bc->rep() : *solo;
+    cluster::Cluster cl(cfg, prog);
     cluster::RingTrace ring(trace_n ? trace_n : 1);
     if (trace_n) cl.set_trace(&ring);
-
-    if (bc)
-        bc->run_lockstep(max_cycles);
-    else
-        cl.run(max_cycles);
+    cl.run(max_cycles);
 
     // --- report --------------------------------------------------------------
     const auto& s = cl.stats();
@@ -282,12 +254,6 @@ int main(int argc, char** argv) {
               << format_count(s.ixbar.denied + s.dxbar.denied) << '\n';
 
     cluster::print_run_summary(std::cout, s);
-    if (bc) {
-        const auto ls = bc->lane_stats(0);
-        std::cout << "batched: " << bc->lanes() << " lanes, " << ls.batch_lane_peels
-                  << " peels, " << format_count(ls.batch_lockstep_cycles)
-                  << " lockstep cycles/lane\n";
-    }
 
     int rc = 0;
     std::cout << "registers (r0..r3):\n";
