@@ -1,6 +1,9 @@
 #include "cluster/clean_run.hpp"
 
 #include <algorithm>
+#include <atomic>
+
+#include "common/assert.hpp"
 
 namespace ulpmc::cluster {
 
@@ -62,37 +65,155 @@ void add_tail(ClusterStats& dst, const ClusterStats& now, const ClusterStats& ba
 
 } // namespace
 
-CleanRun::CleanRun(Cluster& cl) {
-    ladder_.resize(kRungs + 1);
-    // The rung spacing needs the run's length: save the start, run to the
-    // end, then replay from the start to lay the rungs down.
-    cl.save(ladder_[0]);
-    const Cycle stride = std::max<Cycle>(1, cl.run() / kRungs);
-    cl.save(ladder_[kRungs]);
-    cl.restore(ladder_[0]);
-    for (unsigned r = 1; r < kRungs; ++r) {
-        cl.run(static_cast<Cycle>(r) * stride);
-        cl.save(ladder_[r]);
+struct CleanRun::Materialized {
+    std::uint64_t run = 0; ///< id_ of the CleanRun whose rung `snap` holds; 0 = none
+    unsigned rung = 0;
+    Cluster::Snapshot snap;
+};
+
+CleanRun::Materialized& CleanRun::materialized() {
+    thread_local Materialized m;
+    return m;
+}
+
+CleanRun::CleanRun(Cluster& cl, std::optional<Cycle> length) : rungs_(kRungs + 1) {
+    static std::atomic<std::uint64_t> next_id{1};
+    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+
+    // The rung spacing needs the run's length: unless it is known, save
+    // the start, run to the end, then replay from the start to lay the
+    // rungs down. The thread's materialized snapshot holds the previous
+    // rung in full meanwhile, and the DM delta is read straight off the
+    // cluster's banks against it.
+    Materialized& m = materialized();
+    m.run = 0;
+    Cluster::Snapshot& prev = m.snap;
+    cl.save(prev);
+    if (!length) {
+        length = cl.run();
+        cl.restore(prev);
     }
-    cl.restore(ladder_[kRungs]);
+    const Cycle stride = std::max<Cycle>(1, *length / kRungs);
+    ULPMC_EXPECTS(cl.dm_banks_.size() <= 0x100);
+    for (unsigned r = 1; r <= kRungs; ++r) {
+        if (r < kRungs) {
+            cl.run(static_cast<Cycle>(r) * stride);
+        } else {
+            cl.run();
+        }
+        Rung& g = rungs_[r];
+        for (std::size_t b = 0; b < cl.dm_banks_.size(); ++b) {
+            const mem::MemoryBank& bank = cl.dm_banks_[b];
+            const mem::BankSnapshot& was = prev.dm_banks[b];
+            ULPMC_EXPECTS(bank.size() <= 0x10000);
+            for (std::size_t o = 0; o < bank.size(); ++o) {
+                const mem::MemoryBank::CellState now = bank.cell_state(o);
+                if (now.cell == was.cells[o] && (was.check.empty() || now.check == was.check[o]))
+                    continue;
+                ULPMC_EXPECTS(now.cell <= 0xFFFF);
+                g.dm.push_back({static_cast<std::uint16_t>(o), static_cast<std::uint8_t>(b),
+                                now.check, static_cast<std::uint16_t>(now.cell)});
+            }
+            g.dm_stats.push_back(bank.stats());
+            g.dm_flags.push_back(static_cast<std::uint8_t>(
+                (bank.power_gated() ? kGated : 0) |
+                (bank.uncorrectable_pending() ? kUncorrectable : 0)));
+        }
+        g.dm.shrink_to_fit();
+        cl.save(prev);
+        assign_all_but_dm(g.state, prev);
+    }
+    ULPMC_EXPECTS(cycles() == *length);
+}
+
+void CleanRun::advance(Materialized& m, unsigned r) const {
+    if (r == m.rung) return;
+    for (unsigned k = m.rung + 1; k <= r; ++k) {
+        for (const DmCell& c : rungs_[k].dm) {
+            mem::BankSnapshot& bank = m.snap.dm_banks[c.bank];
+            bank.cells[c.offset] = c.cell;
+            if (!bank.check.empty()) bank.check[c.offset] = c.check;
+        }
+    }
+    const Rung& g = rungs_[r];
+    assign_all_but_dm(m.snap, g.state);
+    for (std::size_t b = 0; b < m.snap.dm_banks.size(); ++b) {
+        mem::BankSnapshot& bank = m.snap.dm_banks[b];
+        bank.stats = g.dm_stats[b];
+        bank.gated = (g.dm_flags[b] & kGated) != 0;
+        bank.uncorrectable_pending = (g.dm_flags[b] & kUncorrectable) != 0;
+    }
+    m.rung = r;
+}
+
+const Cluster::Snapshot& CleanRun::materialize(const Cluster& loaded, unsigned r) const {
+    ULPMC_EXPECTS(r <= kRungs);
+    Materialized& m = materialized();
+    if (m.run != id_ || m.rung > r) {
+        // Re-base on rung 0, the loaded state; only forward moves follow.
+        loaded.save(m.snap);
+        ULPMC_EXPECTS(m.snap.saved_cycle() == 0);
+        m.run = id_;
+        m.rung = 0;
+    }
+    advance(m, r);
+    return m.snap;
 }
 
 unsigned CleanRun::restore_below(Cluster& cl, Cycle cycle) const {
     unsigned r = 0;
-    while (r + 1 < kRungs && ladder_[r + 1].saved_cycle() <= cycle) ++r;
-    cl.restore(ladder_[r]);
+    while (r + 1 < kRungs && rung_cycle(r + 1) <= cycle) ++r;
+    const Cluster::Snapshot& s = materialize(cl, r);
+    if (r > 0) cl.restore(s); // rung 0 is where `cl` already stands
     return r;
 }
 
 std::optional<unsigned> CleanRun::rejoin(Cluster& cl, unsigned from, ClusterStats& out) const {
-    for (unsigned r = from + 1; r < ladder_.size(); ++r) {
-        cl.run(ladder_[r].saved_cycle());
-        if (!cl.state_equals(ladder_[r])) continue;
+    Materialized& m = materialized();
+    ULPMC_EXPECTS(m.run == id_ && m.rung <= from);
+    for (unsigned r = from + 1; r <= kRungs; ++r) {
+        // A cluster that quiesced short of the rung never reaches it.
+        if (cl.run(rung_cycle(r)) < rung_cycle(r)) break;
+        advance(m, r);
+        if (!cl.state_equals(m.snap)) continue;
         out = cl.stats();
-        add_tail(out, final_state().saved_stats(), ladder_[r].saved_stats());
+        add_tail(out, final_stats(), rungs_[r].state.saved_stats());
         return r;
     }
     return std::nullopt;
+}
+
+std::size_t CleanRun::resident_bytes() const {
+    std::size_t bytes = sizeof(*this) + rungs_.capacity() * sizeof(Rung);
+    for (const Rung& g : rungs_) {
+        const Cluster::Snapshot& s = g.state;
+        bytes += g.dm.capacity() * sizeof(DmCell);
+        bytes += s.stats.core.capacity() * sizeof(CoreRunStats);
+        bytes += s.cores.capacity() * sizeof(s.cores[0]);
+        bytes += s.ex_in_buf.capacity() + s.im_uncorrectable.capacity();
+        bytes += s.im_dirty.capacity() * sizeof(PAddr);
+        bytes += s.im_cells.capacity() * sizeof(Cluster::Snapshot::ImCell);
+        bytes += s.im_stats.capacity() * sizeof(mem::BankStats);
+        bytes += g.dm_stats.capacity() * sizeof(mem::BankStats) + g.dm_flags.capacity();
+        bytes += (s.im_scrub_ptr.capacity() + s.dm_scrub_ptr.capacity()) * sizeof(std::uint32_t);
+    }
+    return bytes;
+}
+
+void CleanRun::assign_all_but_dm(Cluster::Snapshot& dst, const Cluster::Snapshot& src) {
+    dst.cycle = src.cycle;
+    dst.stats = src.stats;
+    dst.direct_faults = src.direct_faults;
+    dst.cores = src.cores;
+    dst.ex_in_buf = src.ex_in_buf;
+    dst.im_dirty = src.im_dirty;
+    dst.im_cells = src.im_cells;
+    dst.im_stats = src.im_stats;
+    dst.im_uncorrectable = src.im_uncorrectable;
+    dst.ixbar = src.ixbar;
+    dst.dxbar = src.dxbar;
+    dst.im_scrub_ptr = src.im_scrub_ptr;
+    dst.dm_scrub_ptr = src.dm_scrub_ptr;
 }
 
 } // namespace ulpmc::cluster

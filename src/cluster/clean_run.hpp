@@ -1,9 +1,10 @@
-// One fault-free run captured as a snapshot ladder (DESIGN.md §11).
+// One fault-free run captured as a compact snapshot ladder (DESIGN.md §11).
 //
-// A fault campaign strikes many copies of the same deterministic run, so
-// the clean prefix before a strike is the same for every injection, and
-// so is the clean tail after a strike whose upset has washed out. Both
-// are taken from one captured clean run instead of being re-simulated:
+// Fault campaigns and struck lifetime blocks strike copies of the same
+// deterministic run, so the clean prefix before a strike is the same for
+// every injection, and so is the clean tail after a strike whose upset
+// has washed out. Both are taken from one captured clean run instead of
+// being re-simulated:
 //
 //   restore_below() seeds a cluster from the highest rung at or below the
 //   strike cycle;
@@ -11,17 +12,28 @@
 //   Cluster::state_equals that it is back on the clean schedule, then
 //   credits the clean tail from the rungs' saved statistics.
 //
-// Both are exact by determinism: the results are bit-identical to a
-// standalone run (tests/cluster/clean_run_test.cpp). The ladder is
-// immutable once built, so one copy serves every thread of a campaign.
+// Rungs are compact. Rung 0 is not stored at all: it is the freshly
+// loaded cluster every caller builds anyway. Every later rung stores its
+// non-DM state plus the DM cells that changed since the rung before it,
+// a few hundred words where a full snapshot carries the whole DM. A rung
+// is materialized on demand against the loaded state, into one snapshot
+// per thread that moves forward rung by rung.
+//
+// Both operations are exact by determinism: the results are bit-identical
+// to a standalone run (tests/cluster/clean_run_test.cpp,
+// tests/fault/fork_walk_test.cpp). The ladder is immutable once built, so
+// one copy serves every thread of a campaign, or every device of a fleet
+// that shares a calibration.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/stats.hpp"
 #include "common/types.hpp"
+#include "mem/memory_bank.hpp"
 
 namespace ulpmc::cluster {
 
@@ -30,33 +42,75 @@ public:
     /// Restore rungs (the final state is not one of them).
     static constexpr unsigned kRungs = 12;
 
-    /// Captures the clean run of `cl`, which must be loaded and at cycle
-    /// 0: runs it to quiescence, then replays it saving rung r at cycle
-    /// r * floor(cycles / kRungs) for r < kRungs, plus the final state as
-    /// the last rung. Leaves `cl` at the final state.
-    explicit CleanRun(Cluster& cl);
+    /// Captures the clean run of `cl`, which must be freshly loaded (cycle
+    /// 0, inputs in place): runs it to quiescence, then replays it saving
+    /// rung r at cycle r * floor(cycles / kRungs) for r < kRungs, plus the
+    /// final state as rung kRungs. Leaves `cl` at the final state. A
+    /// caller that already knows the run's length (a calibration ran it)
+    /// passes it as `length`, which saves the sizing run.
+    explicit CleanRun(Cluster& cl, std::optional<Cycle> length = std::nullopt);
 
-    const Cluster::Snapshot& rung(unsigned r) const { return ladder_[r]; }
-    const Cluster::Snapshot& final_state() const { return ladder_.back(); }
+    /// Cycle of rung r (r <= kRungs; rung kRungs is the final state).
+    Cycle rung_cycle(unsigned r) const { return rungs_[r].state.saved_cycle(); }
     /// Length of the clean run.
-    Cycle cycles() const { return final_state().saved_cycle(); }
+    Cycle cycles() const { return rung_cycle(kRungs); }
+    /// Statistics of the whole clean run.
+    const ClusterStats& final_stats() const { return rungs_[kRungs].state.saved_stats(); }
 
-    /// Restores into `cl` the highest rung at or below `cycle` and
-    /// returns its index. `cl` must share the capture's configuration and
-    /// program image.
+    /// Restores into `cl` the highest rung at or below `cycle`, the final
+    /// state excluded, and returns its index. `cl` must be freshly loaded, exactly
+    /// as the capture's cluster was (same configuration, program image and
+    /// inputs), or restored from a snapshot of such a cluster, so it
+    /// already stands at rung 0. The engine tier may differ
+    /// among the fast-path tiers (fast, trace, batched).
     unsigned restore_below(Cluster& cl, Cycle cycle) const;
 
-    /// `cl` followed the clean run up to rung `from` and has diverged
-    /// since. Advances it to each later rung in turn, final state
-    /// included, until its state equals the rung's. On a match at rung r,
-    /// writes the run's final statistics into `out` — cl's own statistics
-    /// at r plus the clean tail, final minus r, on every event counter —
-    /// and returns r. Returns nullopt when no rung matched; `cl` then
-    /// stands at the final state's cycle, or wherever it quiesced.
+    /// `cl` was seeded by restore_below() on this thread, returning
+    /// `from`, and has diverged since. Advances it to each later rung in
+    /// turn, final state included, until its state equals the rung's. On
+    /// a match at rung r, writes the run's final statistics into `out` —
+    /// cl's own statistics at r plus the clean tail, final minus r, on
+    /// every event counter — and returns r. Returns nullopt when no rung
+    /// matched; `cl` then stands at the final state's cycle, or wherever
+    /// it quiesced.
     std::optional<unsigned> rejoin(Cluster& cl, unsigned from, ClusterStats& out) const;
 
+    /// Rung r in full, materialized against the freshly loaded `loaded`
+    /// (the same precondition as restore_below). Valid until this thread
+    /// next uses any CleanRun.
+    const Cluster::Snapshot& materialize(const Cluster& loaded, unsigned r) const;
+
+    /// Heap bytes the ladder holds.
+    std::size_t resident_bytes() const;
+
+    /// Tells this ladder from every other one built in the process.
+    std::uint64_t id() const { return id_; }
+
 private:
-    std::vector<Cluster::Snapshot> ladder_;
+    /// One DM cell as it stands at a rung (DM cells hold 16-bit words).
+    struct DmCell {
+        std::uint16_t offset = 0;
+        std::uint8_t bank = 0;
+        std::uint8_t check = 0;
+        std::uint16_t cell = 0;
+    };
+    struct Rung {
+        Cluster::Snapshot state;             ///< everything but the DM banks
+        std::vector<mem::BankStats> dm_stats; ///< per DM bank
+        std::vector<std::uint8_t> dm_flags;  ///< per DM bank: kGated | kUncorrectable
+        std::vector<DmCell> dm;              ///< DM cells that differ from the rung before
+    };
+    static constexpr std::uint8_t kGated = 1, kUncorrectable = 2;
+    /// This thread's one materialized rung.
+    struct Materialized;
+    static Materialized& materialized();
+    /// Moves this thread's materialized rung forward to `r`.
+    void advance(Materialized& m, unsigned r) const;
+    /// Copies every field of `src` into `dst` except the DM banks.
+    static void assign_all_but_dm(Cluster::Snapshot& dst, const Cluster::Snapshot& src);
+
+    std::uint64_t id_;        ///< tells this run's materialized rungs from another's
+    std::vector<Rung> rungs_; ///< kRungs + 1; rung 0 holds nothing
 };
 
 } // namespace ulpmc::cluster

@@ -45,6 +45,7 @@
 namespace ulpmc::cluster {
 
 class CheckpointStorage;
+class CleanRun;
 
 /// The cluster simulator.
 class Cluster {
@@ -187,8 +188,10 @@ public:
 
 private:
     // The checkpoint-storage codec (cluster/ckpt_store) serializes
-    // snapshot internals into durable delta records.
+    // snapshot internals into durable delta records; the clean-run ladder
+    // (cluster/clean_run) diffs the DM banks against its previous rung.
     friend class CheckpointStorage;
+    friend class CleanRun;
 
     // CoreCtx precedes the public Snapshot class so snapshots can store
     // core contexts by value.
@@ -250,6 +253,7 @@ public:
     class Snapshot {
         friend class Cluster;
         friend class CheckpointStorage;
+        friend class CleanRun;
 
         /// Raw stored state of one dirty IM cell (one bank replica).
         struct ImCell {

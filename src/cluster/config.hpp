@@ -135,8 +135,6 @@ struct ClusterConfig {
     bool trace_path() const {
         return engine == SimEngine::Trace || engine == SimEngine::Batched;
     }
-
-    friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
 };
 
 /// Virtual data address of the barrier register (extension).

@@ -15,12 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "cluster/ckpt_store.hpp"
 #include "cluster/cluster.hpp"
-#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "xbar/crossbar.hpp"
@@ -146,35 +144,5 @@ public:
 private:
     Rng rng_;
 };
-
-/// Runs every strike of `specs` as its own injection off ONE clean walk.
-/// `cl` must be freshly loaded (cycle 0, inputs in place) and `specs`
-/// sorted by strike cycle. For strike i the walk restores `fork` (the
-/// clean state at strike i-1's cycle), runs clean to strike i's cycle,
-/// re-saves `fork` if another strike follows, applies the strike, runs to
-/// `max_cycles` and calls `on_done(i, cl)`. Cluster::restore is bit-exact,
-/// so `cl` is then in exactly the state a fresh
-/// run_with_fault(cl, specs[i], max_cycles) from cycle 0 leaves — which
-/// other strikes share the walk cannot show in any outcome. The clean
-/// prefix is simulated once, up to the last strike cycle, instead of once
-/// per strike. One spec runs exactly as run_with_fault, with no save.
-/// `fork` is reused across calls, so a warm walk allocates nothing.
-template <typename OnDone>
-void run_strikes_forked(cluster::Cluster& cl, std::span<const FaultSpec> specs,
-                        Cycle max_cycles, cluster::Cluster::Snapshot& fork, OnDone&& on_done) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const FaultSpec& f = specs[i];
-        ULPMC_EXPECTS(f.cycle <= max_cycles);
-        if (i > 0) {
-            ULPMC_EXPECTS(f.cycle >= specs[i - 1].cycle);
-            cl.restore(fork);
-        }
-        cl.run(f.cycle);
-        if (i + 1 < specs.size()) cl.save(fork);
-        FaultInjector::apply(cl, f);
-        cl.run(max_cycles);
-        on_done(i, static_cast<const cluster::Cluster&>(cl));
-    }
-}
 
 } // namespace ulpmc::fault

@@ -45,8 +45,6 @@ struct DmLayout {
     std::uint32_t limit() const {
         return static_cast<std::uint32_t>(shared_words) + private_words_per_core;
     }
-
-    friend bool operator==(const DmLayout&, const DmLayout&) = default;
 };
 
 /// Per-core data-side MMU.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <sstream>
 
 #include "cluster/pool.hpp"
@@ -31,7 +30,7 @@ constexpr std::uint64_t kLinkStream = 0xB1E00000u;
 
 } // namespace
 
-const LevelCalibration& CalibrationCache::get(
+CalibrationCache::Entry& CalibrationCache::get(
     const std::string& key, const std::function<LevelCalibration()>& compute) {
     Entry* e;
     {
@@ -40,8 +39,14 @@ const LevelCalibration& CalibrationCache::get(
         if (!slot) slot = std::make_unique<Entry>();
         e = slot.get();
     }
-    std::call_once(e->once, [&] { e->cal = compute(); });
-    return e->cal;
+    std::call_once(e->cal_once_, [&] { e->cal_ = compute(); });
+    return *e;
+}
+
+const cluster::CleanRun& CalibrationCache::Entry::clean_run(
+    const std::function<std::unique_ptr<const cluster::CleanRun>()>& capture) {
+    std::call_once(clean_once_, [&] { clean_ = capture(); });
+    return *clean_;
 }
 
 std::size_t CalibrationCache::size() const {
@@ -58,6 +63,10 @@ LifetimeEngine::LifetimeEngine(const Timeline& tl, const DeviceConfig& dc,
                                std::shared_ptr<const app::EcgBenchmark> bench,
                                CalibrationCache* cache)
     : tl_(tl), dc_(dc), bench_(std::move(bench)), cache_(cache) {
+    if (!cache_) {
+        own_cache_ = std::make_unique<CalibrationCache>();
+        cache_ = own_cache_.get();
+    }
     ULPMC_EXPECTS(bench_ != nullptr);
     ULPMC_EXPECTS(dc_.chunk_blocks >= 1);
     ULPMC_EXPECTS(dc_.derate_lambda_on > dc_.derate_lambda_off);
@@ -116,8 +125,7 @@ LevelCalibration LifetimeEngine::compute_calibration(DegradeLevel level) const {
 
 const LevelCalibration& LifetimeEngine::calibrate(DegradeLevel level) {
     const auto idx = static_cast<unsigned>(level);
-    if (calib_[idx]) return *calib_[idx];
-    if (cache_) {
+    if (!calib_[idx]) {
         // Key: everything a calibration is a function of — the workload
         // cohort (benchmark seed + layout knobs), the level's cluster
         // configuration (arch/policy/level/watchdog) and the governor's
@@ -130,11 +138,21 @@ const LevelCalibration& LifetimeEngine::calibrate(DegradeLevel level) {
             << "|policy=" << static_cast<int>(dc_.policy) << "|level=" << idx
             << "|wd=" << dc_.watchdog_cycles << "|period=" << tl_.block_period_s;
         calib_[idx] = &cache_->get(key.str(), [&] { return compute_calibration(level); });
-    } else {
-        own_calib_[idx] = std::make_unique<LevelCalibration>(compute_calibration(level));
-        calib_[idx] = own_calib_[idx].get();
     }
-    return *calib_[idx];
+    return calib_[idx]->calibration();
+}
+
+const cluster::CleanRun& LifetimeEngine::clean_run(DegradeLevel level) {
+    const LevelCalibration& cal = calibrate(level);
+    return calib_[static_cast<unsigned>(level)]->clean_run([&] {
+        // Captured on this device's tier; the fast-path tiers restore one
+        // another's rungs bit-exactly (tests/fault/fork_walk_test.cpp).
+        cluster::ClusterConfig cfg = cal.cfg;
+        cfg.engine = dc_.engine;
+        cluster::Cluster& cl = cluster::pooled_cluster(cfg, bench_->image());
+        bench_->load_inputs(cl, cfg.cores);
+        return std::make_unique<const cluster::CleanRun>(cl, cal.clean_cycles);
+    });
 }
 
 std::uint64_t lifetime_blocks(const Timeline& tl, double max_days) {
@@ -281,24 +299,21 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
         std::size_t phase;
         DegradeLevel level;
         bool struck;
-        std::uint32_t job; ///< struck: index into specs/outcomes (dealt order)
+        std::uint32_t job; ///< struck: index into jobs/outcomes
     };
     struct StruckJob {
-        std::uint64_t gbi;
         DegradeLevel level;
         fault::FaultSpec spec;
-    };
-    /// A run of jobs (contiguous in dealt order) that walks one clean run.
-    struct Group {
-        std::uint32_t begin, end;
-        DegradeLevel level;
+        const cluster::CleanRun* clean; ///< nullptr on the reference tier
     };
     struct StruckOutcome {
         std::uint64_t events = 0;
         bool ok = false;
         bool trapped = false;
     };
-    const unsigned threads = pool.threads();
+    // The reference tier simulates every struck block from cycle 0: it is
+    // the oracle the clean-run memo is diffed against.
+    const bool memo = dc_.engine != cluster::SimEngine::Reference;
 
     for (std::uint64_t chunk_start = start_chunk; chunk_start < total_blocks;
          chunk_start += dc_.chunk_blocks) {
@@ -345,61 +360,51 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             u.dm_words = bench_->layout().dm_layout().limit();
             u.cores = cal.cfg.cores;
             u.window = cal.clean_cycles;
-            jobs.push_back({gbi, pl.level, inj.draw(u)});
+            pl.job = static_cast<std::uint32_t>(jobs.size());
+            jobs.push_back({pl.level, inj.draw(u), memo ? &clean_run(pl.level) : nullptr});
         }
 
-        // ---- deal the struck blocks into forked walks: bucket by level,
-        // order each bucket by strike cycle, and deal it round-robin into
-        // min(threads, n) groups, so the groups stay balanced. Each group
-        // walks one clean run and forks every strike off it; a job's
-        // outcome is a function of its own spec alone, so neither the
-        // dealing nor the thread count can reach the bytes ---------------
-        std::sort(jobs.begin(), jobs.end(), [](const StruckJob& a, const StruckJob& b) {
-            if (a.level != b.level) return a.level < b.level;
-            if (a.spec.cycle != b.spec.cycle) return a.spec.cycle < b.spec.cycle;
-            return a.gbi < b.gbi;
-        });
-        std::vector<fault::FaultSpec> specs;
-        specs.reserve(jobs.size());
-        std::vector<Group> groups;
-        for (std::size_t b = 0; b < jobs.size();) {
-            std::size_t e = b;
-            while (e < jobs.size() && jobs[e].level == jobs[b].level) ++e;
-            const std::size_t n = e - b;
-            const std::size_t g = std::min<std::size_t>(threads, n);
-            for (std::size_t k = 0; k < g; ++k) {
-                const auto first = static_cast<std::uint32_t>(specs.size());
-                for (std::size_t j = b + k; j < e; j += g) {
-                    plan[jobs[j].gbi - chunk_start].job = static_cast<std::uint32_t>(specs.size());
-                    specs.push_back(jobs[j].spec);
-                }
-                groups.push_back({first, static_cast<std::uint32_t>(specs.size()), jobs[b].level});
-            }
-            b = e;
-        }
-
-        std::vector<StruckOutcome> outcomes(specs.size());
-        pool.for_each_index(groups.size(), [&](std::size_t gi) {
-            const Group& grp = groups[gi];
-            const LevelCalibration& cal = *calib_[static_cast<unsigned>(grp.level)];
-            cluster::Cluster& cl = cluster::pooled_cluster(cal.cfg, bench_->image());
-            bench_->load_inputs(cl, cal.cfg.cores);
-            thread_local cluster::Cluster::Snapshot fork;
+        // ---- simulate the struck blocks, one pool task each. A block's
+        // outcome is a function of its own spec alone, so the thread count
+        // cannot reach the bytes -----------------------------------------
+        std::vector<StruckOutcome> outcomes(jobs.size());
+        pool.for_each_index(jobs.size(), [&](std::size_t j) {
+            const StruckJob& job = jobs[j];
+            const LevelCalibration& cal = calib_[static_cast<unsigned>(job.level)]->calibration();
+            // The device's own tier: the calibration may come from a
+            // device of another tier through a shared cache.
+            cluster::ClusterConfig cfg = cal.cfg;
+            cfg.engine = dc_.engine;
+            cluster::Cluster& cl = cluster::pooled_cluster(cfg, bench_->image());
+            bench_->load_inputs(cl, cfg.cores);
             const Cycle bound = 4 * cal.clean_cycles + dc_.watchdog_cycles + 1000;
-            fault::run_strikes_forked(
-                cl, std::span<const fault::FaultSpec>(specs).subspan(grp.begin, grp.end - grp.begin),
-                bound, fork, [&](std::size_t i, const cluster::Cluster& done) {
-                    StruckOutcome& out = outcomes[grp.begin + i];
-                    out.events = done.stats().upset_events();
-                    bool any_running = false, any_trap = false;
-                    for (unsigned p = 0; p < cal.cfg.cores; ++p) {
-                        const auto pid = static_cast<CoreId>(p);
-                        if (done.core_trap(pid) != core::Trap::None) any_trap = true;
-                        else if (!done.core_halted(pid)) any_running = true;
-                    }
-                    out.trapped = any_trap || any_running;
-                    out.ok = !out.trapped && bench_->verify(done, cal.cfg.cores);
-                });
+            StruckOutcome& out = outcomes[j];
+            if (job.clean) {
+                // Restore the rung below the strike, strike, then try to
+                // rejoin the clean run: a rejoined block ends in the clean
+                // final state, verified by the calibration.
+                thread_local cluster::ClusterStats credited;
+                const unsigned from = job.clean->restore_below(cl, job.spec.cycle);
+                cl.run(job.spec.cycle);
+                fault::FaultInjector::apply(cl, job.spec);
+                if (job.clean->rejoin(cl, from, credited)) {
+                    out.events = credited.upset_events();
+                    out.ok = true;
+                    return;
+                }
+                cl.run(bound);
+            } else {
+                fault::FaultInjector::run_with_fault(cl, job.spec, bound);
+            }
+            out.events = cl.stats().upset_events();
+            bool any_running = false, any_trap = false;
+            for (unsigned p = 0; p < cfg.cores; ++p) {
+                const auto pid = static_cast<CoreId>(p);
+                if (cl.core_trap(pid) != core::Trap::None) any_trap = true;
+                else if (!cl.core_halted(pid)) any_running = true;
+            }
+            out.trapped = any_trap || any_running;
+            out.ok = !out.trapped && bench_->verify(cl, cfg.cores);
         });
 
         // ---- apply the chunk in strict block order ---------------------
@@ -426,7 +431,7 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
                 continue;
             }
 
-            const LevelCalibration& cal = *calib_[static_cast<unsigned>(pl.level)];
+            const LevelCalibration& cal = calib_[static_cast<unsigned>(pl.level)]->calibration();
             pr.deepest_level = std::max(pr.deepest_level, static_cast<unsigned>(pl.level));
 
             // Compute energy, with the quadratic cost of the derating

@@ -29,16 +29,17 @@
 // credited from the calibration, which is exact: the firmware is
 // block-stateless, so every unperturbed block IS the calibration run
 // (the same crediting argument as the campaign layer's memoization).
-// Struck blocks share that argument too: every struck block's clean
-// prefix, up to its strike cycle, is the calibration run's prefix. So a
-// chunk's struck blocks of one level are sorted by strike cycle and dealt
-// round-robin into one group per pool thread; each group walks ONE clean
-// run and forks every strike off it (fault::run_strikes_forked: restore
-// the rolling fork, run to the strike, re-save, strike, run out). The
-// clean prefix is simulated once per group instead of once per block,
-// and since Cluster::restore is bit-exact each fork ends exactly where a
-// fresh run from cycle 0 would — which group a strike lands in cannot
-// move a byte. Device time advances in fixed chunks of `chunk_blocks`
+// Struck blocks share that argument too: a struck block is the
+// calibration run up to its strike cycle, and again after its upset washes
+// out. So each calibration key keeps one clean-run memo next to its
+// calibration (cluster::CleanRun, captured by the key's first struck
+// block): a struck block restores the rung below its strike, strikes, and
+// either rejoins the clean run at a later rung — its tail credited, its
+// outputs the verified clean outputs — or runs on to the end and is
+// classified. Restore and rejoin are exact by determinism, so a block
+// ends exactly where a fresh run from cycle 0 would. The reference tier
+// runs every struck block from cycle 0 instead: it is the oracle the memo
+// is diffed against. Device time advances in fixed chunks of `chunk_blocks`
 // block periods; the ladder level and derating decision freeze at each
 // chunk boundary (the governor's control tick), every strike is drawn
 // from a stream keyed by its global block index, outcomes are stored per
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "app/benchmark.hpp"
+#include "cluster/clean_run.hpp"
 #include "cluster/config.hpp"
 #include "common/types.hpp"
 #include "scenario/battery.hpp"
@@ -78,7 +80,7 @@ struct DeviceConfig {
     Policy policy = Policy::Ladder;
     /// Governor tick: ladder level and derating freeze for this many
     /// block periods; struck blocks inside a chunk simulate in parallel,
-    /// as forked walks of one clean run per pool thread.
+    /// one pool task each.
     unsigned chunk_blocks = 32;
     /// Simulated lifetime in days; 0 = one pass of the timeline.
     double max_days = 0;
@@ -190,23 +192,38 @@ struct LevelCalibration {
 /// fleet. Devices sharing a workload cohort and an architecture pay the
 /// per-level calibration run exactly once per process; concurrent fleet
 /// workers hitting the same key dedupe on a per-key once_flag (distinct
-/// keys calibrate in parallel). Cached values are pure functions of their
-/// key, so WHICH worker computes one can never leak into any result.
+/// keys calibrate in parallel). Next to each calibration sits the key's
+/// clean-run memo, captured by the first struck block that needs it, so
+/// keys that are never struck never pay for one. Cached values are pure
+/// functions of their key, so WHICH worker computes one can never leak
+/// into any result.
 class CalibrationCache {
 public:
-    /// Returns the calibration stored under `key`, invoking `compute`
-    /// exactly once per key across all threads. The reference stays valid
-    /// for the cache's lifetime.
-    const LevelCalibration& get(const std::string& key,
-                                const std::function<LevelCalibration()>& compute);
+    /// Everything cached under one key.
+    class Entry {
+    public:
+        const LevelCalibration& calibration() const { return cal_; }
+        /// The key's clean-run memo (DESIGN.md §11), captured by `capture`
+        /// exactly once across all threads, on first use.
+        const cluster::CleanRun& clean_run(
+            const std::function<std::unique_ptr<const cluster::CleanRun>()>& capture);
+
+    private:
+        friend class CalibrationCache;
+        std::once_flag cal_once_;
+        LevelCalibration cal_;
+        std::once_flag clean_once_;
+        std::unique_ptr<const cluster::CleanRun> clean_;
+    };
+
+    /// Returns the entry stored under `key`, its calibration computed by
+    /// `compute` exactly once per key across all threads. The reference
+    /// stays valid for the cache's lifetime.
+    Entry& get(const std::string& key, const std::function<LevelCalibration()>& compute);
 
     std::size_t size() const;
 
 private:
-    struct Entry {
-        std::once_flag once;
-        LevelCalibration cal;
-    };
     mutable std::mutex m_;
     std::unordered_map<std::string, std::unique_ptr<Entry>> map_;
 };
@@ -250,14 +267,17 @@ private:
     const LevelCalibration& calibrate(DegradeLevel level);
     LevelCalibration compute_calibration(DegradeLevel level) const;
     cluster::ClusterConfig config_for(DegradeLevel level) const;
+    /// The level's clean-run memo, captured on first use.
+    const cluster::CleanRun& clean_run(DegradeLevel level);
 
     Timeline tl_;
     DeviceConfig dc_;
     std::shared_ptr<const app::EcgBenchmark> bench_;
-    CalibrationCache* cache_ = nullptr; ///< nullptr: own_calib_ only
-    /// Resolved per-level calibrations (own or cache-backed), lazily filled.
-    std::array<const LevelCalibration*, kDegradeLevelCount> calib_{};
-    std::array<std::unique_ptr<LevelCalibration>, kDegradeLevelCount> own_calib_;
+    /// The shared cache, or own_cache_ when the caller passed none.
+    CalibrationCache* cache_;
+    std::unique_ptr<CalibrationCache> own_cache_;
+    /// Resolved per-level cache entries, lazily filled.
+    std::array<CalibrationCache::Entry*, kDegradeLevelCount> calib_{};
 };
 
 } // namespace ulpmc::scenario

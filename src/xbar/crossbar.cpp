@@ -25,6 +25,7 @@ void Crossbar::reset(unsigned masters, unsigned banks, bool broadcast) {
     master_mask_ = std::has_single_bit(masters_) ? masters_ - 1 : 0;
     fast_path_ = true;
     last_denied_ = false;
+    glitch_ = {};
     glitch_armed_ = false;
     self_check_ = false;
     rr_stuck_ = false;

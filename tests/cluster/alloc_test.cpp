@@ -3,13 +3,14 @@
 // Cluster::step()/run() must not touch the heap, and neither must the
 // shapes the sweep runner, fault campaigns and lifetime engine execute per
 // point: reset() with unchanged geometry, save() into a warm snapshot,
-// restore(), and the forked strike walk built from them.
+// restore(), and the clean-run memo paths built from them.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "app/benchmark.hpp"
 #include "cluster/clean_run.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
@@ -129,40 +130,58 @@ TEST(ZeroAlloc, SweepAndCampaignInnerLoopIsHeapFree) {
     EXPECT_EQ(alloc_count(), before) << "reuse inner loop allocated on the heap";
 }
 
-TEST(ZeroAlloc, ForkedStrikeWalkIsHeapFree) {
-    // Lifetime shape (DESIGN.md §12): each group walks one clean run; per
-    // strike it restores the rolling fork, runs to the strike cycle,
-    // re-saves the fork into the same snapshot, strikes and runs out.
-    const auto prog = loop_program();
-    const auto cfg = make_cfg(4);
-    fault::FaultSpec specs[4];
-    specs[0].kind = fault::FaultKind::ImBitFlip;
-    specs[0].pc = 2;
-    specs[0].cycle = 50;
-    specs[1].kind = fault::FaultKind::DmBitFlip;
-    specs[1].vaddr = 700;
-    specs[1].cycle = 400;
-    specs[2].kind = fault::FaultKind::RegUpset;
-    specs[2].reg = 3;
-    specs[2].cycle = 400;
-    specs[3].kind = fault::FaultKind::DXbarGlitch;
-    specs[3].core = 1;
-    specs[3].cycle = 3'000;
+TEST(ZeroAlloc, LifetimeMemoStruckBlockLoopIsHeapFree) {
+    // Lifetime shape (DESIGN.md §12): per struck block, the worker's
+    // pooled cluster is freshly loaded with the block's inputs, restored
+    // to the memo's rung below the strike, struck, and then either
+    // rejoins the clean run or runs on to the bound and is verified.
+    const app::EcgBenchmark bench;
+    auto cfg = cluster::make_config(cluster::ArchKind::UlpmcBank, bench.layout().dm_layout());
+    cfg.barrier_enabled = bench.layout().use_barrier;
+    cfg.watchdog_cycles = 20'000;
+    cfg.ecc_enabled = true;
+    cfg.reg_protection = core::RegProtection::Parity;
 
-    cluster::Cluster cl(cfg, prog);
-    cluster::Cluster::Snapshot fork;
-    std::size_t done = 0;
-    const auto walk = [&] {
-        cl.reset(cfg, prog);
-        fault::run_strikes_forked(cl, specs, 100'000, fork,
-                                  [&](std::size_t, const cluster::Cluster&) { ++done; });
+    cluster::Cluster& capture = cluster::pooled_cluster(cfg, bench.image());
+    bench.load_inputs(capture, cfg.cores);
+    const cluster::CleanRun memo(capture);
+    const Cycle clean = memo.cycles();
+    const Cycle bound = 4 * clean + cfg.watchdog_cycles + 1000;
+
+    // Blocks struck as the lifetime universe draws them.
+    fault::FaultUniverse u;
+    u.text_words = bench.program().text.size();
+    u.dm_words = bench.layout().dm_layout().limit();
+    u.window = clean;
+    fault::FaultInjector inj(1);
+    fault::FaultSpec specs[8];
+    for (auto& f : specs) f = inj.draw(u);
+
+    cluster::ClusterStats credited;
+    std::uint64_t joined = 0, walked = 0;
+    const auto block = [&](const fault::FaultSpec& f) {
+        cluster::Cluster& cl = cluster::pooled_cluster(cfg, bench.image());
+        bench.load_inputs(cl, cfg.cores);
+        const unsigned from = memo.restore_below(cl, f.cycle);
+        cl.run(f.cycle);
+        fault::FaultInjector::apply(cl, f);
+        if (memo.rejoin(cl, from, credited)) {
+            ++joined;
+        } else {
+            cl.run(bound);
+            walked += bench.verify(cl, cfg.cores) ? 1 : 2;
+        }
     };
-    walk(); // warm-up: the fork and every scratch buffer reach capacity
+    // Warm-up: every block once, so each buffer reaches its capacity.
+    for (const auto& f : specs) block(f);
 
     const std::uint64_t before = alloc_count();
-    for (int i = 0; i < 4; ++i) walk();
-    EXPECT_EQ(alloc_count(), before) << "forked strike walk allocated on the heap";
-    EXPECT_EQ(done, 5 * std::size(specs));
+    for (int i = 0; i < 2; ++i)
+        for (const auto& f : specs) block(f);
+    EXPECT_EQ(alloc_count(), before) << "memo struck-block loop allocated on the heap";
+    EXPECT_GT(joined, 0u) << "some block must rejoin";
+    EXPECT_GT(walked, 0u) << "some block must run on to the bound";
+    cluster::pooled_cluster_clear();
 }
 
 TEST(ZeroAlloc, BatchedCampaignInnerLoopIsHeapFree) {
@@ -180,9 +199,14 @@ TEST(ZeroAlloc, BatchedCampaignInnerLoopIsHeapFree) {
     const cluster::CleanRun clean(golden);
     constexpr unsigned kRungs = cluster::CleanRun::kRungs;
     cluster::Cluster cl(cfg, image);
+    // run_campaign saves each thread's freshly loaded cluster (rung 0)
+    // once and restores it before every injection.
+    cluster::Cluster::Snapshot loaded;
+    cl.save(loaded);
     cluster::ClusterStats credited;
     std::uint64_t joined = 0;
     const auto inject = [&](Cycle strike, Word mask) {
+        cl.restore(loaded);
         const unsigned from = clean.restore_below(cl, strike);
         cl.run(strike);
         if (mask != 0) cl.inject_dm_fault(0, 700, mask);
@@ -194,13 +218,13 @@ TEST(ZeroAlloc, BatchedCampaignInnerLoopIsHeapFree) {
     };
 
     // Warm-up pass: every rung restored once, the stats buffer sized.
-    for (unsigned r = 0; r < kRungs; ++r) inject(clean.rung(r).saved_cycle() + 1, 0xFF);
+    for (unsigned r = 0; r < kRungs; ++r) inject(clean.rung_cycle(r) + 1, 0xFF);
 
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 4; ++i) {
         for (unsigned r = 0; r < kRungs; ++r) {
-            inject(clean.rung(r).saved_cycle() + 5, 0x0F);
-            inject(clean.rung(r).saved_cycle() + 2, 0); // unstruck: rejoins
+            inject(clean.rung_cycle(r) + 5, 0x0F);
+            inject(clean.rung_cycle(r) + 2, 0); // unstruck: rejoins
         }
     }
     EXPECT_EQ(alloc_count(), before) << "batched campaign inner loop allocated on the heap";

@@ -93,7 +93,7 @@ TEST(CleanRunDiff, RestoreBelowStrikeMatchesTrace) {
             ASSERT_EQ(clean.cycles(), clean_cycles) << ctx;
             expect_run_matches(golden, golden.stats(), ref_clean, ctx + " capture");
             for (unsigned r = 0; r < kRungs; ++r)
-                ASSERT_EQ(clean.rung(r).saved_cycle(), r * (clean_cycles / kRungs)) << ctx;
+                ASSERT_EQ(clean.rung_cycle(r), r * (clean_cycles / kRungs)) << ctx;
 
             for (int trial = 0; trial < 4; ++trial) {
                 const Cycle strike = 10 + rng.below(static_cast<std::uint32_t>(clean_cycles / 2));
@@ -118,8 +118,8 @@ TEST(CleanRunDiff, RestoreBelowStrikeMatchesTrace) {
                 // Restore below, strike, simulate to the end.
                 cluster::Cluster cl(bcfg, image);
                 const unsigned from = clean.restore_below(cl, strike);
-                ASSERT_LE(clean.rung(from).saved_cycle(), strike) << tctx;
-                ASSERT_EQ(cl.stats(), clean.rung(from).saved_stats()) << tctx;
+                ASSERT_LE(clean.rung_cycle(from), strike) << tctx;
+                ASSERT_EQ(cl.stats(), clean.materialize(cl, from).saved_stats()) << tctx;
                 cl.run(strike);
                 apply(cl);
                 cl.run(200'000);
@@ -128,17 +128,18 @@ TEST(CleanRunDiff, RestoreBelowStrikeMatchesTrace) {
                 // Same schedule through the rejoin walk: either it rejoins
                 // and the credited statistics plus the clean final state
                 // stand for the run, or it simulates on to the same end.
-                clean.restore_below(cl, strike);
-                cl.run(strike);
-                apply(cl);
+                cluster::Cluster walk(bcfg, image);
+                clean.restore_below(walk, strike);
+                walk.run(strike);
+                apply(walk);
                 cluster::ClusterStats credited;
-                if (clean.rejoin(cl, from, credited)) {
+                if (clean.rejoin(walk, from, credited)) {
                     ++rejoined;
                     expect_run_matches(golden, credited, ref, tctx + " rejoined");
                 } else {
                     ++walked;
-                    cl.run(200'000);
-                    expect_run_matches(cl, cl.stats(), ref, tctx + " walked");
+                    walk.run(200'000);
+                    expect_run_matches(walk, walk.stats(), ref, tctx + " walked");
                 }
             }
         }
@@ -178,10 +179,10 @@ TEST(CleanRunDiff, ConvergedInjectionRejoinsAtMidRungWithExactStats) {
 
     // Cycles taken from the clean run = the restored rung's prefix plus
     // the credited tail; the rest was simulated privately.
-    const Cycle prefix = clean.rung(from).saved_cycle();
+    const Cycle prefix = clean.rung_cycle(from);
     const Cycle simulated = cl.stats().cycles - prefix;
     const Cycle tail = credited.cycles - cl.stats().cycles;
-    EXPECT_EQ(tail, clean.cycles() - clean.rung(*joined).saved_cycle());
+    EXPECT_EQ(tail, clean.cycles() - clean.rung_cycle(*joined));
     EXPECT_EQ(prefix + simulated + tail, ref.stats().cycles);
 }
 
@@ -195,14 +196,14 @@ TEST(CleanRunDiff, UnstruckRunRejoinsAtTheNextRung) {
     // Without a strike the state never leaves the clean run: the walk
     // rejoins at the first rung it reaches, and the last restore rung
     // rejoins at the final state with a zero-length tail.
-    cluster::Cluster cl(bcfg, image);
     cluster::ClusterStats credited;
     for (const unsigned from : {0u, kRungs - 1}) {
-        ASSERT_EQ(clean.restore_below(cl, clean.rung(from).saved_cycle()), from);
+        cluster::Cluster cl(bcfg, image);
+        ASSERT_EQ(clean.restore_below(cl, clean.rung_cycle(from)), from);
         const auto joined = clean.rejoin(cl, from, credited);
         ASSERT_TRUE(joined.has_value());
         EXPECT_EQ(*joined, from + 1);
-        EXPECT_EQ(credited, clean.final_state().saved_stats());
+        EXPECT_EQ(credited, clean.final_stats());
     }
 }
 

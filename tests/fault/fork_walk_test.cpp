@@ -1,17 +1,23 @@
-// Differential test of the forked strike walk (fault::run_strikes_forked,
-// DESIGN.md §12): every strike forked off one clean walk must end in the
-// state a fresh run_with_fault from cycle 0 leaves — same statistics,
-// traps, halted flags, pending register faults, golden verdict and
-// future-determining state. Covered on the reference oracle and the
-// trace tier, under the three protection shapes the lifetime engine
-// simulates, with strikes of every kind its universe draws, tied strike
-// cycles, and strikes at both ends of the clean run.
+// Differential test of the lifetime engine's struck-block path through the
+// clean-run memo (cluster::CleanRun, DESIGN.md §11-12): restore the rung
+// below the strike, strike, then rejoin the clean run or run on to the
+// end. Strike by strike, that must give what a fresh run_with_fault from
+// cycle 0 gives on the reference oracle — statistics (upset events
+// included), traps, halted flags, pending register faults and the golden
+// verdict — and end in the same future-determining state as a fresh run
+// on the memo's own tier. Covered under the three protection shapes the
+// lifetime engine simulates, with strikes of every kind its universe
+// draws and strikes at cycle 0, exactly on a rung and on the last clean
+// cycle; across tiers (a memo captured on one fast-path tier restored
+// into another); and rung by rung against full snapshots of a standalone
+// clean run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "app/benchmark.hpp"
+#include "cluster/clean_run.hpp"
 #include "cluster/cluster.hpp"
 #include "fault/fault.hpp"
 
@@ -40,34 +46,45 @@ cluster::ClusterConfig shape_config(const app::EcgBenchmark& bench, Shape shape,
     return c;
 }
 
-/// What a fresh run_with_fault leaves behind, for comparison.
-struct Fresh {
+/// A cluster as the lifetime engine builds one per struck block: freshly
+/// loaded, standing at rung 0.
+struct Loaded {
+    cluster::Cluster cl;
+    Loaded(const cluster::ClusterConfig& cfg, const app::EcgBenchmark& bench)
+        : cl(cfg, bench.image()) {
+        bench.load_inputs(cl, cfg.cores);
+    }
+};
+
+/// What a struck block leaves behind, for comparison.
+struct Outcome {
     cluster::ClusterStats stats;
     std::vector<core::Trap> traps;
     std::vector<bool> halted;
     unsigned pending = 0;
     bool verified = false;
-    cluster::Cluster::Snapshot state;
 };
 
-Fresh capture(const cluster::Cluster& cl, const app::EcgBenchmark& bench, unsigned cores) {
-    Fresh f;
-    f.stats = cl.stats();
+/// `view` embodies the block's final state; `stats` are its statistics
+/// (view's own, or the credited ones of a rejoined block).
+Outcome outcome_of(const cluster::Cluster& view, const cluster::ClusterStats& stats,
+                   const app::EcgBenchmark& bench, unsigned cores) {
+    Outcome o;
+    o.stats = stats;
     for (unsigned p = 0; p < cores; ++p) {
-        f.traps.push_back(cl.core_trap(static_cast<CoreId>(p)));
-        f.halted.push_back(cl.core_halted(static_cast<CoreId>(p)));
+        o.traps.push_back(view.core_trap(static_cast<CoreId>(p)));
+        o.halted.push_back(view.core_halted(static_cast<CoreId>(p)));
     }
-    f.pending = cl.pending_reg_faults();
-    f.verified = bench.verify(cl, cores);
-    cl.save(f.state);
-    return f;
+    o.pending = view.pending_reg_faults();
+    o.verified = bench.verify(view, cores);
+    return o;
 }
 
-/// Every kind of the lifetime universe, plus the walk's edge cases: a
-/// strike at cycle 0, one at the clean run's last cycle, and two pairs of
-/// tied strike cycles. Sorted by strike cycle, as the walk requires.
+/// Every kind of the lifetime universe, plus the memo's edge cases: a
+/// strike at cycle 0, one exactly on a rung's cycle, and two on the clean
+/// run's last cycle.
 std::vector<FaultSpec> strike_batch(const app::EcgBenchmark& bench, unsigned cores,
-                                    Cycle clean_cycles, std::uint64_t seed) {
+                                    Cycle clean_cycles, Cycle rung_cycle, std::uint64_t seed) {
     FaultUniverse u;
     u.text_words = bench.program().text.size();
     u.dm_words = bench.layout().dm_layout().limit();
@@ -80,67 +97,84 @@ std::vector<FaultSpec> strike_batch(const app::EcgBenchmark& bench, unsigned cor
         if (!(kAllFaultKinds & fault_bit(kind))) continue;
         u.kinds = fault_bit(kind);
         specs.push_back(inj.draw(u));
+        specs.push_back(inj.draw(u));
     }
     u.kinds = kAllFaultKinds;
     specs.push_back(inj.draw(u));
 
     FaultSpec first = specs[0];
     first.cycle = 0;
-    FaultSpec last = specs[1];
+    FaultSpec on_rung = specs[2];
+    on_rung.cycle = rung_cycle;
+    FaultSpec last = specs[4];
     last.cycle = clean_cycles - 1;
-    FaultSpec tie_a = specs[2];
-    tie_a.cycle = specs[3].cycle;
-    FaultSpec tie_b = specs[4];
-    tie_b.cycle = clean_cycles - 1;
-    specs.insert(specs.end(), {first, last, tie_a, tie_b});
-    std::stable_sort(specs.begin(), specs.end(),
-                     [](const FaultSpec& a, const FaultSpec& b) { return a.cycle < b.cycle; });
+    FaultSpec last_b = specs[7];
+    last_b.cycle = clean_cycles - 1;
+    specs.insert(specs.end(), {first, on_rung, last, last_b});
     return specs;
 }
 
-void check_shape(Shape shape, cluster::SimEngine engine, std::uint64_t seed) {
+/// Runs every strike of a batch through the memo captured on `capture`
+/// and restored into clusters of `tier`, against fresh runs from cycle 0.
+void check_shape(Shape shape, cluster::SimEngine capture, cluster::SimEngine tier,
+                 std::uint64_t seed) {
     const app::EcgBenchmark bench;
-    const cluster::ClusterConfig cfg = shape_config(bench, shape, engine);
+    const cluster::ClusterConfig cfg = shape_config(bench, shape, tier);
+    const cluster::ClusterConfig ref_cfg =
+        shape_config(bench, shape, cluster::SimEngine::Reference);
 
-    Cycle clean_cycles = 0;
-    {
-        cluster::Cluster clean(cfg, bench.image());
-        bench.load_inputs(clean, cfg.cores);
-        clean_cycles = clean.run();
-        ASSERT_TRUE(bench.verify(clean, cfg.cores));
-    }
+    // The capture cluster parks at the clean final state: the view of
+    // every rejoined block.
+    Loaded golden(shape_config(bench, shape, capture), bench);
+    const cluster::CleanRun memo(golden.cl);
+    ASSERT_TRUE(bench.verify(golden.cl, cfg.cores));
+    const Cycle clean_cycles = memo.cycles();
 
-    const auto specs = strike_batch(bench, cfg.cores, clean_cycles, seed);
+    const auto specs = strike_batch(bench, cfg.cores, clean_cycles, memo.rung_cycle(5), seed);
     const Cycle bound = 4 * clean_cycles + cfg.watchdog_cycles + 1000;
-    std::vector<Fresh> want;
-    for (const FaultSpec& f : specs) {
-        // A newly constructed cluster per strike: reset() keeps a consumed
-        // glitch's (dead) payload, which state_equals would see.
-        cluster::Cluster fresh(cfg, bench.image());
-        bench.load_inputs(fresh, cfg.cores);
-        FaultInjector::run_with_fault(fresh, f, bound);
-        want.push_back(capture(fresh, bench, cfg.cores));
-    }
-
-    cluster::Cluster walker(cfg, bench.image());
-    bench.load_inputs(walker, cfg.cores);
-    cluster::Cluster::Snapshot fork;
-    std::size_t calls = 0;
+    unsigned rejoined = 0, walked = 0;
     bool any_unverified = false;
-    run_strikes_forked(walker, specs, bound, fork, [&](std::size_t i, const cluster::Cluster& cl) {
-        ASSERT_EQ(i, calls++);
-        const Fresh got = capture(cl, bench, cfg.cores);
-        const Fresh& w = want[i];
-        const std::string what = specs[i].describe();
-        EXPECT_TRUE(got.stats == w.stats) << what;
-        EXPECT_EQ(got.traps, w.traps) << what;
-        EXPECT_EQ(got.halted, w.halted) << what;
-        EXPECT_EQ(got.pending, w.pending) << what;
-        EXPECT_EQ(got.verified, w.verified) << what;
-        EXPECT_TRUE(cl.state_equals(w.state)) << what;
-        any_unverified = any_unverified || !w.verified;
-    });
-    EXPECT_EQ(calls, specs.size());
+    for (const FaultSpec& f : specs) {
+        const std::string what = f.describe();
+        // The oracle: a fresh reference-tier run from cycle 0.
+        Loaded oracle(ref_cfg, bench);
+        FaultInjector::run_with_fault(oracle.cl, f, bound);
+        const Outcome want = outcome_of(oracle.cl, oracle.cl.stats(), bench, cfg.cores);
+        // A fresh run on the memo path's tier, for the state comparison.
+        Loaded fresh(cfg, bench);
+        FaultInjector::run_with_fault(fresh.cl, f, bound);
+        cluster::Cluster::Snapshot fresh_state;
+        fresh.cl.save(fresh_state);
+
+        // The memo path, as LifetimeEngine::run takes it.
+        Loaded block(cfg, bench);
+        const unsigned from = memo.restore_below(block.cl, f.cycle);
+        ASSERT_LE(memo.rung_cycle(from), f.cycle) << what;
+        block.cl.run(f.cycle);
+        FaultInjector::apply(block.cl, f);
+        cluster::ClusterStats credited;
+        Outcome got;
+        if (memo.rejoin(block.cl, from, credited)) {
+            ++rejoined;
+            got = outcome_of(golden.cl, credited, bench, cfg.cores);
+            EXPECT_TRUE(golden.cl.state_equals(fresh_state)) << what;
+        } else {
+            ++walked;
+            block.cl.run(bound);
+            got = outcome_of(block.cl, block.cl.stats(), bench, cfg.cores);
+            EXPECT_TRUE(block.cl.state_equals(fresh_state)) << what;
+        }
+        EXPECT_TRUE(got.stats == want.stats) << what;
+        EXPECT_EQ(got.stats.upset_events(), want.stats.upset_events()) << what;
+        EXPECT_EQ(got.traps, want.traps) << what;
+        EXPECT_EQ(got.halted, want.halted) << what;
+        EXPECT_EQ(got.pending, want.pending) << what;
+        EXPECT_EQ(got.verified, want.verified) << what;
+        any_unverified = any_unverified || !want.verified;
+    }
+    // Both ends of the memo path run.
+    EXPECT_GT(rejoined, 0u);
+    EXPECT_GT(walked, 0u);
     // Baseline strikes must be able to corrupt a block, or the verdict
     // comparison above pinned nothing but "verified".
     if (shape == Shape::Baseline) {
@@ -148,36 +182,69 @@ void check_shape(Shape shape, cluster::SimEngine engine, std::uint64_t seed) {
     }
 }
 
-TEST(ForkedWalk, BaselineMatchesFreshRunsOnTraceAndReference) {
-    check_shape(Shape::Baseline, cluster::SimEngine::Trace, 11);
-    check_shape(Shape::Baseline, cluster::SimEngine::Reference, 11);
+TEST(MemoStrikes, BaselineMatchesFreshReferenceRuns) {
+    check_shape(Shape::Baseline, cluster::SimEngine::Trace, cluster::SimEngine::Trace, 22);
 }
 
-TEST(ForkedWalk, LadderFloorMatchesFreshRunsOnTraceAndReference) {
-    check_shape(Shape::LadderFloor, cluster::SimEngine::Trace, 12);
-    check_shape(Shape::LadderFloor, cluster::SimEngine::Reference, 12);
+TEST(MemoStrikes, LadderFloorMatchesFreshReferenceRuns) {
+    check_shape(Shape::LadderFloor, cluster::SimEngine::Trace, cluster::SimEngine::Trace, 12);
 }
 
-TEST(ForkedWalk, TightProtectMatchesFreshRunsOnTraceAndReference) {
-    check_shape(Shape::TightProtect, cluster::SimEngine::Trace, 13);
-    check_shape(Shape::TightProtect, cluster::SimEngine::Reference, 13);
+TEST(MemoStrikes, TightProtectMatchesFreshReferenceRuns) {
+    check_shape(Shape::TightProtect, cluster::SimEngine::Trace, cluster::SimEngine::Trace, 13);
 }
 
-TEST(ForkedWalk, SingleStrikeLeavesTheForkUntouched) {
-    // One strike runs exactly as run_with_fault: no save, so the fork
-    // snapshot a caller passes in is never written.
+TEST(MemoStrikes, MemoRestoresAcrossFastPathTiers) {
+    // A calibration cache is shared across tiers, so the memo may come
+    // from a device of another tier than the block it serves.
+    check_shape(Shape::LadderFloor, cluster::SimEngine::Fast, cluster::SimEngine::Trace, 14);
+    check_shape(Shape::TightProtect, cluster::SimEngine::Trace, cluster::SimEngine::Fast, 15);
+    check_shape(Shape::Baseline, cluster::SimEngine::Fast, cluster::SimEngine::Batched, 16);
+}
+
+TEST(MemoStrikes, CompactRungsMaterializeToFullSnapshots) {
+    // Every rung, materialized from its stored non-DM state and DM deltas
+    // against the loaded state, is the state a standalone clean run has at
+    // the rung's cycle, statistics included; the rung cycles are
+    // r * floor(clean / kRungs).
     const app::EcgBenchmark bench;
-    const cluster::ClusterConfig cfg =
-        shape_config(bench, Shape::Baseline, cluster::SimEngine::Trace);
-    cluster::Cluster cl(cfg, bench.image());
-    bench.load_inputs(cl, cfg.cores);
-    cluster::Cluster::Snapshot fork;
-    FaultSpec f;
-    f.kind = FaultKind::RegUpset;
-    f.cycle = 500;
-    const FaultSpec one[] = {f};
-    run_strikes_forked(cl, one, 1'000'000, fork, [](std::size_t, const cluster::Cluster&) {});
-    EXPECT_EQ(fork.saved_cycle(), 0u);
+    for (const Shape shape : {Shape::Baseline, Shape::TightProtect}) {
+        const cluster::ClusterConfig cfg =
+            shape_config(bench, shape, cluster::SimEngine::Trace);
+        // The lifetime engine passes the calibration's run length, which
+        // skips the sizing run; the rungs must come out the same.
+        Loaded capture(cfg, bench);
+        Loaded sizing(cfg, bench);
+        const Cycle length = sizing.cl.run();
+        const cluster::CleanRun memo = shape == Shape::Baseline
+                                           ? cluster::CleanRun(capture.cl)
+                                           : cluster::CleanRun(capture.cl, length);
+        const Loaded loaded(cfg, bench);
+        Loaded clean(cfg, bench);
+        Loaded probe(cfg, bench);
+        cluster::Cluster::Snapshot full;
+        for (unsigned r = 0; r <= cluster::CleanRun::kRungs; ++r) {
+            SCOPED_TRACE(r);
+            if (r < cluster::CleanRun::kRungs) {
+                clean.cl.run(memo.rung_cycle(r));
+            } else {
+                clean.cl.run();
+            }
+            ASSERT_EQ(clean.cl.stats().cycles, memo.rung_cycle(r));
+            if (r < cluster::CleanRun::kRungs) {
+                EXPECT_EQ(memo.rung_cycle(r), r * (length / cluster::CleanRun::kRungs));
+            }
+            clean.cl.save(full);
+            const cluster::Cluster::Snapshot& mat = memo.materialize(loaded.cl, r);
+            EXPECT_TRUE(clean.cl.state_equals(mat));
+            EXPECT_TRUE(mat.saved_stats() == full.saved_stats());
+            probe.cl.restore(mat);
+            EXPECT_TRUE(probe.cl.state_equals(full));
+            EXPECT_TRUE(probe.cl.stats() == clean.cl.stats());
+        }
+        // A ladder holds a small fraction of one full DM image per rung.
+        EXPECT_LT(memo.resident_bytes(), 200'000u);
+    }
 }
 
 } // namespace

@@ -7,7 +7,8 @@
 #
 # The fleet artifact is a pure function of (timeline, spec options), so
 # every pair compared below must be byte-identical:
-#   * --threads 1 vs --threads 4 vs --engine batched (JSON and store);
+#   * --threads 1 vs --threads 4 vs --engine batched vs --engine reference
+#     (JSON and store);
 #   * `--merge` over shard stores 0/2 + 1/2 and 0/3 + 1/3 + 2/3, in more
 #     than one input order, vs the unsharded JSON and ULPF store.
 # Every malformed merge or invocation must exit 2 with a one-line
@@ -72,11 +73,22 @@ function(rejects why)
 endfunction()
 
 # ---- thread and engine invariance --------------------------------------
+# The reference tier simulates every struck block from cycle 0, so it is
+# the oracle for the clean-run memo the other tiers restore and rejoin.
 fleet(--threads 1 --json whole.json --store whole.ulpf)
 fleet(--threads 4 --json threads4.json --store threads4.ulpf)
 fleet(--engine batched --threads 4 --json batched.json --store batched.ulpf)
-same(whole.json threads4.json batched.json)
-same(whole.ulpf threads4.ulpf batched.ulpf)
+fleet(--engine reference --threads 4 --json reference.json --store reference.ulpf)
+same(whole.json threads4.json batched.json reference.json)
+same(whole.ulpf threads4.ulpf batched.ulpf reference.ulpf)
+# The oracle pins the memo only if the fleet holds a struck device. An SDC
+# block can only come from a strike; the aggregate's first sdc_blocks is
+# the fleet-wide total.
+file(READ "${WORK}/whole.json" whole_json)
+string(REGEX MATCH "\"sdc_blocks\": ([0-9]+)" sdc_match "${whole_json}")
+if(NOT sdc_match OR CMAKE_MATCH_1 EQUAL 0)
+  message(FATAL_ERROR "whole.json holds no struck device: the reference run pins nothing")
+endif()
 
 # ---- shard runs merged back, in any order --------------------------------
 foreach(k 0 1)

@@ -10,9 +10,11 @@
 // bytes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "app/benchmark.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/report.hpp"
 #include "scenario/timeline.hpp"
@@ -113,10 +115,10 @@ TEST(Lifetime, BaselineShipsWhatTheLadderCatches) {
 }
 
 /// Dense strikes: at lambda=1e-4 nearly every block is struck, so every
-/// forked walk of a chunk forks several strikes, at any thread count. The
+/// pool thread runs several struck blocks off the same clean-run memo. The
 /// device starts at 20% charge, so the ladder's burst runs on the 4-core
 /// TightProtect rung while the arrhythmia episode overrides it to Full:
-/// the chunk deals two levels of jobs.
+/// the chunk's struck blocks use two levels' memos.
 constexpr const char* kDenseScript = R"(
 block_period_s 2.0
 battery_j 0.5
@@ -135,7 +137,7 @@ std::string dense_json(cluster::SimEngine engine, unsigned threads, Policy polic
     sweep::SweepRunner pool(threads);
     const LifetimeReport rep = eng.run(pool);
     // Every block of the one 32-block chunk is struck: even at 4 threads,
-    // each group of either level forks two strikes or more.
+    // each thread runs several struck blocks.
     EXPECT_EQ(rep.phases[0].struck_blocks, 24u);
     EXPECT_EQ(rep.phases[1].struck_blocks, 8u);
     if (policy == Policy::Ladder) {
@@ -153,6 +155,33 @@ TEST(Lifetime, DenseStrikesAreByteIdenticalAcrossEngineTiersAndThreadCounts) {
         EXPECT_EQ(reference, dense_json(cluster::SimEngine::Batched, 4, policy));
         // The reference tier is the oracle at system level too.
         EXPECT_EQ(reference, dense_json(cluster::SimEngine::Reference, 2, policy));
+    }
+}
+
+TEST(Lifetime, ReferenceDeviceOnATraceWarmedCacheGivesTheSameBytes) {
+    // A shared cache holds the calibrations and clean-run memos of
+    // whichever device reached a key first. A reference device that
+    // follows a trace device through it still simulates its struck blocks
+    // on its own tier, from cycle 0, and must write the same report.
+    const auto bench =
+        std::make_shared<const app::EcgBenchmark>(app::BenchmarkOptions{.seed = 5});
+    for (const Policy policy : {Policy::Ladder, Policy::Baseline}) {
+        SCOPED_TRACE(policy_name(policy));
+        const auto run = [&](cluster::SimEngine engine, CalibrationCache& cache) {
+            std::istringstream in(kDenseScript);
+            DeviceConfig dc;
+            dc.seed = 5;
+            dc.engine = engine;
+            dc.policy = policy;
+            dc.battery.initial_fraction = 0.2;
+            LifetimeEngine eng(parse_timeline(in), dc, bench, &cache);
+            sweep::SweepRunner pool(2);
+            return as_json(eng.run(pool));
+        };
+        CalibrationCache shared, own;
+        const std::string trace = run(cluster::SimEngine::Trace, shared);
+        EXPECT_EQ(trace, run(cluster::SimEngine::Reference, shared));
+        EXPECT_EQ(trace, run(cluster::SimEngine::Reference, own));
     }
 }
 

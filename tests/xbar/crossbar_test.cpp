@@ -14,6 +14,18 @@ namespace {
 Request rd(BankId bank, std::uint32_t off) { return {true, false, bank, off}; }
 Request wr(BankId bank, std::uint32_t off) { return {true, true, bank, off}; }
 
+TEST(Crossbar, ResetReturnsToTheConstructedState) {
+    // A consumed glitch's payload must not survive reset(): the clean-run
+    // memo compares a freshly reset crossbar against one that never held a
+    // glitch (Crossbar::state_equals sees the payload).
+    Crossbar used(4, 4, true);
+    used.inject_glitch(Glitch{Glitch::Kind::SpuriousDenial, 3});
+    used.reset(4, 4, true);
+    XbarSnapshot fresh;
+    Crossbar(4, 4, true).save(fresh);
+    EXPECT_TRUE(used.state_equals(fresh));
+}
+
 TEST(Crossbar, DistinctBanksAllGranted) {
     Crossbar xb(4, 8, true);
     const std::vector<Request> reqs = {rd(0, 1), rd(1, 1), wr(2, 5), rd(3, 0)};
