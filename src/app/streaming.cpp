@@ -49,11 +49,6 @@ StreamingBenchmark::Outcome StreamingBenchmark::run(const cluster::ClusterConfig
 }
 
 StreamingBenchmark::ResilientOutcome
-StreamingBenchmark::run_resilient(cluster::ArchKind arch, const BlockFaultHook& hook) const {
-    return run_resilient(cluster::make_config(arch, base_.layout().dm_layout()), hook);
-}
-
-StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in,
                                   const BlockFaultHook& hook) const {
     return run_resilient(cfg_in, hook, {});
@@ -157,48 +152,42 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
 }
 
 StreamingBenchmark::ResilientOutcome
-StreamingBenchmark::run_checkpointed(cluster::ArchKind arch, const BlockFaultHook& hook) const {
-    return run_checkpointed(cluster::make_config(arch, base_.layout().dm_layout()), hook);
-}
-
-StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook) const {
-    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, nullptr);
+    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, 0, nullptr);
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook,
                                      const DurableOptions& durable) const {
-    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, nullptr, &durable);
+    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, 0, nullptr, &durable);
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::capture_stream(const cluster::ClusterConfig& cfg_in,
-                                   CheckpointedStreamMemo& memo) const {
-    memo.boundary_.resize(n_blocks_);
-    memo.cum_.resize(n_blocks_);
-    const ResilientOutcome clean = run_checkpointed_impl(cfg_in, {}, nullptr, nullptr, &memo);
-    ULPMC_EXPECTS(clean.rollbacks == 0 && clean.leads_dropped == 0);
-    memo.clean_block_cycles_ = clean.clean_block_cycles;
-    return clean;
+                                   std::optional<cluster::CleanRun>& clean) const {
+    const ResilientOutcome out = run_checkpointed_impl(cfg_in, {}, nullptr, nullptr, 0, &clean);
+    ULPMC_EXPECTS(out.rollbacks == 0 && out.leads_dropped == 0);
+    return out;
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook, const BlockPerturbed& perturbed,
-                                     const CheckpointedStreamMemo& memo) const {
-    ULPMC_EXPECTS(memo.boundary_.size() == n_blocks_);
-    return run_checkpointed_impl(cfg_in, hook, &perturbed, &memo, nullptr);
+                                     const cluster::CleanRun& clean,
+                                     Cycle known_clean_block) const {
+    ULPMC_EXPECTS(clean.final_rung() == n_blocks_);
+    return run_checkpointed_impl(cfg_in, hook, &perturbed, &clean, known_clean_block, nullptr);
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
                                           const BlockFaultHook& hook,
                                           const BlockPerturbed* perturbed,
-                                          const CheckpointedStreamMemo* memo,
-                                          CheckpointedStreamMemo* capture,
+                                          const cluster::CleanRun* memo,
+                                          Cycle known_clean_block,
+                                          std::optional<cluster::CleanRun>* capture,
                                           const DurableOptions* durable) const {
     const bool durable_on = durable != nullptr && durable->enabled;
     // The memoized clean stream assumes every rollback restores the block
@@ -212,8 +201,8 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     ResilientOutcome out;
     out.lead_alive.assign(cfg.cores, 1);
 
-    if (memo) {
-        out.clean_block_cycles = memo->clean_block_cycles_;
+    if (known_clean_block != 0) {
+        out.clean_block_cycles = known_clean_block; // the caller calibrated it
     } else { // fault-free single-block reference: calibrates the attempt budget
         cluster::Cluster& ref = cluster::pooled_cluster(cfg, base_.image());
         base_.load_inputs(ref, cfg.cores);
@@ -234,6 +223,8 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     // checkpoint service snapshots it at every block boundary.
     cluster::Cluster cl(cfg, image_);
     base_.load_inputs(cl, cfg.cores);
+    // Block 0's top is the freshly loaded cluster: the capture's rung 0.
+    if (capture) capture->emplace(cluster::CleanRun::begin(cl));
     cluster::CheckpointRunner runner(cl);
     // Explicit block-boundary checkpoints; per-lead verification and the
     // drop policy live here, so the runner's global parity guard is off
@@ -285,46 +276,34 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     // Resilience counters accumulate across attempts, but restore() rolls
     // the cluster's own statistics back with everything else — so each
     // attempt's delta is banked against a baseline sampled at its start.
-    std::uint64_t base_ecc = 0, base_parity = 0, base_tmr = 0, base_wd = 0;
-    std::uint64_t base_chk = 0, base_scrub = 0;
-    const auto selfchecks = [&] {
-        const auto& st = cl.stats();
+    const auto selfchecks = [](const cluster::ClusterStats& st) {
         return st.ixbar.selfcheck_fixes + st.ixbar.selfcheck_resyncs + st.dxbar.selfcheck_fixes +
                st.dxbar.selfcheck_resyncs;
     };
-    const auto sample_base = [&] {
-        const auto& st = cl.stats();
-        base_ecc = st.ecc_corrected();
-        base_parity = st.reg_parity_traps;
-        base_tmr = st.reg_tmr_votes;
-        base_wd = st.watchdog_trips;
-        base_chk = selfchecks();
-        base_scrub = st.im_scrub_corrected;
+    const auto bank = [&](const cluster::ClusterStats& now, const cluster::ClusterStats& since) {
+        out.ecc_corrected += now.ecc_corrected() - since.ecc_corrected();
+        out.reg_parity_traps += now.reg_parity_traps - since.reg_parity_traps;
+        out.reg_tmr_votes += now.reg_tmr_votes - since.reg_tmr_votes;
+        out.watchdog_trips += now.watchdog_trips - since.watchdog_trips;
+        out.xbar_selfchecks += selfchecks(now) - selfchecks(since);
+        out.im_scrub_corrected += now.im_scrub_corrected - since.im_scrub_corrected;
     };
-    const auto bank_deltas = [&] {
-        const auto& st = cl.stats();
-        out.ecc_corrected += st.ecc_corrected() - base_ecc;
-        out.reg_parity_traps += st.reg_parity_traps - base_parity;
-        out.reg_tmr_votes += st.reg_tmr_votes - base_tmr;
-        out.watchdog_trips += st.watchdog_trips - base_wd;
-        out.xbar_selfchecks += selfchecks() - base_chk;
-        out.im_scrub_corrected += st.im_scrub_corrected - base_scrub;
-    };
+    cluster::ClusterStats base;
+    const auto sample_base = [&] { base = cl.stats(); };
+    const auto bank_deltas = [&] { bank(cl.stats(), base); };
 
     // Memoized replay: the injection's clean prefix — every block before
     // the first perturbed one — IS the fault-free stream, so restore that
-    // block's boundary snapshot (stats and all) instead of simulating the
-    // prefix. Exact: the restored state, the committed-block count and the
-    // later lead_failed() block arithmetic all line up by determinism.
+    // block's rung (stats and all) instead of simulating the prefix.
+    // Exact: the restored state, the committed-block count and the later
+    // lead_failed() block arithmetic all line up by determinism.
     const bool memoized = memo && perturbed && *perturbed;
     unsigned start_block = 0;
     if (memoized) {
         while (start_block + 1 < n_blocks_ && !(*perturbed)(start_block, 0)) ++start_block;
-        if (start_block > 0) {
-            cl.restore(memo->boundary_[start_block]);
-            out.memoized_cycles = cl.stats().cycles;
-            out.blocks = start_block;
-        }
+        memo->restore_below(cl, memo->rung_cycle(start_block));
+        out.memoized_cycles = cl.stats().cycles;
+        out.blocks = start_block;
     }
 
     // Tail rejoin (DESIGN.md §11): after the last perturbed block commits,
@@ -332,29 +311,21 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     // the continuous state has converged back onto the fault-free stream
     // (a rollback restored the clean checkpoint, or the upset was ECC-
     // corrected / overwritten in place), the tail IS the memoized clean
-    // run. state_equals() at the next boundary is the proof; divergent
-    // state (latent upsets, dropped leads) simulates the tail as before.
+    // run. CleanRun::matches() at the next block top is the proof;
+    // divergent state (latent upsets, dropped leads) simulates the tail as
+    // before.
     unsigned last_perturbed = 0;
     if (memoized) {
         for (unsigned b = 0; b < n_blocks_; ++b)
             if ((*perturbed)(b, 0) || (*perturbed)(b, 1)) last_perturbed = b;
     }
-    const auto clean_cum_now = [&] {
-        return CheckpointedStreamMemo::CleanCum{
-            cl.stats().cycles,        out.ecc_corrected,   out.reg_parity_traps,
-            out.reg_tmr_votes,        out.watchdog_trips,  out.xbar_selfchecks,
-            out.im_scrub_corrected};
-    };
     Cycle tail_cycles = 0;
     std::uint64_t tail_checkpoints = 0;
     bool tail_skipped = false;
 
     std::vector<unsigned> corrupted;
     for (unsigned block = start_block; block < n_blocks_;) {
-        if (capture) {
-            cl.save(capture->boundary_[block]);
-            capture->cum_[block] = clean_cum_now();
-        }
+        if (capture && block > 0) (*capture)->append(cl);
         // Block boundary = recovery point. The runner owns the pre-save
         // register scrub (checkpoint() sweeps the files through the
         // protection layer before saving — DESIGN.md §9), so the base is
@@ -370,19 +341,15 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
         // is what repairs a protected register (TMR vote, parity scrub),
         // so a corrected strike converges exactly here — and on clean
         // state the sweep is architecturally a no-op, which is what makes
-        // the pre-checkpoint boundary snapshot the right reference.
-        if (memoized && block > last_perturbed && cl.state_equals(memo->boundary_[block])) {
+        // the pre-checkpoint rung the right reference.
+        if (memoized && block > last_perturbed && memo->matches(cl, block)) {
             bank_deltas(); // the sweep's own repairs belong to this injection
-            const auto& at = memo->cum_[block];
-            const auto& end = memo->final_;
-            tail_cycles = end.cycles - at.cycles;
+            // The clean stream never rolls back, so its banked counters at
+            // any point are its cluster statistics there: the tail is
+            // final minus this rung.
+            bank(memo->final_stats(), memo->rung_stats(block));
+            tail_cycles = memo->cycles() - memo->rung_cycle(block);
             out.memoized_cycles += tail_cycles;
-            out.ecc_corrected += end.ecc - at.ecc;
-            out.reg_parity_traps += end.parity - at.parity;
-            out.reg_tmr_votes += end.tmr - at.tmr;
-            out.watchdog_trips += end.wd - at.wd;
-            out.xbar_selfchecks += end.chk - at.chk;
-            out.im_scrub_corrected += end.scrub - at.scrub;
             // Clean tail: one checkpoint per remaining block plus the
             // final stream-commit checkpoint; no rollbacks, no drops.
             tail_checkpoints = n_blocks_ - block;
@@ -456,6 +423,7 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
         runner.checkpoint();
         bank_deltas();
     }
+    if (capture) (*capture)->append(cl); // the final rung: after the commit point
 
     out.rollbacks = static_cast<unsigned>(runner.stats().rollbacks);
     // The skipped prefix took one (clean) checkpoint per block boundary,
@@ -465,18 +433,15 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     // restore() brought the prefix's cycle counter along, so the total
     // already includes the memoized prefix; the credited tail is added.
     out.total_cycles = cl.stats().cycles + runner.stats().reexec_cycles + tail_cycles;
-    out.latent_reg_faults = tail_skipped ? memo->final_latent_ : cl.pending_reg_faults();
+    // A rejoined run matched the clean stream, which never holds a struck
+    // register, and its credited tail strikes none.
+    out.latent_reg_faults = cl.pending_reg_faults();
     if (durable_on) {
         const cluster::CkptStorageStats& ss = runner.storage().stats();
         out.ckpt_stored_bytes = ss.stored_bytes;
         out.ckpt_full_bytes = ss.full_equiv_bytes;
         out.ckpt_crc_failures = ss.crc_failures;
         out.ckpt_fallbacks = ss.keyframe_fallbacks;
-    }
-
-    if (capture) {
-        capture->final_ = clean_cum_now();
-        capture->final_latent_ = cl.pending_reg_faults();
     }
 
     bool any_alive = false;

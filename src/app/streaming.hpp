@@ -9,10 +9,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "app/benchmark.hpp"
 #include "cluster/ckpt_store.hpp"
+#include "cluster/clean_run.hpp"
 
 namespace ulpmc::app {
 
@@ -107,7 +109,6 @@ public:
     /// set) on every block attempt.
     ResilientOutcome run_resilient(const cluster::ClusterConfig& cfg,
                                    const BlockFaultHook& hook = {}) const;
-    ResilientOutcome run_resilient(cluster::ArchKind arch, const BlockFaultHook& hook = {}) const;
 
     /// Memoizing variant (batched engine): blocks whose first attempt is
     /// unperturbed are credited from the fault-free reference instead of
@@ -137,8 +138,6 @@ public:
     /// rollback and drop-one-lead policy are as in run_resilient.
     ResilientOutcome run_checkpointed(const cluster::ClusterConfig& cfg,
                                       const BlockFaultHook& hook = {}) const;
-    ResilientOutcome run_checkpointed(cluster::ArchKind arch,
-                                      const BlockFaultHook& hook = {}) const;
 
     /// Durable checkpoint storage (DESIGN.md §9.6): route every boundary
     /// snapshot through a cluster::CheckpointStorage (CRC-verified
@@ -162,52 +161,26 @@ public:
                                       const BlockFaultHook& hook,
                                       const DurableOptions& durable) const;
 
-    /// Memoized clean stream for run_checkpointed (batched engine): one
-    /// portable snapshot per block boundary of the fault-free continuous
-    /// run. capture_stream() fills it once per campaign; every injection
-    /// then reads it to skip its clean prefix — and, when its state
-    /// converges back onto the fault-free stream (a successful rollback
-    /// restores the clean checkpoint bit-exactly), its clean tail too.
-    /// Opaque to callers and immutable once captured, so one copy serves
-    /// every thread of a campaign under the configuration it was captured
-    /// with.
-    class CheckpointedStreamMemo {
-    private:
-        friend class StreamingBenchmark;
-        /// Cumulative clean-run outcome counters, sampled at each block's
-        /// top and at the stream end — the tail credit for a rejoined
-        /// injection is the difference of two of these.
-        struct CleanCum {
-            Cycle cycles = 0;
-            std::uint64_t ecc = 0, parity = 0, tmr = 0, wd = 0, chk = 0, scrub = 0;
-        };
-        std::vector<cluster::Cluster::Snapshot> boundary_; ///< per block, at its top
-        std::vector<CleanCum> cum_;                        ///< per block, at its top
-        CleanCum final_;                                   ///< after drain + commit
-        unsigned final_latent_ = 0;                        ///< pending_reg_faults at end
-        Cycle clean_block_cycles_ = 0;
-    };
-
     /// Runs the fault-free stream once, exactly as run_checkpointed(cfg)
-    /// does, and captures its block-boundary snapshots into `memo`.
-    /// Returns the clean outcome.
+    /// does, and captures it into `clean`: rung b is block b's top, before
+    /// its checkpoint, and the final rung the state after the stream-commit
+    /// checkpoint. Returns the clean outcome.
     ResilientOutcome capture_stream(const cluster::ClusterConfig& cfg,
-                                    CheckpointedStreamMemo& memo) const;
+                                    std::optional<cluster::CleanRun>& clean) const;
 
-    /// Memoizing variant (batched engine): restores the memo's snapshot
-    /// of the first perturbed block and only simulates from there — the
-    /// skipped clean prefix is credited to memoized_cycles and the
-    /// prefix's blocks/checkpoints to their counters. Exact by
-    /// determinism: the clean prefix of every injection IS the fault-free
-    /// stream. Symmetrically, once the last perturbed block commits and
-    /// state_equals() proves the continuous state is back on the
-    /// fault-free stream (rollback restored the clean checkpoint, or the
-    /// upset was corrected/overwritten in place), the clean tail is
-    /// credited the same way instead of being simulated. `memo` must come
-    /// from capture_stream() under the same `cfg`.
+    /// Memoizing variant (batched engine): restores the rung of the first
+    /// perturbed block and only simulates from there, crediting the
+    /// skipped prefix to memoized_cycles and its blocks/checkpoints to
+    /// their counters. Once the last perturbed block commits and
+    /// CleanRun::matches() proves the state is back on the fault-free
+    /// stream at a block top, the tail is credited from the rungs' saved
+    /// statistics instead of simulated. Exact by determinism. `clean` must
+    /// come from capture_stream() under the same `cfg`;
+    /// `known_clean_block` is as in run_resilient.
     ResilientOutcome run_checkpointed(const cluster::ClusterConfig& cfg,
                                       const BlockFaultHook& hook, const BlockPerturbed& perturbed,
-                                      const CheckpointedStreamMemo& memo) const;
+                                      const cluster::CleanRun& clean,
+                                      Cycle known_clean_block = 0) const;
 
 private:
     /// The one checkpointed monitor. `memo` replays a captured clean
@@ -216,8 +189,9 @@ private:
     ResilientOutcome run_checkpointed_impl(const cluster::ClusterConfig& cfg,
                                            const BlockFaultHook& hook,
                                            const BlockPerturbed* perturbed,
-                                           const CheckpointedStreamMemo* memo,
-                                           CheckpointedStreamMemo* capture,
+                                           const cluster::CleanRun* memo,
+                                           Cycle known_clean_block,
+                                           std::optional<cluster::CleanRun>* capture,
                                            const DurableOptions* durable = nullptr) const;
 
     EcgBenchmark base_;

@@ -76,54 +76,70 @@ CleanRun::Materialized& CleanRun::materialized() {
     return m;
 }
 
-CleanRun::CleanRun(Cluster& cl, std::optional<Cycle> length) : rungs_(kRungs + 1) {
+CleanRun CleanRun::begin(const Cluster& loaded) {
     static std::atomic<std::uint64_t> next_id{1};
-    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+    CleanRun run;
+    run.id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+    run.rungs_.emplace_back();
+    run.materialize(loaded, 0); // what the first append() reads its DM delta against
+    return run;
+}
 
-    // The rung spacing needs the run's length: unless it is known, save
-    // the start, run to the end, then replay from the start to lay the
-    // rungs down. The thread's materialized snapshot holds the previous
-    // rung in full meanwhile, and the DM delta is read straight off the
-    // cluster's banks against it.
-    Materialized& m = materialized();
-    m.run = 0;
-    Cluster::Snapshot& prev = m.snap;
-    cl.save(prev);
+CleanRun::CleanRun(Cluster& cl, std::optional<Cycle> length) : CleanRun(begin(cl)) {
+    // The rung spacing needs the run's length: unless it is known, run to
+    // the end, then replay from rung 0, which begin() left materialized.
     if (!length) {
         length = cl.run();
-        cl.restore(prev);
+        cl.restore(materialized().snap);
     }
     const Cycle stride = std::max<Cycle>(1, *length / kRungs);
-    ULPMC_EXPECTS(cl.dm_banks_.size() <= 0x100);
+    rungs_.reserve(kRungs + 1);
     for (unsigned r = 1; r <= kRungs; ++r) {
         if (r < kRungs) {
             cl.run(static_cast<Cycle>(r) * stride);
         } else {
             cl.run();
         }
-        Rung& g = rungs_[r];
-        for (std::size_t b = 0; b < cl.dm_banks_.size(); ++b) {
-            const mem::MemoryBank& bank = cl.dm_banks_[b];
-            const mem::BankSnapshot& was = prev.dm_banks[b];
-            ULPMC_EXPECTS(bank.size() <= 0x10000);
-            for (std::size_t o = 0; o < bank.size(); ++o) {
-                const mem::MemoryBank::CellState now = bank.cell_state(o);
-                if (now.cell == was.cells[o] && (was.check.empty() || now.check == was.check[o]))
-                    continue;
-                ULPMC_EXPECTS(now.cell <= 0xFFFF);
-                g.dm.push_back({static_cast<std::uint16_t>(o), static_cast<std::uint8_t>(b),
-                                now.check, static_cast<std::uint16_t>(now.cell)});
-            }
-            g.dm_stats.push_back(bank.stats());
-            g.dm_flags.push_back(static_cast<std::uint8_t>(
-                (bank.power_gated() ? kGated : 0) |
-                (bank.uncorrectable_pending() ? kUncorrectable : 0)));
-        }
-        g.dm.shrink_to_fit();
-        cl.save(prev);
-        assign_all_but_dm(g.state, prev);
+        append(cl);
     }
     ULPMC_EXPECTS(cycles() == *length);
+}
+
+void CleanRun::append(const Cluster& cl) {
+    // The thread's materialized snapshot holds the previous rung in full;
+    // the DM delta is read straight off the cluster's banks against it.
+    Materialized& m = materialized();
+    ULPMC_EXPECTS(m.run == id_ && m.rung == final_rung());
+    ULPMC_EXPECTS(cl.dm_banks_.size() <= 0x100);
+    const Cluster::Snapshot& prev = m.snap;
+    Rung g;
+    for (std::size_t b = 0; b < cl.dm_banks_.size(); ++b) {
+        const mem::MemoryBank& bank = cl.dm_banks_[b];
+        const mem::BankSnapshot& was = prev.dm_banks[b];
+        ULPMC_EXPECTS(bank.size() <= 0x10000);
+        for (std::size_t o = 0; o < bank.size(); ++o) {
+            const mem::MemoryBank::CellState now = bank.cell_state(o);
+            if (now.cell == was.cells[o] && (was.check.empty() || now.check == was.check[o]))
+                continue;
+            ULPMC_EXPECTS(now.cell <= 0xFFFF);
+            g.dm.push_back({static_cast<std::uint16_t>(o), static_cast<std::uint8_t>(b),
+                            now.check, static_cast<std::uint16_t>(now.cell)});
+        }
+        g.dm_stats.push_back(bank.stats());
+        g.dm_flags.push_back(static_cast<std::uint8_t>(
+            (bank.power_gated() ? kGated : 0) |
+            (bank.uncorrectable_pending() ? kUncorrectable : 0)));
+    }
+    g.dm.shrink_to_fit();
+    cl.save(m.snap);
+    assign_all_but_dm(g.state, m.snap);
+    rungs_.push_back(std::move(g));
+    m.rung = final_rung();
+}
+
+const ClusterStats& CleanRun::rung_stats(unsigned r) const {
+    ULPMC_EXPECTS(r >= 1 && r <= final_rung()); // rung 0 stores nothing
+    return rungs_[r].state.saved_stats();
 }
 
 void CleanRun::advance(Materialized& m, unsigned r) const {
@@ -147,7 +163,7 @@ void CleanRun::advance(Materialized& m, unsigned r) const {
 }
 
 const Cluster::Snapshot& CleanRun::materialize(const Cluster& loaded, unsigned r) const {
-    ULPMC_EXPECTS(r <= kRungs);
+    ULPMC_EXPECTS(r <= final_rung());
     Materialized& m = materialized();
     if (m.run != id_ || m.rung > r) {
         // Re-base on rung 0, the loaded state; only forward moves follow.
@@ -162,22 +178,26 @@ const Cluster::Snapshot& CleanRun::materialize(const Cluster& loaded, unsigned r
 
 unsigned CleanRun::restore_below(Cluster& cl, Cycle cycle) const {
     unsigned r = 0;
-    while (r + 1 < kRungs && rung_cycle(r + 1) <= cycle) ++r;
+    while (r + 1 < final_rung() && rung_cycle(r + 1) <= cycle) ++r;
     const Cluster::Snapshot& s = materialize(cl, r);
     if (r > 0) cl.restore(s); // rung 0 is where `cl` already stands
     return r;
 }
 
-std::optional<unsigned> CleanRun::rejoin(Cluster& cl, unsigned from, ClusterStats& out) const {
+bool CleanRun::matches(const Cluster& cl, unsigned r) const {
     Materialized& m = materialized();
-    ULPMC_EXPECTS(m.run == id_ && m.rung <= from);
-    for (unsigned r = from + 1; r <= kRungs; ++r) {
+    ULPMC_EXPECTS(m.run == id_ && m.rung <= r && r <= final_rung());
+    advance(m, r);
+    return cl.state_equals(m.snap);
+}
+
+std::optional<unsigned> CleanRun::rejoin(Cluster& cl, unsigned from, ClusterStats& out) const {
+    for (unsigned r = from + 1; r <= final_rung(); ++r) {
         // A cluster that quiesced short of the rung never reaches it.
         if (cl.run(rung_cycle(r)) < rung_cycle(r)) break;
-        advance(m, r);
-        if (!cl.state_equals(m.snap)) continue;
+        if (!matches(cl, r)) continue;
         out = cl.stats();
-        add_tail(out, final_stats(), rungs_[r].state.saved_stats());
+        add_tail(out, final_stats(), rung_stats(r));
         return r;
     }
     return std::nullopt;

@@ -8,9 +8,14 @@
 //
 //   restore_below() seeds a cluster from the highest rung at or below the
 //   strike cycle;
-//   rejoin() walks the struck cluster to each later rung and proves with
-//   Cluster::state_equals that it is back on the clean schedule, then
-//   credits the clean tail from the rungs' saved statistics.
+//   matches() proves with Cluster::state_equals that the struck cluster is
+//   back on the clean run at a rung; rejoin() walks it to each later rung
+//   until one matches, then credits the clean tail from the rungs' saved
+//   statistics.
+//
+// A rung is appended wherever the caller stops the clean run: at even
+// strides (the constructor), or at every block top of the checkpointed
+// stream (app/streaming.hpp). The last rung is the final state.
 //
 // Rungs are compact. Rung 0 is not stored at all: it is the freshly
 // loaded cluster every caller builds anyway. Every later rung stores its
@@ -19,11 +24,11 @@
 // is materialized on demand against the loaded state, into one snapshot
 // per thread that moves forward rung by rung.
 //
-// Both operations are exact by determinism: the results are bit-identical
+// All operations are exact by determinism: the results are bit-identical
 // to a standalone run (tests/cluster/clean_run_test.cpp,
-// tests/fault/fork_walk_test.cpp). The ladder is immutable once built, so
-// one copy serves every thread of a campaign, or every device of a fleet
-// that shares a calibration.
+// tests/fault/fork_walk_test.cpp, tests/fault/stream_memo_test.cpp). The
+// ladder is immutable once captured, so one copy serves every thread of a
+// campaign, or every device of a fleet that shares a calibration.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +44,8 @@ namespace ulpmc::cluster {
 
 class CleanRun {
 public:
-    /// Restore rungs (the final state is not one of them).
+    /// Restore rungs of the evenly spaced ladder (the final state is not
+    /// one of them).
     static constexpr unsigned kRungs = 12;
 
     /// Captures the clean run of `cl`, which must be freshly loaded (cycle
@@ -50,12 +56,24 @@ public:
     /// passes it as `length`, which saves the sizing run.
     explicit CleanRun(Cluster& cl, std::optional<Cycle> length = std::nullopt);
 
-    /// Cycle of rung r (r <= kRungs; rung kRungs is the final state).
+    /// Starts a ladder whose rung 0 is the freshly loaded `loaded`.
+    static CleanRun begin(const Cluster& loaded);
+
+    /// Appends `cl`, the cluster begin() was given run on, as the next
+    /// rung; the last rung appended is the final state. This thread uses
+    /// no other CleanRun between begin() and the last append().
+    void append(const Cluster& cl);
+
+    /// Index of the final state's rung.
+    unsigned final_rung() const { return static_cast<unsigned>(rungs_.size() - 1); }
+    /// Cycle of rung r.
     Cycle rung_cycle(unsigned r) const { return rungs_[r].state.saved_cycle(); }
+    /// Statistics of the clean run at rung r >= 1.
+    const ClusterStats& rung_stats(unsigned r) const;
     /// Length of the clean run.
-    Cycle cycles() const { return rung_cycle(kRungs); }
+    Cycle cycles() const { return rung_cycle(final_rung()); }
     /// Statistics of the whole clean run.
-    const ClusterStats& final_stats() const { return rungs_[kRungs].state.saved_stats(); }
+    const ClusterStats& final_stats() const { return rung_stats(final_rung()); }
 
     /// Restores into `cl` the highest rung at or below `cycle`, the final
     /// state excluded, and returns its index. `cl` must be freshly loaded, exactly
@@ -65,10 +83,15 @@ public:
     /// among the fast-path tiers (fast, trace, batched).
     unsigned restore_below(Cluster& cl, Cycle cycle) const;
 
+    /// True when `cl` is back on the clean run at rung r. This thread last
+    /// restored a rung at or below r of this ladder, and has matched only
+    /// rungs up to r since.
+    bool matches(const Cluster& cl, unsigned r) const;
+
     /// `cl` was seeded by restore_below() on this thread, returning
     /// `from`, and has diverged since. Advances it to each later rung in
-    /// turn, final state included, until its state equals the rung's. On
-    /// a match at rung r, writes the run's final statistics into `out` —
+    /// turn, final state included, until it matches() the rung. On a
+    /// match at rung r, writes the run's final statistics into `out` —
     /// cl's own statistics at r plus the clean tail, final minus r, on
     /// every event counter — and returns r. Returns nullopt when no rung
     /// matched; `cl` then stands at the final state's cycle, or wherever
@@ -109,8 +132,10 @@ private:
     /// Copies every field of `src` into `dst` except the DM banks.
     static void assign_all_but_dm(Cluster::Snapshot& dst, const Cluster::Snapshot& src);
 
-    std::uint64_t id_;        ///< tells this run's materialized rungs from another's
-    std::vector<Rung> rungs_; ///< kRungs + 1; rung 0 holds nothing
+    CleanRun() = default;
+
+    std::uint64_t id_ = 0;    ///< tells this run's materialized rungs from another's
+    std::vector<Rung> rungs_; ///< rung 0 holds nothing
 };
 
 } // namespace ulpmc::cluster

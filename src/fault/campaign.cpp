@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "cluster/checkpoint.hpp"
 #include "cluster/ckpt_store.hpp"
@@ -331,12 +332,12 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
 
     Cycle clean_block = 0;
     std::uint64_t clean_checkpoints = 0;
-    // The checkpointed stream memo, captured once from the reference run
-    // and shared read-only by every thread.
-    app::StreamingBenchmark::CheckpointedStreamMemo memo;
+    // The checkpointed stream's clean-run ladder, captured once from the
+    // reference run and shared read-only by every thread.
+    std::optional<cluster::CleanRun> stream_clean;
     { // fault-free resilient reference
         const auto clean = !cfg.checkpoint ? bench.run_resilient(ccfg)
-                           : batched       ? bench.capture_stream(ccfg, memo)
+                           : batched       ? bench.capture_stream(ccfg, stream_clean)
                                            : bench.run_checkpointed(ccfg);
         ULPMC_EXPECTS(clean.rollbacks == 0 && clean.leads_dropped == 0);
         res.clean_cycles = clean.total_cycles;
@@ -385,7 +386,7 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
         };
         app::StreamingBenchmark::ResilientOutcome ro;
         if (batched && cfg.checkpoint) {
-            ro = bench.run_checkpointed(ccfg, hook, perturbs, memo);
+            ro = bench.run_checkpointed(ccfg, hook, perturbs, *stream_clean, clean_block);
         } else if (batched) {
             ro = bench.run_resilient(ccfg, hook, perturbs, clean_block);
         } else if (cfg.checkpoint) {

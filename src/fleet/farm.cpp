@@ -231,6 +231,7 @@ Farm::Farm(const FarmOptions& opt, std::ostream* log) : opt_(opt), log_(log) {
         throw FarmError("farm: worker binary not executable: " + opt_.fleet_bin);
     try {
         tl_ = scenario::load_timeline(opt_.timeline_path);
+        scenario::lifetime_blocks(tl_, opt_.fleet.days); // rejects a run of no or 2^64+ blocks
     } catch (const scenario::TimelineError& e) {
         throw FarmError(opt_.timeline_path + ": " + e.what());
     }

@@ -157,7 +157,12 @@ const cluster::CleanRun& LifetimeEngine::clean_run(DegradeLevel level) {
 
 std::uint64_t lifetime_blocks(const Timeline& tl, double max_days) {
     const double sim_s = max_days > 0 ? max_days * 86400.0 : tl.total_s();
-    return static_cast<std::uint64_t>(std::floor(sim_s / tl.block_period_s + 1e-9));
+    const double blocks = std::floor(sim_s / tl.block_period_s + 1e-9);
+    if (blocks >= 1 && blocks < 0x1p64) return static_cast<std::uint64_t>(blocks);
+    std::ostringstream os; // the cast is undefined past 2^64 (and for NaN)
+    os << "the run (" << sim_s << " s) must span at least one and fewer than 2^64 block periods "
+       << "of " << tl.block_period_s << " s";
+    throw TimelineError(os.str());
 }
 
 LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool) {
@@ -167,7 +172,6 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool) {
 LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& resume) {
     const double period = tl_.block_period_s;
     const std::uint64_t total_blocks = lifetime_blocks(tl_, dc_.max_days);
-    ULPMC_EXPECTS(total_blocks >= 1);
 
     LifetimeReport rep;
     rep.policy = dc_.policy;

@@ -230,7 +230,8 @@ private:
 
 /// Blocks a lifetime of `max_days` (0 = one pass of the timeline) runs:
 /// whole block periods only. The one definition LifetimeEngine::run and
-/// the fleet merge's record check share.
+/// the fleet merge's record check share. Throws TimelineError when the
+/// run is shorter than one block period or spans 2^64 or more of them.
 std::uint64_t lifetime_blocks(const Timeline& tl, double max_days);
 
 /// Runs one device lifetime. The per-level calibrations are cached inside

@@ -10,13 +10,17 @@
 // draws and strikes at cycle 0, exactly on a rung and on the last clean
 // cycle; across tiers (a memo captured on one fast-path tier restored
 // into another); and rung by rung against full snapshots of a standalone
-// clean run.
+// clean run, on the even schedule and on the checkpointed stream's
+// block-boundary schedule.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "app/benchmark.hpp"
+#include "app/streaming.hpp"
 #include "cluster/clean_run.hpp"
 #include "cluster/cluster.hpp"
 #include "fault/fault.hpp"
@@ -205,45 +209,78 @@ TEST(MemoStrikes, MemoRestoresAcrossFastPathTiers) {
 TEST(MemoStrikes, CompactRungsMaterializeToFullSnapshots) {
     // Every rung, materialized from its stored non-DM state and DM deltas
     // against the loaded state, is the state a standalone clean run has at
-    // the rung's cycle, statistics included; the rung cycles are
-    // r * floor(clean / kRungs).
+    // the rung's cycle, statistics included. Three inputs: the even
+    // schedule, whose rung cycles are r * floor(clean / kRungs), captured
+    // with and without a known length (the lifetime engine passes the
+    // calibration's, which skips the sizing run), and the checkpointed
+    // stream's block tops plus its commit point, whose rungs must also be
+    // full saves taken at the monitor's block tops.
+    enum class Schedule { Even, EvenKnownLength, BlockTops };
     const app::EcgBenchmark bench;
-    for (const Shape shape : {Shape::Baseline, Shape::TightProtect}) {
-        const cluster::ClusterConfig cfg =
-            shape_config(bench, shape, cluster::SimEngine::Trace);
-        // The lifetime engine passes the calibration's run length, which
-        // skips the sizing run; the rungs must come out the same.
-        Loaded capture(cfg, bench);
-        Loaded sizing(cfg, bench);
-        const Cycle length = sizing.cl.run();
-        const cluster::CleanRun memo = shape == Shape::Baseline
-                                           ? cluster::CleanRun(capture.cl)
-                                           : cluster::CleanRun(capture.cl, length);
-        const Loaded loaded(cfg, bench);
-        Loaded clean(cfg, bench);
-        Loaded probe(cfg, bench);
-        cluster::Cluster::Snapshot full;
-        for (unsigned r = 0; r <= cluster::CleanRun::kRungs; ++r) {
-            SCOPED_TRACE(r);
-            if (r < cluster::CleanRun::kRungs) {
-                clean.cl.run(memo.rung_cycle(r));
+    constexpr unsigned kBlocks = 4;
+    const app::StreamingBenchmark stream({.use_barrier = true}, kBlocks);
+    for (const Schedule schedule :
+         {Schedule::Even, Schedule::EvenKnownLength, Schedule::BlockTops}) {
+        SCOPED_TRACE(static_cast<int>(schedule));
+        const Shape shape =
+            schedule == Schedule::EvenKnownLength ? Shape::TightProtect : Shape::Baseline;
+        const bool tops = schedule == Schedule::BlockTops;
+        const app::EcgBenchmark& inputs = tops ? stream.base() : bench;
+        const cluster::ClusterConfig cfg = shape_config(inputs, shape, cluster::SimEngine::Trace);
+        const auto fresh = [&] {
+            auto cl = std::make_unique<cluster::Cluster>(cfg, tops ? stream.image() : bench.image());
+            inputs.load_inputs(*cl, cfg.cores);
+            return cl;
+        };
+        std::optional<cluster::CleanRun> memo;
+        std::vector<cluster::Cluster::Snapshot> top(kBlocks);
+        Cycle length = 0;
+        if (tops) {
+            length = stream.capture_stream(cfg, memo).total_cycles;
+            ASSERT_EQ(memo->final_rung(), kBlocks);
+            stream.run_checkpointed(cfg, [&](cluster::Cluster& cl, unsigned block, unsigned) {
+                cl.save(top[block]); // right after the checkpoint, a no-op on clean state
+            });
+        } else {
+            length = fresh()->run();
+            const auto capture = fresh();
+            if (schedule == Schedule::Even) {
+                memo.emplace(*capture);
             } else {
-                clean.cl.run();
+                memo.emplace(*capture, length);
             }
-            ASSERT_EQ(clean.cl.stats().cycles, memo.rung_cycle(r));
-            if (r < cluster::CleanRun::kRungs) {
-                EXPECT_EQ(memo.rung_cycle(r), r * (length / cluster::CleanRun::kRungs));
+            ASSERT_EQ(memo->final_rung(), cluster::CleanRun::kRungs);
+        }
+        EXPECT_EQ(memo->cycles(), length);
+        const auto loaded = fresh();
+        const auto clean = fresh();
+        const auto probe = fresh();
+        cluster::Cluster::Snapshot full;
+        for (unsigned r = 0; r <= memo->final_rung(); ++r) {
+            SCOPED_TRACE(r);
+            if (r < memo->final_rung()) {
+                clean->run(memo->rung_cycle(r));
+            } else {
+                clean->run();
             }
-            clean.cl.save(full);
-            const cluster::Cluster::Snapshot& mat = memo.materialize(loaded.cl, r);
-            EXPECT_TRUE(clean.cl.state_equals(mat));
+            ASSERT_EQ(clean->stats().cycles, memo->rung_cycle(r));
+            if (!tops && r < cluster::CleanRun::kRungs) {
+                EXPECT_EQ(memo->rung_cycle(r), r * (length / cluster::CleanRun::kRungs));
+            }
+            clean->save(full);
+            const cluster::Cluster::Snapshot& mat = memo->materialize(*loaded, r);
+            EXPECT_TRUE(clean->state_equals(mat));
             EXPECT_TRUE(mat.saved_stats() == full.saved_stats());
-            probe.cl.restore(mat);
-            EXPECT_TRUE(probe.cl.state_equals(full));
-            EXPECT_TRUE(probe.cl.stats() == clean.cl.stats());
+            probe->restore(mat);
+            EXPECT_TRUE(probe->state_equals(full));
+            EXPECT_TRUE(probe->stats() == clean->stats());
+            if (tops && r < kBlocks) {
+                EXPECT_TRUE(probe->state_equals(top[r]));
+                EXPECT_TRUE(mat.saved_stats() == top[r].saved_stats());
+            }
         }
         // A ladder holds a small fraction of one full DM image per rung.
-        EXPECT_LT(memo.resident_bytes(), 200'000u);
+        EXPECT_LT(memo->resident_bytes(), 200'000u);
     }
 }
 

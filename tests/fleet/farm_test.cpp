@@ -302,6 +302,18 @@ TEST_F(FarmTest, ConstructorRejectsUnusableOptions) {
         opt.timeline_path = dir_ + "/no-such-timeline.txt";
         EXPECT_THROW(Farm farm(opt), FarmError);
     }
+    // A run must span at least one and fewer than 2^64 block periods.
+    for (const double days : {0.00001, 1e300}) {
+        FarmOptions opt = base_options();
+        opt.fleet.days = days;
+        EXPECT_THROW(Farm farm(opt), FarmError) << "--days " << days;
+    }
+    for (const char* script : {"phase a 1\n", "phase a 1e300\n"}) {
+        FarmOptions opt = base_options();
+        opt.timeline_path = dir_ + "/blocks.txt";
+        std::ofstream(opt.timeline_path) << script;
+        EXPECT_THROW(Farm farm(opt), FarmError) << script;
+    }
 }
 
 TEST_F(FarmTest, SupervisedChaosRunMatchesTheInProcessReference) {

@@ -143,3 +143,14 @@ set(SPEC --timeline no-such-timeline.txt --devices 64 --cohorts 2)
 rejects("missing timeline")
 set(SPEC --timeline "${TIMELINE}" --devices -1 --cohorts 2)
 rejects("negative device count")
+# A run must span at least one and fewer than 2^64 block periods.
+file(WRITE "${WORK}/short_timeline.txt" "phase a 1\n")
+file(WRITE "${WORK}/endless_timeline.txt" "phase a 1e300\n")
+set(SPEC --timeline short_timeline.txt --devices 2)
+rejects("timeline shorter than one block")
+set(SPEC --timeline endless_timeline.txt --devices 2)
+rejects("timeline of 2^64 blocks or more")
+set(SPEC --timeline "${TIMELINE}" --devices 2 --days 0.00001)
+rejects("--days shorter than one block")
+set(SPEC --timeline "${TIMELINE}" --devices 2 --days 1e300)
+rejects("--days of 2^64 blocks or more")

@@ -81,3 +81,10 @@ rejects("space before the thread count" --timeline "${TIMELINE}" --threads " 7")
 rejects("thread count over 1024" --timeline "${TIMELINE}" --threads 1025)
 rejects("negative seed" --timeline "${TIMELINE}" --seed -1)
 rejects("signed days" --timeline "${TIMELINE}" --days +1)
+# A run must span at least one and fewer than 2^64 block periods.
+file(WRITE "${WORK}/short_timeline.txt" "phase a 1\n")
+file(WRITE "${WORK}/endless_timeline.txt" "phase a 1e300\n")
+rejects("timeline shorter than one block" --timeline short_timeline.txt)
+rejects("timeline of 2^64 blocks or more" --timeline endless_timeline.txt)
+rejects("--days shorter than one block" --timeline "${TIMELINE}" --days 0.00001)
+rejects("--days of 2^64 blocks or more" --timeline "${TIMELINE}" --days 1e300)

@@ -63,6 +63,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "fleet/store.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/timeline.hpp"
 
 namespace {
@@ -278,6 +279,7 @@ int main(int argc, char** argv) {
     std::uint32_t tl_crc = 0; // the journal must not resume against an edited script
     try {
         tl = ulpmc::scenario::load_timeline(timeline_path, &tl_crc);
+        ulpmc::scenario::lifetime_blocks(tl, opt.days); // rejects a run of no or 2^64+ blocks
     } catch (const ulpmc::scenario::TimelineError& e) {
         std::cerr << timeline_path << ": " << e.what() << "\n";
         return 2;

@@ -162,6 +162,7 @@ int main(int argc, char** argv) {
     std::uint32_t tl_crc = 0;
     try {
         tl = ulpmc::scenario::load_timeline(timeline_path, &tl_crc);
+        ulpmc::scenario::lifetime_blocks(tl, days); // rejects a run of no or 2^64+ blocks
     } catch (const ulpmc::scenario::TimelineError& e) {
         std::cerr << timeline_path << ": " << e.what() << "\n";
         return 2;
