@@ -31,6 +31,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/numparse.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "scenario/engine.hpp"
@@ -79,15 +80,30 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         if (arg == "--seed") {
-            opt.seed = std::stoull(value());
+            if (!parse_u64(value(), opt.seed)) {
+                std::cerr << "--seed: not a number\n";
+                return 2;
+            }
         } else if (arg == "--devices") {
-            opt.devices = std::stoull(value());
+            if (!parse_u64(value(), opt.devices) || opt.devices < 1) {
+                std::cerr << "--devices: expected a positive count\n";
+                return 2;
+            }
         } else if (arg == "--cohorts") {
-            opt.cohorts = static_cast<unsigned>(std::stoul(value()));
+            if (!parse_count(value(), 1, 4096, opt.cohorts)) {
+                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
+                return 2;
+            }
         } else if (arg == "--naive") {
-            naive_devices = std::stoull(value());
+            if (!parse_u64(value(), naive_devices)) {
+                std::cerr << "--naive: not a number\n";
+                return 2;
+            }
         } else if (arg == "--threads") {
-            opt.threads = static_cast<unsigned>(std::stoul(value()));
+            if (!parse_count(value(), 0, 1024, opt.threads)) {
+                std::cerr << "--threads: expected a count in [0, 1024]\n";
+                return 2;
+            }
         } else if (arg == "--engine") {
             if (!cluster::parse_engine(value(), opt.engine)) {
                 std::cerr << "--engine: unknown engine\n";
@@ -101,10 +117,6 @@ int main(int argc, char** argv) {
             std::cerr << arg << ": unknown option\n";
             return 2;
         }
-    }
-    if (opt.devices == 0) {
-        std::cerr << "--devices must be >= 1\n";
-        return 2;
     }
     naive_devices = std::min(naive_devices, opt.devices);
     if (naive_devices == 0) naive_devices = 1;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/numparse.hpp"
 #include "fleet/fleet.hpp"
 #include "scenario/timeline.hpp"
 
@@ -91,13 +92,25 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         if (arg == "--seed") {
-            base.seed = std::stoull(value());
+            if (!parse_u64(value(), base.seed)) {
+                std::cerr << "--seed: not a number\n";
+                return 2;
+            }
         } else if (arg == "--devices") {
-            base.devices = std::stoull(value());
+            if (!parse_u64(value(), base.devices) || base.devices < 1) {
+                std::cerr << "--devices: expected a positive count\n";
+                return 2;
+            }
         } else if (arg == "--cohorts") {
-            base.cohorts = static_cast<unsigned>(std::stoul(value()));
+            if (!parse_count(value(), 1, 4096, base.cohorts)) {
+                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
+                return 2;
+            }
         } else if (arg == "--threads") {
-            base.threads = static_cast<unsigned>(std::stoul(value()));
+            if (!parse_count(value(), 0, 1024, base.threads)) {
+                std::cerr << "--threads: expected a count in [0, 1024]\n";
+                return 2;
+            }
         } else if (arg == "--engine") {
             if (!cluster::parse_engine(value(), base.engine)) {
                 std::cerr << "--engine: unknown engine\n";

@@ -4,7 +4,6 @@
 // cycle-count / IM-access-count comparison.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -17,7 +16,8 @@
 namespace ulpmc::cluster {
 
 /// Why a batched-engine injection left the clean run (DESIGN.md §11).
-/// Lives here because the per-reason counters are part of ClusterStats.
+/// The campaign drivers count these per injection
+/// (fault::InjectionRecord::batch_peel_reasons).
 enum class PeelReason : std::uint8_t {
     FaultStrike,   ///< a memory/register fault was injected
     CrossbarUpset, ///< an arbiter glitch/state upset was injected
@@ -89,15 +89,6 @@ struct ClusterStats {
     std::uint64_t dm_scrub_reads = 0;         ///< DM scrub-walker bank reads
     std::uint64_t dm_scrub_corrected = 0;     ///< latent DM upsets repaired by the walker
     std::uint64_t dm_scrub_uncorrectable = 0; ///< double-bit DM words the walker found
-
-    // Batched-engine divergence counters (DESIGN.md §11). A Cluster never
-    // touches these; the campaign drivers fill them per injection so the
-    // memoized paths' efficiency is observable: how many cycles were taken
-    // from the clean run instead of simulated, how often the injection
-    // diverged from it, and why.
-    std::uint64_t batch_lockstep_cycles = 0;
-    std::uint64_t batch_lane_peels = 0;
-    std::array<std::uint64_t, kPeelReasonCount> batch_peel_reasons{};
 
     /// Observable correction/trap events — everything the hardware can
     /// count that indicates a particle actually struck (hijacked grants

@@ -20,6 +20,15 @@ inline bool parse_u64(std::string_view s, std::uint64_t& out) {
     return true;
 }
 
+/// Parses an unsigned decimal count in [lo, hi] (hi fits an unsigned).
+/// Leaves `out` alone on failure.
+inline bool parse_count(std::string_view s, std::uint64_t lo, std::uint64_t hi, unsigned& out) {
+    std::uint64_t v = 0;
+    if (!parse_u64(s, v) || v < lo || v > hi) return false;
+    out = static_cast<unsigned>(v);
+    return true;
+}
+
 /// Parses a finite decimal floating-point number. Leaves `out` alone on
 /// failure.
 inline bool parse_double(std::string_view s, double& out) {

@@ -29,7 +29,7 @@
 //
 // A seeded chaos mode SIGKILLs (or SIGSTOPs, to exercise the timeout
 // escalation) the farm's own workers at deterministic progress points;
-// bench/ext_farm and the CI farm job prove merged output stays
+// the farm_smoke ctest and FarmTest prove merged output stays
 // byte-identical to the unsharded reference despite every kill.
 #pragma once
 

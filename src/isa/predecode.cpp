@@ -5,24 +5,14 @@
 
 namespace ulpmc::isa {
 
-PredecodedIm::PredecodedIm(unsigned banks, std::size_t words_per_bank)
-    : entries_(static_cast<std::size_t>(banks) * words_per_bank), banks_(banks),
-      words_per_bank_(words_per_bank) {
-    ULPMC_EXPECTS(banks > 0);
-    ULPMC_EXPECTS(words_per_bank > 0);
-    // An IM bank powers up all-zero; decode that image once so lookups are
-    // valid even for never-written words (fetching them behaves exactly
-    // like decoding the zero word at fetch time).
-    DecodedInstr zero;
-    fill_entry(zero, 0);
-    for (auto& e : entries_) e = zero;
-}
-
 void PredecodedIm::reset(unsigned banks, std::size_t words_per_bank) {
     ULPMC_EXPECTS(banks > 0);
     ULPMC_EXPECTS(words_per_bank > 0);
     banks_ = banks;
     words_per_bank_ = words_per_bank;
+    // An IM bank powers up all-zero; decode that image once so lookups are
+    // valid even for never-written words (fetching them behaves exactly
+    // like decoding the zero word at fetch time).
     DecodedInstr zero;
     fill_entry(zero, 0);
     entries_.assign(static_cast<std::size_t>(banks) * words_per_bank, zero);
@@ -46,13 +36,6 @@ void PredecodedIm::refresh(BankId bank, std::uint32_t offset, InstrWord word) {
     ULPMC_EXPECTS(bank < banks_);
     ULPMC_EXPECTS(offset < words_per_bank_);
     fill_entry(entries_[bank * words_per_bank_ + offset], word);
-}
-
-void PredecodedIm::refresh_bank(BankId bank, std::span<const std::uint32_t> cells) {
-    ULPMC_EXPECTS(bank < banks_);
-    ULPMC_EXPECTS(cells.size() <= words_per_bank_);
-    for (std::uint32_t i = 0; i < cells.size(); ++i)
-        refresh(bank, i, static_cast<InstrWord>(cells[i]));
 }
 
 const DecodedInstr& PredecodedIm::entry(BankId bank, std::uint32_t offset) const {

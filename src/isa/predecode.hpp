@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -41,12 +40,8 @@ public:
     PredecodedIm() = default;
 
     /// Sizes the array for `banks` banks of `words_per_bank` words each;
-    /// every entry starts as the decode of an all-zero word.
-    PredecodedIm(unsigned banks, std::size_t words_per_bank);
-
-    /// Re-sizes/re-initializes in place to the freshly-constructed state
-    /// of PredecodedIm(banks, words_per_bank), reusing the entry storage
-    /// (no heap allocation on a same-geometry reset).
+    /// every entry starts as the decode of an all-zero word. Reuses the
+    /// entry storage (no heap allocation on a same-geometry reset).
     void reset(unsigned banks, std::size_t words_per_bank);
 
     unsigned banks() const { return banks_; }
@@ -55,9 +50,6 @@ public:
     /// Re-decodes the word now stored at (bank, offset). Call after every
     /// poke of the underlying bank cell.
     void refresh(BankId bank, std::uint32_t offset, InstrWord word);
-
-    /// Re-decodes a whole bank image in one pass (loader use).
-    void refresh_bank(BankId bank, std::span<const std::uint32_t> cells);
 
     /// Installs an already-decoded entry at (bank, offset) — the
     /// ProgramImage load path, where the decode was done once per campaign

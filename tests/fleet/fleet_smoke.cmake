@@ -3,7 +3,8 @@
 #
 #   cmake -DFLEET=build/tools/ulpmc-fleet \
 #         -DTIMELINE=bench/timelines/fleet_smoke.txt \
-#         -DWORK=build/tests/fleet_smoke -P tests/fleet/fleet_smoke.cmake
+#         -DWORK=build/tests/fleet_smoke [-DPYTHON=python3 -DSOURCE=.] \
+#         -P tests/fleet/fleet_smoke.cmake
 #
 # The fleet artifact is a pure function of (timeline, spec options), so
 # every pair compared below must be byte-identical:
@@ -12,8 +13,11 @@
 #   * `--merge` over shard stores 0/2 + 1/2 and 0/3 + 1/3 + 2/3, in more
 #     than one input order, vs the unsharded JSON and ULPF store.
 # Every malformed merge or invocation must exit 2 with a one-line
-# diagnostic and write nothing. WORK keeps the artifacts afterwards (whole.*, shard0.*, ...)
-# for offline checks such as tools/read_fleet.py.
+# diagnostic and write nothing. With PYTHON and SOURCE set, the independent
+# ULPF oracle tools/read_fleet.py must agree with the JSON of the whole,
+# shard and merged stores, and it and the fleet gate tools/check_fleet.py
+# must fail on mangled artifacts without a traceback. WORK keeps the
+# artifacts afterwards (whole.*, shard0.*, ...).
 
 foreach(var FLEET TIMELINE WORK)
   if(NOT DEFINED ${var})
@@ -23,6 +27,7 @@ endforeach()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 set(SPEC --timeline "${TIMELINE}" --devices 64 --cohorts 2)
+include("${CMAKE_CURRENT_LIST_DIR}/../tools/checks.cmake")
 
 # Runs ulpmc-fleet with the spec options plus ARGN; requires exit 0.
 function(fleet)
@@ -32,18 +37,6 @@ function(fleet)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "ulpmc-fleet ${ARGN}: exit ${rc}: ${err}")
   endif()
-endfunction()
-
-# Requires every file after the first to be byte-identical to the first.
-function(same ref)
-  foreach(other ${ARGN})
-    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                            "${WORK}/${ref}" "${WORK}/${other}"
-                    RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "${other} differs from ${ref}")
-    endif()
-  endforeach()
 endfunction()
 
 # Requires ulpmc-fleet with the spec options plus ARGN to exit 2 with a
@@ -154,3 +147,30 @@ set(SPEC --timeline "${TIMELINE}" --devices 2 --days 0.00001)
 rejects("--days shorter than one block")
 set(SPEC --timeline "${TIMELINE}" --devices 2 --days 1e300)
 rejects("--days of 2^64 blocks or more")
+
+# ---- the Python ULPF oracle and the fleet gate ------------------------------
+# read_fleet.py re-validates a store offline (header binding, shard
+# arithmetic, ascending gdi) and recomputes the integer slice totals from
+# the raw records: they must equal the streaming aggregate in the JSON.
+if(DEFINED PYTHON AND DEFINED SOURCE)
+  set(READ "${PYTHON}" "${SOURCE}/tools/read_fleet.py")
+  set(GATE "${SOURCE}/tools/check_fleet.py")
+  set(BASE "${SOURCE}/bench/BENCH_fleet.json")
+  expect_exit(pass "whole store vs its JSON" ${READ} whole.ulpf --check whole.json)
+  expect_exit(pass "shard store vs its JSON" ${READ} shard0.ulpf --check shard0.json)
+  expect_exit(pass "merged store vs the unsharded JSON" ${READ} merged.ulpf --check whole.json)
+  gate(pass "fleet baseline against itself" "${BASE}" "${BASE}")
+
+  file(WRITE "${WORK}/corrupt.json" "{\"fleet\": {")
+  file(WRITE "${WORK}/hollow.json" "{\"not\": \"a fleet artifact\"}")
+  gate(fail "truncated fleet baseline" corrupt.json "${BASE}")
+  gate(fail "fleet artifact without sections" "${BASE}" hollow.json)
+  gate(fail "missing fleet baseline" no-such-file.json "${BASE}")
+  gate(fail "store fed to the fleet gate" "${BASE}" whole.ulpf)
+  expect_exit(fail "truncated store" ${READ} trunc.ulpf)
+  expect_exit(fail "JSON fed as a store" ${READ} whole.json)
+  expect_exit(fail "missing store" ${READ} no-such-store.ulpf)
+  expect_exit(fail "whole store vs a shard's JSON" ${READ} whole.ulpf --check shard0.json)
+  expect_exit(fail "shard 0 store vs shard 1 JSON" ${READ} shard0.ulpf --check shard1.json)
+  expect_exit(fail "store fed as the JSON" ${READ} whole.ulpf --check whole.ulpf)
+endif()

@@ -21,62 +21,23 @@ file(MAKE_DIRECTORY "${WORK}")
 set(GATE "${SOURCE}/tools/check_coverage.py")
 set(BASE "${SOURCE}/bench/BENCH_fault_coverage.json")
 
-# Runs the gate on (baseline, current); `expect` is "pass" or "fail".
-function(gate expect why baseline current)
-  execute_process(COMMAND "${PYTHON}" "${GATE}" "${baseline}" "${current}"
-                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
-                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(out MATCHES "Traceback" OR err MATCHES "Traceback")
-    message(FATAL_ERROR "${why}: unhandled traceback:\n${out}${err}")
-  endif()
-  if(expect STREQUAL "pass" AND NOT rc EQUAL 0)
-    message(FATAL_ERROR "${why}: expected the gate to pass, got exit ${rc}:\n${out}${err}")
-  endif()
-  if(expect STREQUAL "fail")
-    if(rc EQUAL 0)
-      message(FATAL_ERROR "${why}: the gate passed a perturbed artifact:\n${out}")
-    endif()
-    string(STRIP "${err}" err)
-    if(err STREQUAL "")
-      string(REGEX MATCH "FAIL[^\n]*" err "${out}")
-    endif()
-    message(STATUS "rejected (${why}): exit ${rc}: ${err}")
-  endif()
-endfunction()
-
-# Writes WORK/NAME.json: the baseline after the Python statements `edit`,
-# which see its campaign list as `c`.
-function(perturb name edit)
-  execute_process(COMMAND "${PYTHON}" -c "import json, sys
-d = json.load(open(sys.argv[1]))
-c = d['campaigns']
-${edit}
-json.dump(d, open(sys.argv[2], 'w'), indent=1)" "${BASE}" "${WORK}/${name}.json"
-                  RESULT_VARIABLE rc ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "coverage_gate: cannot write ${name}.json: ${err}")
-  endif()
-endfunction()
+include("${CMAKE_CURRENT_LIST_DIR}/checks.cmake")
 
 gate(pass "baseline against itself" "${BASE}" "${BASE}")
-perturb(copy "pass")
+perturb(copy "${BASE}" "pass")
 gate(pass "re-serialized copy" "${BASE}" copy.json)
 
-perturb(dropped "del c[3]")
+perturb(dropped "${BASE}" "del d['campaigns'][3]")
 gate(fail "dropped campaign" "${BASE}" dropped.json)
-perturb(lowered "c[5]['coverage'] -= 1e-4")
+perturb(lowered "${BASE}" "d['campaigns'][5]['coverage'] -= 1e-4")
 gate(fail "coverage lowered by 1e-4" "${BASE}" lowered.json)
-perturb(sdc "c[7]['outcomes']['SDC'] += 1")
+perturb(sdc "${BASE}" "d['campaigns'][7]['outcomes']['SDC'] += 1")
 gate(fail "one SDC added" "${BASE}" sdc.json)
-perturb(duplicate "c.append(dict(c[0]))")
+perturb(duplicate "${BASE}" "c = d['campaigns']; c.append(dict(c[0]))")
 gate(fail "duplicate campaign identity" "${BASE}" duplicate.json)
 gate(fail "duplicate campaign identity in the baseline" duplicate.json "${BASE}")
 
-file(READ "${BASE}" text)
-string(LENGTH "${text}" len)
-math(EXPR half "${len} / 2")
-string(SUBSTRING "${text}" 0 ${half} truncated)
-file(WRITE "${WORK}/truncated.json" "${truncated}")
+truncate(truncated.json "${BASE}")
 gate(fail "truncated file" "${BASE}" truncated.json)
 gate(fail "truncated baseline" truncated.json "${BASE}")
 

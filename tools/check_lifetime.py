@@ -3,8 +3,9 @@
 
 Usage: check_lifetime.py BASELINE.json CURRENT.json
 
-Both files are lifetime artifacts from `ext_lifetime --json` (or
-`ulpmc-life --json`). Runs are matched by identity — timeline, policy,
+Both files are lifetime artifacts from `ulpmc-life --json`; the
+committed baseline is `ulpmc-life --timeline bench/timelines/bench-day
+--seed 42`. Runs are matched by identity — timeline, policy,
 seed and architecture — and the comparison is exact: lifetimes are seeded
 and deterministic (byte-identical across engine tiers and thread counts),
 so any drift is a behavioral change, not noise. The gate fails when a

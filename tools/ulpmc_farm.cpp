@@ -48,6 +48,7 @@
 
 namespace {
 
+using ulpmc::parse_count;
 using ulpmc::parse_double;
 using ulpmc::parse_u64;
 
@@ -125,12 +126,10 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--cohorts") {
-            std::uint64_t c = 0;
-            if (!parse_u64(value("--cohorts"), c) || c < 1 || c > 4096) {
+            if (!parse_count(value("--cohorts"), 1, 4096, opt.fleet.cohorts)) {
                 std::cerr << "--cohorts: expected a count in [1, 4096]\n";
                 return 2;
             }
-            opt.fleet.cohorts = static_cast<unsigned>(c);
         } else if (arg == "--days") {
             if (!parse_double(value("--days"), opt.fleet.days) || opt.fleet.days <= 0) {
                 std::cerr << "--days: expected a positive number\n";
@@ -148,19 +147,15 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--workers") {
-            std::uint64_t w = 0;
-            if (!parse_u64(value("--workers"), w) || w < 1 || w > 256) {
+            if (!parse_count(value("--workers"), 1, 256, opt.workers)) {
                 std::cerr << "--workers: expected a count in [1, 256]\n";
                 return 2;
             }
-            opt.workers = static_cast<unsigned>(w);
         } else if (arg == "--worker-threads") {
-            std::uint64_t t = 0;
-            if (!parse_u64(value("--worker-threads"), t) || t > 1024) {
+            if (!parse_count(value("--worker-threads"), 0, 1024, opt.worker_threads)) {
                 std::cerr << "--worker-threads: expected a count in [0, 1024]\n";
                 return 2;
             }
-            opt.worker_threads = static_cast<unsigned>(t);
         } else if (arg == "--dir") {
             opt.dir = value("--dir");
         } else if (arg == "--json") {
@@ -195,12 +190,10 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--retries") {
-            std::uint64_t r = 0;
-            if (!parse_u64(value("--retries"), r) || r > 10000) {
+            if (!parse_count(value("--retries"), 0, 10000, opt.retries)) {
                 std::cerr << "--retries: expected a count in [0, 10000]\n";
                 return 2;
             }
-            opt.retries = static_cast<unsigned>(r);
         } else if (arg == "--chaos") {
             if (!parse_chaos(value("--chaos"), opt)) {
                 std::cerr << "--chaos: expected kills=K[,stalls=S][,seed=N]\n";

@@ -70,6 +70,7 @@ namespace {
 
 using ulpmc::fleet::kFleetHeartbeatFrame;
 using ulpmc::fleet::kFleetRecordFrame;
+using ulpmc::parse_count;
 using ulpmc::parse_double;
 using ulpmc::parse_u64;
 
@@ -190,12 +191,10 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--cohorts") {
-            std::uint64_t c = 0;
-            if (!parse_u64(value("--cohorts"), c) || c < 1 || c > 4096) {
+            if (!parse_count(value("--cohorts"), 1, 4096, opt.cohorts)) {
                 std::cerr << "--cohorts: expected a count in [1, 4096]\n";
                 return 2;
             }
-            opt.cohorts = static_cast<unsigned>(c);
         } else if (arg == "--days") {
             if (!parse_double(value("--days"), opt.days) || opt.days <= 0) {
                 std::cerr << "--days: expected a positive number\n";
@@ -213,12 +212,10 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--threads") {
-            std::uint64_t t = 0;
-            if (!parse_u64(value("--threads"), t) || t > 1024) {
+            if (!parse_count(value("--threads"), 0, 1024, opt.threads)) {
                 std::cerr << "--threads: expected a count in [0, 1024]\n";
                 return 2;
             }
-            opt.threads = static_cast<unsigned>(t);
         } else if (arg == "--shard") {
             if (!parse_shard(value("--shard"), opt.shard_k, opt.shard_n)) {
                 std::cerr << "--shard: expected K/N with 0 <= K < N\n";
