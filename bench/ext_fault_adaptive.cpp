@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
                                  "beyond the paper (self-tuning resilience, DESIGN.md §9)");
     std::cout << cfg.injections << " streaming runs per policy (" << kBlocks
               << " blocks, seed " << cfg.seed << "), register upsets at " << kLambdaLow
-              << " /cycle over the first " << cfg.lambda_split * 100 << "% of the stream, then "
+              << " /cycle over the first " << fault::kLambdaSplit * 100 << "% of the stream, then "
               << kLambdaHigh << " /cycle (burst).\n\n";
 
     const app::StreamingBenchmark stream({.use_barrier = true}, kBlocks);

@@ -12,7 +12,7 @@
 //     speedup = (naive_per_device x devices) / fleet_wall
 //
 // The naive arm actually runs a representative spread of the same device
-// specs (same DeviceConfig derivation as the fleet), so both arms
+// specs (the fleet's own fleet::device_config), so both arms
 // simulate identical physics; it is sampled (default 12 devices) because
 // running all N naively is precisely the cost this layer exists to avoid.
 //
@@ -128,13 +128,13 @@ int main(int argc, char** argv) {
             std::istringstream in(kBenchTimeline);
             tl = scenario::parse_timeline(in);
         } else {
-            tl = scenario::load_timeline(timeline_path);
+            tl = scenario::load_lifetime_timeline(timeline_path, opt.days);
             tl_name = timeline_path;
             if (const auto slash = tl_name.find_last_of('/'); slash != std::string::npos)
                 tl_name = tl_name.substr(slash + 1);
         }
     } catch (const scenario::TimelineError& e) {
-        std::cerr << "timeline: " << e.what() << "\n";
+        std::cerr << e.what() << "\n";
         return 2;
     }
 
@@ -151,16 +151,7 @@ int main(int argc, char** argv) {
     sweep::SweepRunner naive_pool(1);
     for (std::uint64_t i = 0; i < naive_devices; ++i) {
         const std::uint64_t gdi = i * opt.devices / naive_devices;
-        const fleet::DeviceSpec spec = fleet::device_spec(opt, gdi);
-        scenario::DeviceConfig dc;
-        dc.arch = spec.arch;
-        dc.engine = opt.engine;
-        dc.seed = spec.seed;
-        dc.policy = spec.policy;
-        dc.max_days = opt.days;
-        dc.thresholds = opt.thresholds;
-        dc.battery.initial_fraction = spec.initial_charge;
-        scenario::LifetimeEngine one(tl, dc);
+        scenario::LifetimeEngine one(tl, fleet::device_config(opt, fleet::device_spec(opt, gdi)));
         (void)one.run(naive_pool);
     }
     const double naive_wall = seconds_since(t0);

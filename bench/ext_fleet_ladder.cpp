@@ -27,6 +27,7 @@
 
 #include "common/numparse.hpp"
 #include "fleet/fleet.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/timeline.hpp"
 
 using namespace ulpmc;
@@ -132,10 +133,10 @@ int main(int argc, char** argv) {
             std::istringstream in(kLadderTimeline);
             tl = scenario::parse_timeline(in);
         } else {
-            tl = scenario::load_timeline(timeline_path);
+            tl = scenario::load_lifetime_timeline(timeline_path, base.days);
         }
     } catch (const scenario::TimelineError& e) {
-        std::cerr << "timeline: " << e.what() << "\n";
+        std::cerr << e.what() << "\n";
         return 2;
     }
 

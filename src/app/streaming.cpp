@@ -49,12 +49,6 @@ StreamingBenchmark::Outcome StreamingBenchmark::run(const cluster::ClusterConfig
 }
 
 StreamingBenchmark::ResilientOutcome
-StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in,
-                                  const BlockFaultHook& hook) const {
-    return run_resilient(cfg_in, hook, {});
-}
-
-StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const BlockFaultHook& hook,
                                   const BlockPerturbed& perturbed,
                                   Cycle known_clean_block) const {
@@ -85,16 +79,15 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
 
     if (known_clean_block != 0) {
         // Caller has already calibrated (and validated) the reference
-        // block — the batched campaign path, once per campaign.
+        // block — the campaign paths, once per campaign.
         out.clean_block_cycles = known_clean_block;
     } else { // fault-free reference block: calibrates the per-attempt cycle budget
         cluster::Cluster& ref = launch_block();
         out.clean_block_cycles = ref.run();
         for (unsigned p = 0; p < cfg.cores; ++p) ULPMC_EXPECTS(lead_ok(ref, p));
     }
-    // A wedged attempt must terminate: 4x the clean block plus the
-    // watchdog window bounds every legitimate execution.
-    const Cycle budget = 4 * out.clean_block_cycles + cfg.watchdog_cycles + 1000;
+    // A wedged attempt must terminate.
+    const Cycle budget = cluster::hang_bound(cfg, out.clean_block_cycles);
 
     for (unsigned block = 0; block < n_blocks_; ++block) {
         if (perturbed && !perturbed(block, 0)) {
@@ -153,15 +146,17 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
-                                     const BlockFaultHook& hook) const {
-    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, 0, nullptr);
+                                     const BlockFaultHook& hook, Cycle known_clean_block) const {
+    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, known_clean_block, nullptr);
 }
 
 StreamingBenchmark::ResilientOutcome
 StreamingBenchmark::run_checkpointed(const cluster::ClusterConfig& cfg_in,
                                      const BlockFaultHook& hook,
-                                     const DurableOptions& durable) const {
-    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, 0, nullptr, &durable);
+                                     const DurableOptions& durable,
+                                     Cycle known_clean_block) const {
+    return run_checkpointed_impl(cfg_in, hook, nullptr, nullptr, known_clean_block, nullptr,
+                                 &durable);
 }
 
 StreamingBenchmark::ResilientOutcome
@@ -189,7 +184,7 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
                                           Cycle known_clean_block,
                                           std::optional<cluster::CleanRun>* capture,
                                           const DurableOptions* durable) const {
-    const bool durable_on = durable != nullptr && durable->enabled;
+    const bool durable_on = durable != nullptr;
     // The memoized clean stream assumes every rollback restores the block
     // being retried; keyframe fallback breaks that, so durable storage is
     // a trace-path feature.
@@ -208,7 +203,7 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
         base_.load_inputs(ref, cfg.cores);
         out.clean_block_cycles = ref.run();
     }
-    const Cycle budget = 4 * out.clean_block_cycles + cfg.watchdog_cycles + 1000;
+    const Cycle budget = cluster::hang_bound(cfg, out.clean_block_cycles);
     // Completion is polled at slice granularity. The slice must be much
     // shorter than the CS kernel: after the last lead finishes block b the
     // cluster overshoots by at most one slice into block b+1, and block

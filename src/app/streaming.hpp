@@ -106,18 +106,15 @@ public:
     using BlockPerturbed = std::function<bool(unsigned block, unsigned attempt)>;
 
     /// Runs all blocks in resilient mode under `cfg`, invoking `hook` (if
-    /// set) on every block attempt.
+    /// set) on every block attempt. With `perturbed` set (batched engine),
+    /// blocks whose first attempt is unperturbed are credited from the
+    /// fault-free reference instead of simulated (the cluster is reset per
+    /// block, so every unperturbed attempt IS the reference block).
+    /// `known_clean_block`, when nonzero, replaces the calibration run of
+    /// the reference block (the caller has already validated it).
     ResilientOutcome run_resilient(const cluster::ClusterConfig& cfg,
-                                   const BlockFaultHook& hook = {}) const;
-
-    /// Memoizing variant (batched engine): blocks whose first attempt is
-    /// unperturbed are credited from the fault-free reference instead of
-    /// simulated (run_resilient resets the cluster per block, so every
-    /// unperturbed attempt IS the reference block). `known_clean_block`,
-    /// when nonzero, replaces the calibration run of the reference block
-    /// too (the caller has already validated it).
-    ResilientOutcome run_resilient(const cluster::ClusterConfig& cfg, const BlockFaultHook& hook,
-                                   const BlockPerturbed& perturbed,
+                                   const BlockFaultHook& hook = {},
+                                   const BlockPerturbed& perturbed = {},
                                    Cycle known_clean_block = 0) const;
 
     // ---- generalized checkpoint mode (DESIGN.md §9) ------------------------
@@ -135,16 +132,17 @@ public:
     // (cl.run(cl.stats().cycles + N)).
 
     /// Runs all blocks under the checkpoint service. Verification,
-    /// rollback and drop-one-lead policy are as in run_resilient.
+    /// rollback, drop-one-lead policy and `known_clean_block` are as in
+    /// run_resilient.
     ResilientOutcome run_checkpointed(const cluster::ClusterConfig& cfg,
-                                      const BlockFaultHook& hook = {}) const;
+                                      const BlockFaultHook& hook = {},
+                                      Cycle known_clean_block = 0) const;
 
     /// Durable checkpoint storage (DESIGN.md §9.6): route every boundary
     /// snapshot through a cluster::CheckpointStorage (CRC-verified
     /// keyframe+delta records) so rollbacks restore DECODED payload bytes
     /// and storage corruption becomes a real fault channel.
     struct DurableOptions {
-        bool enabled = false;
         cluster::CkptStorageConfig storage{};
         /// Called after every committed checkpoint with the record store —
         /// the storage-fault campaign's strike surface.
@@ -159,7 +157,8 @@ public:
     /// corrupt, the run fail-stops (storage_exhausted).
     ResilientOutcome run_checkpointed(const cluster::ClusterConfig& cfg,
                                       const BlockFaultHook& hook,
-                                      const DurableOptions& durable) const;
+                                      const DurableOptions& durable,
+                                      Cycle known_clean_block = 0) const;
 
     /// Runs the fault-free stream once, exactly as run_checkpointed(cfg)
     /// does, and captures it into `clean`: rung b is block b's top, before

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "power/calibration.hpp"
 
 namespace ulpmc::cluster {
 
@@ -108,16 +109,16 @@ void CheckpointRunner::rebase_window() {
 
 Cycle CheckpointRunner::solve_interval(double lambda) const {
     // DESIGN.md §9: the expected energy per checkpoint period is the save
-    // cost (cores * words_per_core words at e_word each) plus the expected
-    // re-execution loss (lambda * T * T/2 cycles at E_cycle each, for
-    // upsets uniform in the interval). d/dT = 0 gives
-    //   T* = sqrt(2 * cores * words_per_core * e_word / (lambda * E_cycle))
-    // with E_cycle = cores * e_cycle_per_core. lambda -> 0 pushes T* to
-    // infinity; the clamp keeps detection latency bounded.
+    // cost (cores * W words at E_word each) plus the expected re-execution
+    // loss (lambda * T * T/2 cycles at E_cycle each, for upsets uniform in
+    // the interval). d/dT = 0 gives
+    //   T* = sqrt(2 * cores * W * E_word / (lambda * E_cycle))
+    // with W, E_word and E_cycle = cores * E_op from power::cal. lambda -> 0
+    // pushes T* to infinity; the clamp keeps detection latency bounded.
     if (lambda <= 0.0) return cfg_.max_interval;
     const double cores = static_cast<double>(cl_.config().cores);
-    double save_words = cores * cfg_.words_per_core;
-    double e_word = cfg_.e_word;
+    double save_words = cores * power::cal::kCheckpointWordsPerCore;
+    double word_energy = power::cal::kCheckpointWordEnergy;
     if (cfg_.delta_store) {
         // Deltas store only the dirty words; scale the save cost by the
         // observed stored/full byte ratio so the solve sees the cheaper
@@ -126,10 +127,10 @@ Cycle CheckpointRunner::solve_interval(double lambda) const {
         if (ss.full_equiv_bytes > 0)
             save_words *= static_cast<double>(ss.stored_bytes) /
                           static_cast<double>(ss.full_equiv_bytes);
-        e_word = cfg_.e_word_delta;
+        word_energy = power::cal::kCheckpointDeltaWordEnergy;
     }
-    const double save_energy = 2.0 * save_words * e_word;
-    const double e_cycle = cores * cfg_.e_cycle_per_core;
+    const double save_energy = 2.0 * save_words * word_energy;
+    const double e_cycle = cores * power::cal::kCoreEnergyPerOp;
     const double t = std::sqrt(save_energy / (lambda * e_cycle));
     if (t <= static_cast<double>(cfg_.min_interval)) return cfg_.min_interval;
     if (t >= static_cast<double>(cfg_.max_interval)) return cfg_.max_interval;
@@ -149,7 +150,7 @@ void CheckpointRunner::observe_and_retune() {
     est_.observe(events, elapsed);
     const Cycle solved = solve_interval(est_.lambda_hat());
     const auto cur = static_cast<double>(cur_interval_);
-    if (std::abs(static_cast<double>(solved) - cur) > cfg_.hysteresis * cur) {
+    if (std::abs(static_cast<double>(solved) - cur) > kIntervalHysteresis * cur) {
         cur_interval_ = solved;
         ++stats_.interval_updates;
     }

@@ -21,6 +21,11 @@
 
 namespace ulpmc::cluster {
 
+/// Relative-change threshold before a newly solved adaptive interval is
+/// adopted — re-tuning on every estimator wiggle thrashes the schedule for
+/// nothing.
+inline constexpr double kIntervalHysteresis = 0.25;
+
 struct CheckpointConfig {
     /// Cycles between automatic checkpoints inside run(). 0 = explicit
     /// checkpoints only (the caller marks recovery points itself). Under
@@ -40,28 +45,19 @@ struct CheckpointConfig {
 
     // ---- adaptive interval control (DESIGN.md §9) ----------------------
     /// Re-solve the optimal-interval formula
-    ///   T* = sqrt(2 * cores * words_per_core * e_word / (lambda * E_cycle))
+    ///   T* = sqrt(2 * cores * W * E_word / (lambda * E_cycle))
     /// at every window boundary, with lambda from an online
     /// fault::UpsetRateEstimator over observed correction/trap events
-    /// (ClusterStats::upset_events()). E_cycle = cores * e_cycle_per_core.
+    /// (ClusterStats::upset_events()). The other terms are power::cal's:
+    /// W = kCheckpointWordsPerCore, E_word = kCheckpointWordEnergy and
+    /// E_cycle = cores * kCoreEnergyPerOp.
     bool adaptive = false;
     /// Clamp for the solved interval: below min_interval checkpoint
     /// traffic dominates, above max_interval detection latency does.
     Cycle min_interval = 200;
     Cycle max_interval = 100'000;
-    /// Relative-change threshold before a newly solved interval is
-    /// adopted — re-tuning on every estimator wiggle thrashes the
-    /// schedule for nothing.
-    double hysteresis = 0.25;
     /// EWMA weight of the upset-rate estimator (per observation window).
     double alpha = 0.3;
-    /// Energy constants for the solve. Defaults mirror power::cal
-    /// (kCheckpointWordEnergy, kCoreEnergyPerOp at 1.0 V); campaign
-    /// drivers may override to match a different operating point.
-    double e_word = 32e-12;
-    double e_cycle_per_core = 22.5e-12;
-    /// Architectural words saved per core (16 GPRs + PC + flags).
-    unsigned words_per_core = 18;
 
     // ---- durable delta storage (DESIGN.md §9.6) ------------------------
     /// Route every snapshot through the delta CheckpointStorage (keyframe
@@ -69,15 +65,14 @@ struct CheckpointConfig {
     /// by DECODING stored payload bytes — storage corruption becomes a
     /// real fault channel, detected by the CRC and absorbed by the
     /// keyframe fallback chain (or flowing into SDC when verification is
-    /// off, which is what the storage-fault campaigns measure).
+    /// off, which is what the storage-fault campaigns measure). The
+    /// adaptive T* solve then prices a saved word at
+    /// power::cal::kCheckpointDeltaWordEnergy (slightly above E_word for
+    /// the dirty tracking) but only on the words a delta actually stores:
+    /// it scales its save cost by the observed stored/full byte ratio, so
+    /// cheap deltas buy shorter intervals.
     bool delta_store = false;
     CkptStorageConfig storage{};
-    /// Per-stored-word save energy under delta_store: slightly above
-    /// e_word (power::cal::kCheckpointDeltaWordEnergy) for the dirty
-    /// tracking, but paid only on the words a delta actually stores —
-    /// the adaptive T* solve scales its save cost by the observed
-    /// stored/full byte ratio, so cheap deltas buy shorter intervals.
-    double e_word_delta = 36e-12;
 };
 
 struct CheckpointStats {

@@ -5,14 +5,16 @@
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
 #include "common/serial.hpp"
+#include "power/calibration.hpp"
 
 namespace ulpmc::cluster {
 
 namespace {
 
 /// Architectural words per core in payload order: 16 GPRs, PC, packed
-/// flags (mirrors power::cal::kCheckpointWordsPerCore).
+/// flags.
 constexpr unsigned kArchWords = kNumRegisters + 2;
+static_assert(kArchWords == power::cal::kCheckpointWordsPerCore);
 
 /// Stored framing per record besides the payload (kind + cycle + length
 /// + CRC) — bookkeeping for the byte accounting, not a wire format.

@@ -143,4 +143,15 @@ inline constexpr Addr kBarrierAddr = 0xFFFF;
 /// The paper's three designs with a given data layout.
 ClusterConfig make_config(ArchKind k, mmu::DmLayout layout);
 
+/// Watchdog window of every campaign and lifetime cluster: a core that
+/// commits nothing for this long traps instead of hanging.
+inline constexpr Cycle kWatchdogCycles = 20'000;
+
+/// Cycle bound for a possibly struck run whose fault-free run takes
+/// `clean_cycles` under `cfg`: 4x the clean run plus the watchdog window
+/// bounds every legitimate execution, so a core still running is hung.
+inline Cycle hang_bound(const ClusterConfig& cfg, Cycle clean_cycles) {
+    return 4 * clean_cycles + cfg.watchdog_cycles + 1000;
+}
+
 } // namespace ulpmc::cluster

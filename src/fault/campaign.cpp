@@ -43,7 +43,7 @@ cluster::ClusterConfig resilient_config(const app::EcgBenchmark& bench, cluster:
     c.barrier_enabled = bench.layout().use_barrier;
     c.ecc_enabled = cfg.ecc;
     c.reg_protection = cfg.reg_protection;
-    c.watchdog_cycles = cfg.watchdog_cycles;
+    c.watchdog_cycles = cluster::kWatchdogCycles;
     c.engine = cfg.engine;
     c.im_scrub = cfg.im_scrub;
     c.xbar_self_check = cfg.xbar_self_check;
@@ -226,9 +226,7 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
 
     const FaultUniverse universe =
         universe_of(bench.program(), bench, ccfg.cores, res.clean_cycles, cfg);
-    const auto bound =
-        static_cast<Cycle>(cfg.max_cycles_factor * static_cast<double>(res.clean_cycles)) +
-        cfg.watchdog_cycles + 1000;
+    const Cycle bound = cluster::hang_bound(ccfg, res.clean_cycles);
 
     // Batched engine, one-shot recovery (DESIGN.md §11): after the strike
     // the injection walks the later rungs, and at the first one whose
@@ -384,15 +382,16 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
             cl.run(cfg.checkpoint ? cl.stats().cycles + rec.fault.cycle : rec.fault.cycle);
             FaultInjector::apply(cl, rec.fault);
         };
+        // Every path reuses the calibrated clean block.
         app::StreamingBenchmark::ResilientOutcome ro;
-        if (batched && cfg.checkpoint) {
-            ro = bench.run_checkpointed(ccfg, hook, perturbs, *stream_clean, clean_block);
+        if (!cfg.checkpoint) {
+            ro = bench.run_resilient(ccfg, hook,
+                                     batched ? perturbs : app::StreamingBenchmark::BlockPerturbed{},
+                                     clean_block);
         } else if (batched) {
-            ro = bench.run_resilient(ccfg, hook, perturbs, clean_block);
-        } else if (cfg.checkpoint) {
-            ro = bench.run_checkpointed(ccfg, hook);
+            ro = bench.run_checkpointed(ccfg, hook, perturbs, *stream_clean, clean_block);
         } else {
-            ro = bench.run_resilient(ccfg, hook);
+            ro = bench.run_checkpointed(ccfg, hook, clean_block);
         }
 
         classify_stream(ro, rec);
@@ -447,12 +446,9 @@ CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
     const FaultUniverse universe =
         universe_of(bench.program(), bench.base(), ccfg.cores, res.clean_cycles, cfg);
 
-    const auto bound =
-        static_cast<Cycle>(cfg.max_cycles_factor * static_cast<double>(res.clean_cycles)) +
-        cfg.watchdog_cycles + 1000;
-    ULPMC_EXPECTS(cfg.lambda_split >= 0.0 && cfg.lambda_split <= 1.0);
+    const Cycle bound = cluster::hang_bound(ccfg, res.clean_cycles);
     const auto phase_split =
-        static_cast<Cycle>(cfg.lambda_split * static_cast<double>(res.clean_cycles));
+        static_cast<Cycle>(kLambdaSplit * static_cast<double>(res.clean_cycles));
 
     const cluster::CheckpointConfig rcfg{
         .interval = cfg.checkpoint_interval,
@@ -587,9 +583,8 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
 
     const cluster::ClusterConfig ccfg = resilient_config(bench.base(), arch, cfg);
 
-    app::StreamingBenchmark::DurableOptions clean_durable;
-    clean_durable.enabled = true;
-    clean_durable.storage = opts.storage;
+    const app::StreamingBenchmark::DurableOptions clean_durable{.storage = opts.storage,
+                                                                .strike = {}};
 
     Cycle clean_block = 0;
     double stored_ratio = 1.0;
@@ -666,9 +661,7 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
             cl.run(cl.stats().cycles + rec.fault.cycle);
             FaultInjector::apply(cl, rec.fault);
         };
-        app::StreamingBenchmark::DurableOptions durable;
-        durable.enabled = true;
-        durable.storage = opts.storage;
+        app::StreamingBenchmark::DurableOptions durable{.storage = opts.storage, .strike = {}};
         if (opts.storage_strikes) {
             durable.strike = [&](cluster::CheckpointStorage& store, unsigned block) {
                 // The record strike lands the moment the struck block's
@@ -679,7 +672,7 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
                 FaultInjector::apply(store, storage_fault);
             };
         }
-        const auto ro = bench.run_checkpointed(ccfg, hook, durable);
+        const auto ro = bench.run_checkpointed(ccfg, hook, durable, clean_block);
 
         classify_stream(ro, rec);
         aggs[i] = {ro.ckpt_stored_bytes, ro.ckpt_full_bytes, ro.ckpt_crc_failures,

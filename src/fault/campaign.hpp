@@ -49,11 +49,14 @@ inline constexpr unsigned kOutcomeCount = 8;
 
 const char* outcome_name(Outcome o);
 
+/// run_adaptive_campaign's two-phase strike environment: the quiet lead
+/// spans this fraction of the fault-free schedule, the burst tail the rest.
+inline constexpr double kLambdaSplit = 0.75;
+
 struct CampaignConfig {
     std::uint64_t seed = 1;
     unsigned injections = 256;
     bool ecc = false;               ///< SEC-DED on every IM/DM bank
-    Cycle watchdog_cycles = 20'000; ///< 0 disables stuck-core detection
     unsigned kinds = kAllFaultKinds;
     unsigned flip_bits = 1;         ///< 1 = SEU; 2 exercises double-bit detection
     unsigned burst_len = 1;         ///< >1: adjacent-bit memory MBU bursts
@@ -77,14 +80,11 @@ struct CampaignConfig {
     /// checkpoint_interval above (which then only seeds the start).
     bool adaptive_checkpoint = false;
     /// Two-phase strike environment: expected upsets per cycle over the
-    /// quiet lead (the first lambda_split of the fault-free schedule) and
+    /// quiet lead (the first kLambdaSplit of the fault-free schedule) and
     /// the burst tail (the rest) — a mostly-benign wearable that walks
     /// into a high-flux episode.
     double lambda_low = 0.0;
     double lambda_high = 0.0;
-    double lambda_split = 0.75;
-    /// Hang bound as a multiple of the fault-free run's cycle count.
-    double max_cycles_factor = 4.0;
     /// Simulator tier (no effect on outcomes — differential-tested).
     /// SimEngine::Batched additionally selects the memoized campaign
     /// paths (DESIGN.md §11): a struck one-shot run rejoins the
@@ -168,7 +168,7 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
 /// Adaptive-vs-fixed checkpoint study (DESIGN.md §9). Every "injection" is
 /// one full multi-block streaming run on ONE continuous cluster driven by
 /// the CheckpointRunner; seeded strikes arrive at rate cfg.lambda_low over
-/// the first cfg.lambda_split of the fault-free schedule and
+/// the first kLambdaSplit of the fault-free schedule and
 /// cfg.lambda_high over the rest (exponential inter-arrival times).
 /// cfg.adaptive_checkpoint
 /// selects the self-tuning controller (starting from

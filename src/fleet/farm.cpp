@@ -230,10 +230,9 @@ Farm::Farm(const FarmOptions& opt, std::ostream* log) : opt_(opt), log_(log) {
     if (opt_.fleet_bin.empty() || access(opt_.fleet_bin.c_str(), X_OK) != 0)
         throw FarmError("farm: worker binary not executable: " + opt_.fleet_bin);
     try {
-        tl_ = scenario::load_timeline(opt_.timeline_path);
-        scenario::lifetime_blocks(tl_, opt_.fleet.days); // rejects a run of no or 2^64+ blocks
+        tl_ = scenario::load_lifetime_timeline(opt_.timeline_path, opt_.fleet.days);
     } catch (const scenario::TimelineError& e) {
-        throw FarmError(opt_.timeline_path + ": " + e.what());
+        throw FarmError(e.what());
     }
     timeline_name_ = basename_of(opt_.timeline_path);
 }

@@ -44,6 +44,12 @@ DeviceSpec device_spec(const FleetOptions& opt, std::uint64_t gdi) {
     return s;
 }
 
+scenario::DeviceConfig device_config(const FleetOptions& opt, const DeviceSpec& spec) {
+    return {.arch = spec.arch, .engine = opt.engine, .seed = spec.seed, .policy = spec.policy,
+            .max_days = opt.days, .initial_charge = spec.initial_charge,
+            .thresholds = opt.thresholds};
+}
+
 std::uint64_t shard_device_count(std::uint64_t devices, unsigned k, unsigned n) {
     ULPMC_EXPECTS(n >= 1 && k < n);
     // Devices with gdi % n == k: gdi = k, k + n, k + 2n, ...
@@ -146,15 +152,8 @@ FleetResult FleetEngine::run(const FleetResume& resume) {
             }
         }
         const DeviceSpec spec = device_spec(opt_, gdi);
-        scenario::DeviceConfig dc;
-        dc.arch = spec.arch;
-        dc.engine = opt_.engine;
-        dc.seed = spec.seed;
-        dc.policy = spec.policy;
-        dc.max_days = opt_.days;
-        dc.thresholds = opt_.thresholds;
-        dc.battery.initial_fraction = spec.initial_charge;
-        scenario::LifetimeEngine eng(tl_, dc, benches_[spec.cohort], &cache_);
+        scenario::LifetimeEngine eng(tl_, device_config(opt_, spec), benches_[spec.cohort],
+                                     &cache_);
         res.records[i] = make_record(spec, eng.run(*runners[worker]));
         if (resume.on_complete) {
             std::lock_guard lock(complete_m);

@@ -81,6 +81,9 @@ struct DeviceSpec {
 /// run and the unsharded run is byte-identical by construction.
 DeviceSpec device_spec(const FleetOptions& opt, std::uint64_t gdi);
 
+/// The lifetime engine's configuration of device `spec` under `opt`.
+scenario::DeviceConfig device_config(const FleetOptions& opt, const DeviceSpec& spec);
+
 /// Number of devices in shard k of n: gdi belongs to shard gdi % n.
 std::uint64_t shard_device_count(std::uint64_t devices, unsigned k, unsigned n);
 

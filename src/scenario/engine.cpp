@@ -28,6 +28,24 @@ namespace {
 /// SweepRunner thread count.
 constexpr std::uint64_t kLinkStream = 0xB1E00000u;
 
+/// Governor tick: ladder level and derating freeze for this many block
+/// periods; struck blocks inside a chunk simulate in parallel, one pool
+/// task each.
+constexpr unsigned kChunkBlocks = 32;
+
+/// Lambda-aware DVFS derating (ladder only): when the estimated upset rate
+/// crosses kDerateLambdaOn [events/cycle], the device adds kDerateMarginV
+/// of supply margin — near-threshold SER falls steeply with voltage,
+/// modeled as a kDerateSerFactor multiplier on the strike probability — at
+/// the quadratic dynamic-energy cost the V/f model prescribes. Hysteresis
+/// via kDerateLambdaOff.
+constexpr double kDerateLambdaOn = 2e-7;
+constexpr double kDerateLambdaOff = 5e-8;
+constexpr double kDerateMarginV = 0.05;
+constexpr double kDerateSerFactor = 0.3;
+static_assert(kDerateLambdaOn > kDerateLambdaOff);
+static_assert(kDerateMarginV >= 0 && kDerateSerFactor > 0 && kDerateSerFactor <= 1);
+
 } // namespace
 
 CalibrationCache::Entry& CalibrationCache::get(
@@ -68,10 +86,6 @@ LifetimeEngine::LifetimeEngine(const Timeline& tl, const DeviceConfig& dc,
         cache_ = own_cache_.get();
     }
     ULPMC_EXPECTS(bench_ != nullptr);
-    ULPMC_EXPECTS(dc_.chunk_blocks >= 1);
-    ULPMC_EXPECTS(dc_.derate_lambda_on > dc_.derate_lambda_off);
-    ULPMC_EXPECTS(dc_.derate_margin_v >= 0 && dc_.derate_ser_factor > 0 &&
-                  dc_.derate_ser_factor <= 1);
 }
 
 LifetimeEngine::~LifetimeEngine() = default;
@@ -80,7 +94,7 @@ cluster::ClusterConfig LifetimeEngine::config_for(DegradeLevel level) const {
     cluster::ClusterConfig c = cluster::make_config(dc_.arch, bench_->layout().dm_layout());
     c.barrier_enabled = bench_->layout().use_barrier;
     c.engine = dc_.engine;
-    c.watchdog_cycles = dc_.watchdog_cycles;
+    c.watchdog_cycles = cluster::kWatchdogCycles;
     if (dc_.policy == Policy::Baseline) return c; // no-resilience device
     // Ladder protection floor: SEC-DED + IM scrub + register parity; the
     // TightProtect rung escalates to TMR, DM scrub and self-checking
@@ -128,15 +142,15 @@ const LevelCalibration& LifetimeEngine::calibrate(DegradeLevel level) {
     if (!calib_[idx]) {
         // Key: everything a calibration is a function of — the workload
         // cohort (benchmark seed + layout knobs), the level's cluster
-        // configuration (arch/policy/level/watchdog) and the governor's
-        // scheduling period. The engine tier is deliberately absent: the
+        // configuration (arch/policy/level) and the governor's scheduling
+        // period. The engine tier is deliberately absent: the
         // tiers are stat-identical, so it must not split the cache.
         std::ostringstream key;
         const app::BenchmarkOptions& bo = bench_->options();
         key << "seed=" << bo.seed << "|luts=" << bo.luts_shared << "|bar=" << bo.use_barrier
             << "|spill=" << bo.compiler_spills << "|arch=" << static_cast<int>(dc_.arch)
             << "|policy=" << static_cast<int>(dc_.policy) << "|level=" << idx
-            << "|wd=" << dc_.watchdog_cycles << "|period=" << tl_.block_period_s;
+            << "|period=" << tl_.block_period_s;
         calib_[idx] = &cache_->get(key.str(), [&] { return compute_calibration(level); });
     }
     return calib_[idx]->calibration();
@@ -165,6 +179,17 @@ std::uint64_t lifetime_blocks(const Timeline& tl, double max_days) {
     throw TimelineError(os.str());
 }
 
+Timeline load_lifetime_timeline(const std::string& path, double max_days,
+                                std::uint32_t* bytes_crc) {
+    Timeline tl = load_timeline(path, bytes_crc);
+    try {
+        lifetime_blocks(tl, max_days);
+    } catch (const TimelineError& e) {
+        throw TimelineError(path + ": " + e.what());
+    }
+    return tl;
+}
+
 LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool) {
     return run(pool, LifeResume{});
 }
@@ -185,10 +210,8 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
     rep.phases.resize(tl_.phases.size());
     for (std::size_t i = 0; i < tl_.phases.size(); ++i) rep.phases[i].name = tl_.phases[i].name;
 
-    BatteryConfig bat_cfg = dc_.battery;
-    bat_cfg.capacity_j = tl_.battery_j;
-    Battery battery(bat_cfg);
-    BleLink link(dc_.link, fault::mix_seed(dc_.seed, kLinkStream));
+    Battery battery({.capacity_j = tl_.battery_j, .initial_fraction = dc_.initial_charge});
+    BleLink link(LinkConfig{}, fault::mix_seed(dc_.seed, kLinkStream));
     fault::UpsetRateEstimator estimator;
     bool derated = false;
 
@@ -287,7 +310,7 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             }
         }
         ok = ok && !in.fail() && in.remaining() == 0 && next <= total_blocks &&
-             (next % dc_.chunk_blocks == 0 || next == total_blocks) &&
+             (next % kChunkBlocks == 0 || next == total_blocks) &&
              prev < tl_.phases.size();
         ULPMC_EXPECTS(ok);
         start_chunk = next;
@@ -320,9 +343,9 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
     const bool memo = dc_.engine != cluster::SimEngine::Reference;
 
     for (std::uint64_t chunk_start = start_chunk; chunk_start < total_blocks;
-         chunk_start += dc_.chunk_blocks) {
+         chunk_start += kChunkBlocks) {
         const std::uint64_t chunk_end =
-            std::min<std::uint64_t>(chunk_start + dc_.chunk_blocks, total_blocks);
+            std::min<std::uint64_t>(chunk_start + kChunkBlocks, total_blocks);
 
         // ---- governor tick: freeze the ladder level and the derating
         // decision for this chunk ---------------------------------------
@@ -331,10 +354,10 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
                                             : DegradeLevel::Full;
         if (dc_.policy == Policy::Ladder) {
             const double lam = estimator.lambda_hat();
-            if (!derated && lam > dc_.derate_lambda_on) derated = true;
-            if (derated && lam < dc_.derate_lambda_off) derated = false;
+            if (!derated && lam > kDerateLambdaOn) derated = true;
+            if (derated && lam < kDerateLambdaOff) derated = false;
         }
-        const double ser = derated ? dc_.derate_ser_factor : 1.0;
+        const double ser = derated ? kDerateSerFactor : 1.0;
 
         // ---- plan the chunk: per-block phase, effective level, and the
         // seeded strike decision and injection (independent of device
@@ -381,7 +404,7 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             cfg.engine = dc_.engine;
             cluster::Cluster& cl = cluster::pooled_cluster(cfg, bench_->image());
             bench_->load_inputs(cl, cfg.cores);
-            const Cycle bound = 4 * cal.clean_cycles + dc_.watchdog_cycles + 1000;
+            const Cycle bound = cluster::hang_bound(cfg, cal.clean_cycles);
             StruckOutcome& out = outcomes[j];
             if (job.clean) {
                 // Restore the rung below the strike, strike, then try to
@@ -443,7 +466,7 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             double derate_factor = 1.0;
             if (derated) {
                 const double v = cal.v_op;
-                derate_factor = ((v + dc_.derate_margin_v) / v) * ((v + dc_.derate_margin_v) / v);
+                derate_factor = ((v + kDerateMarginV) / v) * ((v + kDerateMarginV) / v);
                 ++pr.derated_blocks;
             }
             double e_compute = cal.energy_block_j * derate_factor;

@@ -39,7 +39,7 @@
 // classified. Restore and rejoin are exact by determinism, so a block
 // ends exactly where a fresh run from cycle 0 would. The reference tier
 // runs every struck block from cycle 0 instead: it is the oracle the memo
-// is diffed against. Device time advances in fixed chunks of `chunk_blocks`
+// is diffed against. Device time advances in fixed chunks of kChunkBlocks
 // block periods; the ladder level and derating decision freeze at each
 // chunk boundary (the governor's control tick), every strike is drawn
 // from a stream keyed by its global block index, outcomes are stored per
@@ -78,31 +78,15 @@ struct DeviceConfig {
     cluster::SimEngine engine = cluster::SimEngine::Trace;
     std::uint64_t seed = 1;
     Policy policy = Policy::Ladder;
-    /// Governor tick: ladder level and derating freeze for this many
-    /// block periods; struck blocks inside a chunk simulate in parallel,
-    /// one pool task each.
-    unsigned chunk_blocks = 32;
     /// Simulated lifetime in days; 0 = one pass of the timeline.
     double max_days = 0;
-    LinkConfig link{};
-    /// Battery thresholds; capacity_j is overridden by the timeline.
-    BatteryConfig battery{};
-    /// Lambda-aware DVFS derating (ladder only): when the estimated upset
-    /// rate crosses `derate_lambda_on` [events/cycle], the device adds
-    /// `derate_margin_v` of supply margin — near-threshold SER falls
-    /// steeply with voltage, modeled as a `derate_ser_factor` multiplier
-    /// on the strike probability — at the quadratic dynamic-energy cost
-    /// the V/f model prescribes. Hysteresis via `derate_lambda_off`.
-    double derate_lambda_on = 2e-7;
-    double derate_lambda_off = 5e-8;
-    double derate_margin_v = 0.05;
-    double derate_ser_factor = 0.3;
+    /// Battery charge fraction at t = 0. The capacity is the timeline's;
+    /// the link and the brownout thresholds are their defaults.
+    double initial_charge = 1.0;
     /// State-of-charge rungs of the degradation ladder (ladder policy
     /// only). Defaults are the hand-set thresholds every pre-fleet
     /// experiment used; bench/ext_fleet_ladder sweeps them.
     LadderThresholds thresholds{};
-    /// Watchdog window for every simulated cluster (hangs become traps).
-    Cycle watchdog_cycles = 20'000;
 };
 
 /// Accumulated over every block a timeline phase governed (cycled passes
@@ -233,6 +217,12 @@ private:
 /// the fleet merge's record check share. Throws TimelineError when the
 /// run is shorter than one block period or spans 2^64 or more of them.
 std::uint64_t lifetime_blocks(const Timeline& tl, double max_days);
+
+/// load_timeline(path, bytes_crc), then lifetime_blocks(tl, max_days): the
+/// timeline a lifetime or fleet run of `max_days` loads. Every
+/// TimelineError it throws names `path` once.
+Timeline load_lifetime_timeline(const std::string& path, double max_days,
+                                std::uint32_t* bytes_crc = nullptr);
 
 /// Runs one device lifetime. The per-level calibrations are cached inside
 /// the engine, so running both policies through one instance shares them;

@@ -127,7 +127,11 @@ Timeline load_timeline(const std::string& path, std::uint32_t* bytes_crc) {
     const std::string text = bytes.str();
     if (bytes_crc) *bytes_crc = crc32(text.data(), text.size());
     std::istringstream parsed(text);
-    return parse_timeline(parsed);
+    try {
+        return parse_timeline(parsed);
+    } catch (const TimelineError& e) {
+        throw TimelineError(path + ": " + e.what());
+    }
 }
 
 } // namespace ulpmc::scenario

@@ -64,7 +64,7 @@ struct Timeline {
 Timeline parse_timeline(std::istream& in);
 
 /// Loads and parses `path`. Throws TimelineError (including for an
-/// unreadable or empty file). When `bytes_crc` is given it receives the
+/// unreadable or empty file) whose message starts with `path`. When `bytes_crc` is given it receives the
 /// CRC32 of exactly the bytes parsed, which is what a run journal binds
 /// to (DESIGN.md §9.6): re-reading the file could see different bytes.
 Timeline load_timeline(const std::string& path, std::uint32_t* bytes_crc = nullptr);

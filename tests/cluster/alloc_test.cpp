@@ -138,7 +138,7 @@ TEST(ZeroAlloc, LifetimeMemoStruckBlockLoopIsHeapFree) {
     const app::EcgBenchmark bench;
     auto cfg = cluster::make_config(cluster::ArchKind::UlpmcBank, bench.layout().dm_layout());
     cfg.barrier_enabled = bench.layout().use_barrier;
-    cfg.watchdog_cycles = 20'000;
+    cfg.watchdog_cycles = cluster::kWatchdogCycles;
     cfg.ecc_enabled = true;
     cfg.reg_protection = core::RegProtection::Parity;
 
@@ -146,7 +146,7 @@ TEST(ZeroAlloc, LifetimeMemoStruckBlockLoopIsHeapFree) {
     bench.load_inputs(capture, cfg.cores);
     const cluster::CleanRun memo(capture);
     const Cycle clean = memo.cycles();
-    const Cycle bound = 4 * clean + cfg.watchdog_cycles + 1000;
+    const Cycle bound = cluster::hang_bound(cfg, clean);
 
     // Blocks struck as the lifetime universe draws them.
     fault::FaultUniverse u;

@@ -138,7 +138,7 @@ TEST(CampaignEngines, OneShotLockstepCyclesAreTheRungPrefixPlusTheCreditedTail) 
     auto ccfg = cluster::make_config(cluster::ArchKind::UlpmcBank, bench.layout().dm_layout());
     ccfg.barrier_enabled = bench.layout().use_barrier;
     ccfg.ecc_enabled = cfg.ecc;
-    ccfg.watchdog_cycles = cfg.watchdog_cycles;
+    ccfg.watchdog_cycles = cluster::kWatchdogCycles;
     const auto fresh = [&] {
         auto cl = std::make_unique<cluster::Cluster>(ccfg, bench.image());
         bench.load_inputs(*cl, ccfg.cores);
@@ -160,9 +160,7 @@ TEST(CampaignEngines, OneShotLockstepCyclesAreTheRungPrefixPlusTheCreditedTail) 
             cl->save(rung[r]);
         }
     }
-    const auto bound =
-        static_cast<Cycle>(cfg.max_cycles_factor * static_cast<double>(clean_cycles)) +
-        cfg.watchdog_cycles + 1000;
+    const Cycle bound = cluster::hang_bound(ccfg, clean_cycles);
 
     unsigned rejoined = 0, walked = 0;
     for (std::size_t i = 0; i < res.runs.size(); ++i) {

@@ -36,7 +36,7 @@ cluster::ClusterConfig shape_config(const app::EcgBenchmark& bench, Shape shape,
         cluster::make_config(cluster::ArchKind::UlpmcBank, bench.layout().dm_layout());
     c.barrier_enabled = bench.layout().use_barrier;
     c.engine = engine;
-    c.watchdog_cycles = 20'000;
+    c.watchdog_cycles = cluster::kWatchdogCycles;
     if (shape == Shape::Baseline) return c;
     c.ecc_enabled = true;
     c.im_scrub = true;
@@ -135,7 +135,7 @@ void check_shape(Shape shape, cluster::SimEngine capture, cluster::SimEngine tie
     const Cycle clean_cycles = memo.cycles();
 
     const auto specs = strike_batch(bench, cfg.cores, clean_cycles, memo.rung_cycle(5), seed);
-    const Cycle bound = 4 * clean_cycles + cfg.watchdog_cycles + 1000;
+    const Cycle bound = cluster::hang_bound(cfg, clean_cycles);
     unsigned rejoined = 0, walked = 0;
     bool any_unverified = false;
     for (const FaultSpec& f : specs) {

@@ -13,7 +13,7 @@ namespace {
 
 cluster::ClusterConfig stream_config(const StreamingBenchmark& s) {
     auto cfg = cluster::make_config(cluster::ArchKind::UlpmcBank, s.base().layout().dm_layout());
-    cfg.watchdog_cycles = 20'000;
+    cfg.watchdog_cycles = cluster::kWatchdogCycles;
     return cfg;
 }
 

@@ -31,7 +31,7 @@ cluster::ClusterConfig memo_config(const StreamingBenchmark& s, core::RegProtect
         cluster::make_config(cluster::ArchKind::UlpmcBank, s.base().layout().dm_layout());
     c.ecc_enabled = true;
     c.reg_protection = prot;
-    c.watchdog_cycles = 20'000;
+    c.watchdog_cycles = cluster::kWatchdogCycles;
     c.engine = cluster::SimEngine::Batched;
     return c;
 }

@@ -116,6 +116,7 @@ foreach(k 0 1 2)
 endforeach()
 # Usage errors exit 2 before any worker spawns.
 rejects(2 "--chaos" "stalls without kills" "${FARM}" ${SPEC} ${WORKERS} --chaos stalls=2)
+rejects(2 "--chaos" "kills past 2^32" "${FARM}" ${SPEC} ${WORKERS} --chaos kills=4294967297)
 rejects(2 "--backoff" "backoff base above max" "${FARM}" ${SPEC} ${WORKERS} --backoff 2/1)
 rejects(2 "--workers" "zero workers" "${FARM}" ${SPEC} --fleet-bin "${FLEET}" --workers 0)
 rejects(2 "--worker-threads" "negative worker threads"

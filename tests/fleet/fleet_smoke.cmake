@@ -40,7 +40,8 @@ function(fleet)
 endfunction()
 
 # Requires ulpmc-fleet with the spec options plus ARGN to exit 2 with a
-# one-line diagnostic, writing neither artifact nor journal.
+# one-line diagnostic, writing neither artifact nor journal. The
+# diagnostic is left in `rejected_err`.
 function(rejects why)
   set(outputs rejected.json rejected.ulpf rejected.jnl)
   foreach(f ${outputs})
@@ -63,6 +64,7 @@ function(rejects why)
     endif()
   endforeach()
   message(STATUS "rejected (${why}): ${err}")
+  set(rejected_err "${err}" PARENT_SCOPE)
 endfunction()
 
 # ---- thread and engine invariance --------------------------------------
@@ -134,6 +136,11 @@ set(SPEC --timeline corrupt_timeline.txt --devices 64 --cohorts 2)
 rejects("corrupt timeline")
 set(SPEC --timeline no-such-timeline.txt --devices 64 --cohorts 2)
 rejects("missing timeline")
+string(REGEX MATCHALL "no-such-timeline" named "${rejected_err}")
+list(LENGTH named named)
+if(NOT named EQUAL 1)
+  message(FATAL_ERROR "missing timeline: the path should be named once, got: ${rejected_err}")
+endif()
 set(SPEC --timeline "${TIMELINE}" --devices -1 --cohorts 2)
 rejects("negative device count")
 # A run must span at least one and fewer than 2^64 block periods.
@@ -160,6 +167,18 @@ if(DEFINED PYTHON AND DEFINED SOURCE)
   expect_exit(pass "shard store vs its JSON" ${READ} shard0.ulpf --check shard0.json)
   expect_exit(pass "merged store vs the unsharded JSON" ${READ} merged.ulpf --check whole.json)
   gate(pass "fleet baseline against itself" "${BASE}" "${BASE}")
+  # The gate compares the deterministic subtrees exactly and needs the
+  # throughput section: a re-serialized copy passes, and one changed
+  # digit, spec field or missing section fails.
+  perturb(reserialized "${BASE}" "pass")
+  perturb(last_digit "${BASE}"
+          "d['aggregate']['delivered_fraction'] = round(d['aggregate']['delivered_fraction'] + 1e-6, 6)")
+  perturb(other_seed "${BASE}" "d['fleet']['seed'] += 1")
+  perturb(no_throughput "${BASE}" "del d['throughput']")
+  gate(pass "re-serialized fleet baseline" "${BASE}" reserialized.json)
+  gate(fail "aggregate number off in its last digit" "${BASE}" last_digit.json)
+  gate(fail "fleet spec field changed" "${BASE}" other_seed.json)
+  gate(fail "no throughput section" "${BASE}" no_throughput.json)
 
   file(WRITE "${WORK}/corrupt.json" "{\"fleet\": {")
   file(WRITE "${WORK}/hollow.json" "{\"not\": \"a fleet artifact\"}")

@@ -132,7 +132,7 @@ std::string dense_json(cluster::SimEngine engine, unsigned threads, Policy polic
     dc.seed = 5;
     dc.engine = engine;
     dc.policy = policy;
-    dc.battery.initial_fraction = 0.2;
+    dc.initial_charge = 0.2;
     LifetimeEngine eng(parse_timeline(in), dc);
     sweep::SweepRunner pool(threads);
     const LifetimeReport rep = eng.run(pool);
@@ -173,7 +173,7 @@ TEST(Lifetime, ReferenceDeviceOnATraceWarmedCacheGivesTheSameBytes) {
             dc.seed = 5;
             dc.engine = engine;
             dc.policy = policy;
-            dc.battery.initial_fraction = 0.2;
+            dc.initial_charge = 0.2;
             LifetimeEngine eng(parse_timeline(in), dc, bench, &cache);
             sweep::SweepRunner pool(2);
             return as_json(eng.run(pool));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 namespace ulpmc::scenario {
@@ -79,8 +81,20 @@ TEST(Timeline, ErrorsNameTheLine) {
     }
 }
 
-TEST(Timeline, LoadRejectsMissingFile) {
-    EXPECT_THROW(load_timeline("/nonexistent/timeline.txt"), TimelineError);
+TEST(Timeline, LoadErrorsNameThePathOnce) {
+    const std::string corrupt = ::testing::TempDir() + "corrupt_timeline.txt";
+    std::ofstream(corrupt) << "phase a 10 lambda=oops\n";
+    for (const std::string& path : {std::string("/nonexistent/timeline.txt"), corrupt}) {
+        try {
+            load_timeline(path);
+            FAIL() << "expected TimelineError for " << path;
+        } catch (const TimelineError& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind(path + ": ", 0), 0u) << what;
+            EXPECT_EQ(what.find(path, path.size()), std::string::npos) << what;
+        }
+    }
+    std::remove(corrupt.c_str());
 }
 
 } // namespace

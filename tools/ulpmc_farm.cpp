@@ -62,7 +62,8 @@ void usage(std::ostream& os) {
           "                  [--chaos kills=K[,stalls=S][,seed=N]]\n";
 }
 
-/// kills=K[,stalls=S][,seed=N], any order, each key at most once.
+/// kills=K[,stalls=S][,seed=N], any order, each key at most once; K and S
+/// share --retries' bound.
 bool parse_chaos(const std::string& spec, ulpmc::fleet::FarmOptions& opt) {
     std::set<std::string> keys;
     std::size_t start = 0;
@@ -76,15 +77,12 @@ bool parse_chaos(const std::string& spec, ulpmc::fleet::FarmOptions& opt) {
         if (eq == std::string::npos) return false;
         const std::string key = part.substr(0, eq);
         if (!keys.insert(key).second) return false;
-        std::uint64_t v = 0;
-        if (!parse_u64(part.substr(eq + 1), v)) return false;
+        const std::string value = part.substr(eq + 1);
         if (key == "kills") {
-            opt.chaos_kills = static_cast<unsigned>(v);
+            if (!parse_count(value, 0, 10000, opt.chaos_kills)) return false;
         } else if (key == "stalls") {
-            opt.chaos_stalls = static_cast<unsigned>(v);
-        } else if (key == "seed") {
-            opt.chaos_seed = v;
-        } else {
+            if (!parse_count(value, 0, 10000, opt.chaos_stalls)) return false;
+        } else if (key != "seed" || !parse_u64(value, opt.chaos_seed)) {
             return false;
         }
     }

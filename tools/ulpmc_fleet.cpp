@@ -275,10 +275,9 @@ int main(int argc, char** argv) {
     ulpmc::scenario::Timeline tl;
     std::uint32_t tl_crc = 0; // the journal must not resume against an edited script
     try {
-        tl = ulpmc::scenario::load_timeline(timeline_path, &tl_crc);
-        ulpmc::scenario::lifetime_blocks(tl, opt.days); // rejects a run of no or 2^64+ blocks
+        tl = ulpmc::scenario::load_lifetime_timeline(timeline_path, opt.days, &tl_crc);
     } catch (const ulpmc::scenario::TimelineError& e) {
-        std::cerr << timeline_path << ": " << e.what() << "\n";
+        std::cerr << e.what() << "\n";
         return 2;
     }
     std::string tl_name = timeline_path;

@@ -161,10 +161,9 @@ int main(int argc, char** argv) {
     ulpmc::scenario::Timeline tl;
     std::uint32_t tl_crc = 0;
     try {
-        tl = ulpmc::scenario::load_timeline(timeline_path, &tl_crc);
-        ulpmc::scenario::lifetime_blocks(tl, days); // rejects a run of no or 2^64+ blocks
+        tl = ulpmc::scenario::load_lifetime_timeline(timeline_path, days, &tl_crc);
     } catch (const ulpmc::scenario::TimelineError& e) {
-        std::cerr << timeline_path << ": " << e.what() << "\n";
+        std::cerr << e.what() << "\n";
         return 2;
     }
 
@@ -199,12 +198,8 @@ int main(int argc, char** argv) {
     for (const Policy policy : {Policy::Ladder, Policy::Baseline}) {
         if (policy == Policy::Ladder && !ladder) continue;
         if (policy == Policy::Baseline && !baseline) continue;
-        ulpmc::scenario::DeviceConfig dc;
-        dc.seed = seed;
-        dc.engine = engine;
-        dc.policy = policy;
-        dc.max_days = days;
-        ulpmc::scenario::LifetimeEngine eng(tl, dc);
+        ulpmc::scenario::LifetimeEngine eng(
+            tl, {.engine = engine, .seed = seed, .policy = policy, .max_days = days});
         ulpmc::scenario::LifeResume hooks;
         const auto pol = static_cast<std::uint8_t>(policy);
         if (journal) hooks.state = replay_state[pol];
