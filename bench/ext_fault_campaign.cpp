@@ -142,8 +142,12 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::uint64_t v = 0;
-        if (arg == "--injections" && i + 1 < argc && parse_u64(argv[++i], v) && v >= 1) {
-            cfg.injections = static_cast<unsigned>(v);
+        if (arg == "--injections" && i + 1 < argc) {
+            if (!parse_count(argv[++i], 1, fault::kMaxInjections, cfg.injections)) {
+                std::cerr << "--injections: expected a count in [1, " << fault::kMaxInjections
+                          << "]\n";
+                return 2;
+            }
         } else if (arg == "--seed" && i + 1 < argc && parse_u64(argv[++i], v)) {
             cfg.seed = v;
         } else if (arg == "--json" && i + 1 < argc) {

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     }
 
     // Fleet arm: shared benchmarks, shared calibration cache, pooled
-    // clusters, work-stealing schedule.
+    // clusters, one shared-cursor pool.
     fleet::FleetEngine eng(tl, opt);
     const fleet::FleetResult res = eng.run();
     fleet::print_summary(std::cout, opt, res);
@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
         out << "    \"fleet_wall_s\": " << res.wall_s << ",\n";
         out << "    \"device_hours_per_s\": " << res.device_hours / fleet_wall << ",\n";
         out << "    \"workers\": " << res.sched.workers << ",\n";
-        out << "    \"steals\": " << res.sched.steals << ",\n";
         out << "    \"calibrations\": " << res.calibrations << ",\n";
         out << "    \"naive_devices\": " << naive_devices << ",\n";
         out << "    \"naive_wall_s\": " << naive_wall << ",\n";

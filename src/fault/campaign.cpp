@@ -65,11 +65,8 @@ Workspace& workspace() {
     return ws;
 }
 
-/// One-shot outcome classification, shared by the Trace and Batched paths
-/// so their tables are byte-identical by construction. `view` is the
-/// cluster embodying the injection's final state; `st` its (materialized)
-/// statistics — the same object for a plain run; the clean final state and
-/// the credited statistics for a rejoined one.
+} // namespace
+
 void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats& st,
                       const app::EcgBenchmark& bench, unsigned cores, InjectionRecord& rec) {
     rec.ecc_corrected = st.ecc_corrected();
@@ -102,6 +99,8 @@ void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats&
         rec.outcome = Outcome::Sdc;
     }
 }
+
+namespace {
 
 /// The divergence bucket a fault kind's injection is counted in.
 cluster::PeelReason peel_reason_of(FaultKind k) {

@@ -35,7 +35,9 @@
 
 #include "app/benchmark.hpp"
 #include "app/streaming.hpp"
+#include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
+#include "cluster/stats.hpp"
 #include "core/state.hpp"
 #include "fault/fault.hpp"
 #include "sweep/sweep.hpp"
@@ -52,6 +54,12 @@ const char* outcome_name(Outcome o);
 /// run_adaptive_campaign's two-phase strike environment: the quiet lead
 /// spans this fraction of the fault-free schedule, the burst tail the rest.
 inline constexpr double kLambdaSplit = 0.75;
+
+/// Largest campaign a command-line driver accepts (`ext_fault_campaign
+/// --injections`, `ext_fault_adaptive --runs`): a campaign keeps one
+/// InjectionRecord per injection in memory, and a larger count is a typo,
+/// not a measurement.
+inline constexpr unsigned kMaxInjections = 1'000'000;
 
 struct CampaignConfig {
     std::uint64_t seed = 1;
@@ -118,6 +126,17 @@ struct InjectionRecord {
     /// Per-PeelReason divergence breakdown of this injection.
     std::array<std::uint64_t, cluster::kPeelReasonCount> batch_peel_reasons{};
 };
+
+/// One-shot outcome classification, shared by every one-shot campaign
+/// path and by the lifetime engine's struck blocks, so their verdicts
+/// agree by construction. `view` is the cluster embodying the
+/// injection's final state; `st` its (materialized) statistics — the same
+/// object for a plain run; the clean final state and the credited
+/// statistics for a rejoined one. Any core still running is a Hang, else
+/// any trap is Trapped; only then does `bench.verify` run, splitting
+/// RolledBack / Corrected / Latent / Masked from Sdc.
+void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats& st,
+                      const app::EcgBenchmark& bench, unsigned cores, InjectionRecord& rec);
 
 struct CampaignResult {
     cluster::ArchKind arch{};

@@ -7,6 +7,7 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
+#include "sweep/sweep.hpp"
 
 namespace ulpmc::fleet {
 
@@ -128,18 +129,12 @@ FleetResult FleetEngine::run(const FleetResume& resume) {
     FleetResult res;
     res.records.resize(count);
 
-    WorkStealingPool pool(opt_.threads);
-    // One sequential SweepRunner per worker: the lifetime engine's
-    // struck-block fan-out runs caller-only inside a fleet worker (the
-    // fleet already saturates the machine at device granularity).
-    std::vector<std::unique_ptr<sweep::SweepRunner>> runners;
-    runners.reserve(pool.threads());
-    for (unsigned i = 0; i < pool.threads(); ++i)
-        runners.push_back(std::make_unique<sweep::SweepRunner>(1));
+    sweep::SweepRunner pool(opt_.threads);
+    res.sched.workers = pool.threads();
 
     const auto t0 = std::chrono::steady_clock::now();
     std::mutex complete_m;
-    res.sched = pool.run(count, [&](std::uint64_t i, unsigned worker) {
+    pool.for_each_index(count, [&](std::size_t i) {
         const std::uint64_t gdi = opt_.shard_k + i * opt_.shard_n;
         if (resume.lookup) {
             DeviceRecord replayed;
@@ -154,7 +149,11 @@ FleetResult FleetEngine::run(const FleetResume& resume) {
         const DeviceSpec spec = device_spec(opt_, gdi);
         scenario::LifetimeEngine eng(tl_, device_config(opt_, spec), benches_[spec.cohort],
                                      &cache_);
-        res.records[i] = make_record(spec, eng.run(*runners[worker]));
+        // The lifetime's struck-block fan-out runs caller-only: the fleet
+        // already saturates the machine at device granularity, and a
+        // one-thread runner spawns no thread.
+        sweep::SweepRunner inner(1);
+        res.records[i] = make_record(spec, eng.run(inner));
         if (resume.on_complete) {
             std::lock_guard lock(complete_m);
             resume.on_complete(res.records[i]);
@@ -162,8 +161,8 @@ FleetResult FleetEngine::run(const FleetResume& resume) {
     });
     res.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-    // Aggregate strictly in ascending gdi order — the scheduler's
-    // execution order never reaches the artifact.
+    // Aggregate strictly in ascending gdi order — the pool's execution
+    // order never reaches the artifact.
     for (const DeviceRecord& r : res.records) res.aggregate.add(r);
     res.calibrations = cache_.size();
     res.device_hours =

@@ -32,7 +32,6 @@
 
 #include "cluster/config.hpp"
 #include "common/journal.hpp"
-#include "fleet/scheduler.hpp"
 #include "fleet/sketch.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/timeline.hpp"
@@ -154,7 +153,14 @@ struct FleetResult {
     /// This shard's records, ascending gdi (the store payload).
     std::vector<DeviceRecord> records;
     FleetAggregate aggregate;
-    WorkStealingPool::Stats sched;
+    /// Pool shape: instrumentation for the human summary and ext_fleet's
+    /// throughput subtree, never the deterministic artifact.
+    struct Sched {
+        unsigned workers = 0; ///< pool threads, the caller included
+        /// Always 0: the shared-cursor pool never steals. Kept only for
+        /// perfbench's informational `fleet.steals`, which reads it.
+        std::uint64_t steals = 0;
+    } sched;
     std::size_t calibrations = 0; ///< distinct cache entries computed
     double wall_s = 0;            ///< host wall time (never in JSON artifacts)
     double device_hours = 0;      ///< simulated device-hours executed
@@ -162,7 +168,7 @@ struct FleetResult {
 
 /// Runs this shard of the fleet. Construction builds the cohort
 /// benchmarks (sequential, deterministic); run() executes the shard's
-/// devices over the work-stealing pool and aggregates in gdi order.
+/// devices on one sweep::SweepRunner and aggregates in gdi order.
 class FleetEngine {
 public:
     FleetEngine(const scenario::Timeline& tl, const FleetOptions& opt);

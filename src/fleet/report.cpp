@@ -113,8 +113,7 @@ void print_summary(std::ostream& os, const FleetOptions& opt, const FleetResult&
        << "\n";
     os << "throughput: " << res.device_hours << " device-hours in " << std::setprecision(3)
        << res.wall_s << " s wall (" << res.device_hours / (res.wall_s > 0 ? res.wall_s : 1.0)
-       << " device-hours/sec), " << res.sched.workers << " workers, " << res.sched.steals
-       << " steals (" << res.sched.stolen_tasks << " devices moved), " << res.calibrations
+       << " device-hours/sec), " << res.sched.workers << " workers, " << res.calibrations
        << " calibrations\n";
     os << std::setprecision(6);
 }

@@ -6,7 +6,7 @@
 // counts, scheduler stats or the simulator tier. The fleet smoke test
 // diffs the bytes across thread counts, engine tiers and `--merge`d
 // shard sets. Host-dependent numbers (wall time, device-hours/sec,
-// steals) go to the human summary on stdout only.
+// workers) go to the human summary on stdout only.
 #pragma once
 
 #include <iosfwd>

@@ -7,6 +7,7 @@
 #include "cluster/pool.hpp"
 #include "common/assert.hpp"
 #include "common/serial.hpp"
+#include "fault/campaign.hpp"
 #include "fault/estimator.hpp"
 #include "fault/fault.hpp"
 #include "power/calibration.hpp"
@@ -423,15 +424,15 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             } else {
                 fault::FaultInjector::run_with_fault(cl, job.spec, bound);
             }
-            out.events = cl.stats().upset_events();
-            bool any_running = false, any_trap = false;
-            for (unsigned p = 0; p < cfg.cores; ++p) {
-                const auto pid = static_cast<CoreId>(p);
-                if (cl.core_trap(pid) != core::Trap::None) any_trap = true;
-                else if (!cl.core_halted(pid)) any_running = true;
-            }
-            out.trapped = any_trap || any_running;
-            out.ok = !out.trapped && bench_->verify(cl, cfg.cores);
+            const cluster::ClusterStats& st = cl.stats();
+            out.events = st.upset_events();
+            fault::InjectionRecord rec;
+            fault::classify_oneshot(cl, st, *bench_, cfg.cores, rec);
+            out.trapped = rec.outcome == fault::Outcome::Hang ||
+                          rec.outcome == fault::Outcome::Trapped;
+            out.ok = rec.outcome == fault::Outcome::Masked ||
+                     rec.outcome == fault::Outcome::Latent ||
+                     rec.outcome == fault::Outcome::Corrected;
         });
 
         // ---- apply the chunk in strict block order ---------------------

@@ -48,14 +48,18 @@ void SweepRunner::drain(Batch& b) {
         } catch (...) {
             err = std::current_exception();
         }
-        std::lock_guard lk(m_);
-        if (err && !b.error) b.error = err;
-        ++b.done;
+        if (err) {
+            std::lock_guard lk(m_);
+            if (!b.error) b.error = err;
+            // Abandon the batch: no thread claims a new index after the
+            // first failure; calls already running finish.
+            b.next.store(b.count, std::memory_order_relaxed);
+        }
     }
     std::lock_guard lk(m_);
     ULPMC_ASSERT(b.attached > 0);
     --b.attached;
-    if (b.done == b.count && b.attached == 0) done_cv_.notify_all();
+    if (b.attached == 0) done_cv_.notify_all();
 }
 
 void SweepRunner::for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn) {
@@ -75,10 +79,12 @@ void SweepRunner::for_each_index(std::size_t n, const std::function<void(std::si
     {
         // Wait for stragglers: a worker may still be inside its last
         // iteration (or between claiming the batch and finding it empty).
-        // `attached == 0` guarantees no thread still touches `b`, which
+        // The caller's drain returned, so every index is claimed (or the
+        // batch was abandoned); `attached == 0` then guarantees every
+        // claimed call returned and no thread still touches `b`, which
         // lives on this stack frame.
         std::unique_lock lk(m_);
-        done_cv_.wait(lk, [&] { return b.done == b.count && b.attached == 0; });
+        done_cv_.wait(lk, [&] { return b.attached == 0; });
         current_ = nullptr;
     }
     if (b.error) std::rethrow_exception(b.error);

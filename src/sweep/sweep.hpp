@@ -12,7 +12,11 @@
 //
 // The pool is general-purpose: run() covers the common program-vs-configs
 // sweep, map()/for_each_index() cover callers that build their own per-
-// point work (e.g. whole EcgBenchmark runs, power-model evaluation).
+// point work (e.g. whole EcgBenchmark runs, power-model evaluation). It is
+// the repo's one pool: fault campaigns, a lifetime's struck-block fan-out
+// and a fleet's devices (DESIGN.md §13 "One pool") all run on it. Threads
+// claim one index at a time from a shared atomic cursor, so uneven
+// per-index cost balances without any initial deal of the index space.
 #pragma once
 
 #include <atomic>
@@ -71,9 +75,10 @@ public:
     unsigned threads() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
     /// Invokes `fn(i)` for every i in [0, n), distributed over the pool.
-    /// Blocks until all calls returned. The first exception thrown by any
-    /// call is rethrown here (the batch still drains fully). Not
-    /// reentrant: `fn` must not call back into the same runner.
+    /// Blocks until all calls returned. After the first exception thrown
+    /// by any call, no thread claims a new index: calls already running
+    /// finish, then that exception is rethrown here. Not reentrant: `fn`
+    /// must not call back into the same runner.
     void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
     /// Parallel transform preserving input order: out[i] = fn(items[i]).
@@ -93,12 +98,11 @@ public:
 
 private:
     /// One in-flight batch; lives on for_each_index()'s stack. `next` is
-    /// the lock-free work-stealing cursor; the rest is guarded by m_.
+    /// the lock-free shared claim cursor; the rest is guarded by m_.
     struct Batch {
         const std::function<void(std::size_t)>* fn = nullptr;
         std::size_t count = 0;
         std::atomic<std::size_t> next{0};
-        std::size_t done = 0;      ///< indices fully executed
         unsigned attached = 0;     ///< threads currently draining
         std::exception_ptr error;  ///< first failure, rethrown by caller
     };

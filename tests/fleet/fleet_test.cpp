@@ -1,13 +1,15 @@
 // Fleet determinism contract (DESIGN.md §13): the JSON artifact is a pure
-// function of (timeline, FleetOptions) — byte-identical across scheduler
+// function of (timeline, FleetOptions) — byte-identical across pool
 // thread counts and simulator engine tiers; shard splits merge back to
 // the same bytes (farm_test.cpp). tests/fleet/fleet_smoke.cmake re-checks
 // both end-to-end through the ulpmc-fleet binary.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -100,7 +102,6 @@ TEST(Fleet, RecordsAscendGdiAndMatchSpecs) {
         EXPECT_GT(r.energy_nj, 0u);
         EXPECT_GT(r.samples_total, 0u);
     }
-    EXPECT_EQ(res.sched.executed, opt.devices);
     EXPECT_GT(res.calibrations, 0u);
 }
 
@@ -185,6 +186,32 @@ TEST(Fleet, FullyJournaledShardSimulatesNothing) {
     const FleetResult res = eng.run(hooks);
     EXPECT_EQ(render(opt, res.aggregate, res.records.size()),
               render(opt, ref.aggregate, ref.records.size()));
+}
+
+TEST(Fleet, FailingCompletionHookStopsTheRun) {
+    // A failing journal append (or a preemption thrown from lookup) must
+    // stop the run: the pool claims no further device after the first
+    // exception, so a disk-full append does not simulate the rest.
+    FleetOptions opt = base_options();
+    opt.devices = 32;
+    const scenario::Timeline tl = timeline();
+    std::atomic<std::uint64_t> lookups{0};
+    bool first = true;
+    FleetResume hooks;
+    hooks.lookup = [&](std::uint64_t, DeviceRecord&) {
+        ++lookups;
+        return false;
+    };
+    hooks.on_complete = [&](const DeviceRecord&) { // serialized by the engine
+        if (first) {
+            first = false;
+            throw std::runtime_error("journal append failed");
+        }
+    };
+    FleetEngine eng(tl, opt);
+    EXPECT_THROW(eng.run(hooks), std::runtime_error);
+    // Each worker may finish the device it holds; none starts the rest.
+    EXPECT_LT(lookups.load(), opt.devices / 4);
 }
 
 TEST(Fleet, ShardArtifactCarriesShardKey) {

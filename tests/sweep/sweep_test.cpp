@@ -1,11 +1,13 @@
 // SweepRunner: deterministic input-order results, thread-count
-// equivalence, exception propagation, and the degenerate cases.
+// equivalence, exception propagation (the batch is abandoned at the first
+// failure), and the degenerate cases.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -75,7 +77,40 @@ TEST(SweepRunner, EmptyBatchIsANoOp) {
     EXPECT_TRUE(out.empty());
 }
 
-TEST(SweepRunner, ExceptionPropagatesAfterBatchDrains) {
+TEST(SweepRunner, SingleThreadRunsOnCallerInIndexOrder) {
+    // The fleet gives every device's lifetime fan-out a SweepRunner(1):
+    // it must spawn no thread and run the batch as a plain loop.
+    sweep::SweepRunner pool(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    pool.for_each_index(50, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    ASSERT_EQ(order.size(), 50u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SweepRunner, FirstExceptionAbandonsUnclaimedIndices) {
+    // After the first exception no thread claims a new index: a fleet's
+    // preemption or failing journal append stops the run instead of
+    // simulating every remaining device.
+    sweep::SweepRunner pool(1);
+    std::vector<std::size_t> called;
+    EXPECT_THROW(pool.for_each_index(10,
+                                     [&](std::size_t i) {
+                                         called.push_back(i);
+                                         if (i == 3) throw std::runtime_error("index 3 failed");
+                                     }),
+                 std::runtime_error);
+    EXPECT_EQ(called, (std::vector<std::size_t>{0, 1, 2, 3}));
+    // The abandoned batch leaves the pool reusable.
+    std::size_t n = 0;
+    pool.for_each_index(10, [&](std::size_t) { ++n; });
+    EXPECT_EQ(n, 10u);
+}
+
+TEST(SweepRunner, FirstExceptionPropagatesAndPoolStaysUsable) {
     sweep::SweepRunner pool(2);
     EXPECT_THROW(pool.for_each_index(
                      16, [](std::size_t i) {

@@ -2,8 +2,9 @@
 //
 // Runs a fleet of heterogeneous device lifetimes — per-device
 // architecture, resilience policy, workload cohort, initial charge and
-// seed all derived from the global device index — over a work-stealing
-// pool, with shared cohort benchmarks and a shared calibration cache.
+// seed all derived from the global device index — over one
+// sweep::SweepRunner, with shared cohort benchmarks and a shared
+// calibration cache.
 // The JSON artifact is deterministic: byte-identical across thread
 // counts, simulator engine tiers, and shard splits (--merge over the K
 // shard stores reproduces the unsharded JSON and store bytes).
@@ -394,8 +395,9 @@ int main(int argc, char** argv) {
     try {
         res = engine.run(hooks);
     } catch (const ulpmc::Preempted&) {
-        // In-flight devices finished and journaled before the pool
-        // drained; everything else resumes from the journal next run.
+        // The pool claimed no device after the throw; in-flight devices
+        // finished and journaled before run() rethrew. Everything else
+        // resumes from the journal next run.
         stop_heartbeat();
         if (journal)
             std::cerr << "preempted: " << completed.load()

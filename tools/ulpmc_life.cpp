@@ -71,6 +71,7 @@ std::vector<std::uint8_t> meta_payload(std::uint64_t seed, double days,
 } // namespace
 
 int main(int argc, char** argv) {
+    using ulpmc::parse_count;
     using ulpmc::parse_double;
     using ulpmc::parse_u64;
     using ulpmc::scenario::Policy;
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
     std::string journal_path;
     bool resume = false;
     std::uint64_t seed = 1;
-    std::uint64_t threads = 0;
+    unsigned threads = 0;
     double days = 0;
     ulpmc::cluster::SimEngine engine = ulpmc::cluster::SimEngine::Trace;
     bool ladder = true, baseline = true;
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg == "--threads") {
-            if (!parse_u64(value("--threads"), threads) || threads > 1024) {
+            if (!parse_count(value("--threads"), 0, 1024, threads)) {
                 std::cerr << "--threads: expected a count in [0, 1024]\n";
                 return 2;
             }
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
     }
 
     ulpmc::install_preempt_handlers();
-    ulpmc::sweep::SweepRunner pool(static_cast<unsigned>(threads));
+    ulpmc::sweep::SweepRunner pool(threads);
     std::vector<ulpmc::scenario::LifetimeReport> runs;
     for (const Policy policy : {Policy::Ladder, Policy::Baseline}) {
         if (policy == Policy::Ladder && !ladder) continue;
