@@ -174,6 +174,10 @@ void BM_ClusterStep(benchmark::State& state, cluster::SimEngine engine, bool sta
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_trace, cluster::SimEngine::Trace, true);
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_fast, cluster::SimEngine::Fast, true);
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_slow, cluster::SimEngine::Reference, true);
+// Without the stagger all eight cores run in lockstep: on the trace tier
+// each step() is an SPMD lockstep cycle (DESIGN.md §10) — commits and one
+// broadcast fetch with no arbitration round.
+BENCHMARK_CAPTURE(BM_ClusterStep, int8_lockstep_trace, cluster::SimEngine::Trace, false);
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_lockstep_fast, cluster::SimEngine::Fast, false);
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_lockstep_slow, cluster::SimEngine::Reference, false);
 

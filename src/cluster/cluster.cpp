@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/assert.hpp"
@@ -57,6 +58,7 @@ void Cluster::reset_from_image() {
     text_size_ = img.text_size();
     cycle_ = 0;
     trace_ = nullptr;
+    lockstep_ = {};
     direct_faults_ = 0;
     im_dirty_.clear();
     ixbar_.reset(cfg.cores, cfg.im_banks, cfg.im_broadcast);
@@ -635,9 +637,13 @@ bool Cluster::step() {
     if (active_cores_.empty()) return false;
 
     ++cycle_;
-    execute_phase();
+    // The trace tier tries each half as an SPMD lockstep half first; a
+    // failed proof leaves the state untouched for the generic phase.
+    const bool trace = cfg_.trace_path();
+    if (!trace || !lockstep_execute()) execute_phase();
     if (cfg_.dm_scrub) scrub_dm_phase(dm_busy_banks_);
-    const std::uint32_t fetched_banks = fetch_phase();
+    std::uint32_t fetched_banks = 0;
+    if (!trace || !lockstep_fetch(fetched_banks)) fetched_banks = fetch_phase();
     if (cfg_.im_scrub) scrub_im_phase(fetched_banks);
     if (cfg_.watchdog_cycles > 0) watchdog_phase();
 
@@ -758,41 +764,14 @@ bool Cluster::trace_burst(Cycle max_cycles) {
             return false;
         }
         c.ex = &pre->instr;
-        c.has_load = false;
-        c.has_store = false;
-        c.load_done = false;
-        c.loaded.reset();
+        if (!plan_access(c, pre->has_mem)) return false;
         if (!pre->has_mem) {
-            c.plan = {};
             // Memo lane: the block map proved a straight-line memory-free
             // run ahead of pc (with a fetch-safe word after it) — replay
             // its timing without per-cycle checks. (Needs the PC-indexed
             // fetch table, so not under Dedicated.)
             if (use_table) lane = blockmap_.memo_lane(pc);
             return true;
-        }
-        c.plan = core::plan_memory(*c.ex, c.state);
-        if (c.plan.load) {
-            const auto lpa = c.mmu.translate(*c.plan.load);
-            if (!lpa) {
-                raise_trap(c, core::Trap::MemoryFault);
-                return false;
-            }
-            c.load_pa = *lpa;
-            c.has_load = true;
-        }
-        if (c.plan.store) {
-            if (cfg_.barrier_enabled && *c.plan.store == kBarrierAddr) {
-                // Barrier register: completes without touching data memory.
-            } else {
-                const auto spa = c.mmu.translate(*c.plan.store);
-                if (!spa) {
-                    raise_trap(c, core::Trap::MemoryFault);
-                    return false;
-                }
-                c.store_pa = *spa;
-                c.has_store = true;
-            }
         }
         return !(c.has_load && c.has_store);
     };
@@ -881,9 +860,153 @@ bool Cluster::trace_burst(Cycle max_cycles) {
     // ---- flush batched aggregates ------------------------------------------
     stats_.core[p].im_fetches += fetches;
     stats_.core[p].instret += lane_instret;
-    ixbar_.account_uncontended(xbar_im);
-    dxbar_.account_uncontended(xbar_dm);
+    ixbar_.account_uncontended(xbar_im, xbar_im);
+    dxbar_.account_uncontended(xbar_dm, xbar_dm);
     stats_.cycles = cycle_;
+    return true;
+}
+
+bool Cluster::lockstep_execute() {
+    // ---- legality (DESIGN.md §10: SPMD lockstep) ---------------------------
+    // Event sinks need the per-cycle phases; an armed glitch or arbiter
+    // upset must be consumed by a real D-Xbar round. step() compacted the
+    // active list, so no core in it is done yet.
+    if (trace_ != nullptr || active_cores_.size() < 2 || dm_banks_.size() > 32) return false;
+    if (dxbar_.glitch_pending() || dxbar_.arbiter_upset_pending()) return false;
+    const isa::Instruction* const ex = cores_[active_cores_[0]].ex;
+    if (ex == nullptr) return false;
+
+    // ---- conflict-freedom proof: one pass over the <=16 D-side requests ----
+    // Exactly the rounds the arbiter grants in full: every bank claimed by
+    // one request, or only by reads of one word under read broadcast. A
+    // bank's counted read belongs to the rotated-priority winner — the
+    // first reader at or after the head `cycle % masters`, else the first
+    // reader — and the other readers ride along.
+    const unsigned head = static_cast<unsigned>(cycle_ % dxbar_.masters());
+    std::array<std::uint32_t, 32> read_offset{};
+    std::array<CoreId, 32> winner{};
+    std::uint32_t claimed = 0;   // banks with a request
+    std::uint32_t written = 0;   // banks claimed by a write
+    std::uint32_t past_head = 0; // read banks whose winner sits at/after the head
+    unsigned requests = 0;
+    for (const CoreId p : active_cores_) {
+        const CoreCtx& c = cores_[p];
+        // Same instruction everywhere; no pending register upset (its guard
+        // runs per core), no barrier parking, no half-done dual-port access.
+        if (c.ex != ex || c.in_barrier || c.reg_bad != 0 || c.load_done) return false;
+        if (c.has_load) {
+            const BankId b = c.load_pa.bank;
+            const std::uint32_t bit = std::uint32_t{1} << b;
+            const bool at_head = read_port(p) >= head;
+            if (!(claimed & bit)) {
+                claimed |= bit;
+                read_offset[b] = c.load_pa.offset;
+                winner[b] = p;
+                if (at_head) past_head |= bit;
+            } else if (!cfg_.dm_broadcast || (written & bit) ||
+                       read_offset[b] != c.load_pa.offset) {
+                return false;
+            } else if (at_head && !(past_head & bit)) {
+                winner[b] = p;
+                past_head |= bit;
+            }
+            ++requests;
+        }
+        if (c.has_store) {
+            const std::uint32_t bit = std::uint32_t{1} << c.store_pa.bank;
+            if (claimed & bit) return false;
+            claimed |= bit;
+            written |= bit;
+            ++requests;
+        }
+    }
+
+    // ---- commit in core order, as execute_phase's grant loop does ----------
+    // Disjoint banks make the order of the reads and writes immaterial
+    // except for a shared word's winner: its read() scrubs a correctable
+    // upset and alone traps on an uncorrectable one; riders peek().
+    dm_busy_banks_ = 0;
+    for (const CoreId p : active_cores_) {
+        CoreCtx& c = cores_[p];
+        if (c.has_load) {
+            const BankId b = c.load_pa.bank;
+            auto& bank = dm_banks_[b];
+            dm_busy_banks_ |= std::uint32_t{1} << b;
+            if (winner[b] == p) {
+                c.loaded = static_cast<Word>(bank.read(c.load_pa.offset));
+                ++stats_.dm_bank_reads;
+                if (cfg_.ecc_enabled && bank.take_uncorrectable()) {
+                    raise_trap(c, core::Trap::EccFault);
+                    continue; // its write port, if any, never counts as busy
+                }
+            } else {
+                c.loaded = static_cast<Word>(bank.peek(c.load_pa.offset));
+            }
+        }
+        if (c.has_store) dm_busy_banks_ |= std::uint32_t{1} << c.store_pa.bank;
+        commit(c, p);
+    }
+    release_barrier_if_complete();
+    dxbar_.account_uncontended(requests, static_cast<unsigned>(std::popcount(claimed)));
+    ++lockstep_.execute;
+    return true;
+}
+
+bool Cluster::lockstep_fetch(std::uint32_t& fetched_banks) {
+    // ---- legality: every live core fetches, all at one PC, under a
+    // PID-independent broadcast IM policy with no pending I-Xbar strike ----
+    if (trace_ != nullptr || fetch_table_.empty() || !cfg_.im_broadcast) return false;
+    if (ixbar_.glitch_pending() || ixbar_.arbiter_upset_pending()) return false;
+    const unsigned head = static_cast<unsigned>(cycle_ % ixbar_.masters());
+    PAddr pc = 0;
+    unsigned fetchers = 0;
+    CoreId winner = 0; // rotated-priority winner: first core at/after the head
+    bool winner_at_head = false;
+    for (const CoreId p : active_cores_) {
+        const CoreCtx& c = cores_[p];
+        if (core_done(c)) continue; // halted or trapped earlier this cycle
+        if (c.ex || c.in_barrier || c.reg_bad != 0 || cycle_ < c.start_cycle + 1) return false;
+        if (fetchers == 0) {
+            pc = c.state.pc;
+            winner = p;
+            winner_at_head = p >= head;
+        } else if (c.state.pc != pc) {
+            return false;
+        } else if (!winner_at_head && p >= head) {
+            winner = p;
+            winner_at_head = true;
+        }
+        ++fetchers;
+    }
+    // Text-boundary and gated-bank faults are left to fetch_phase (the
+    // fetch table ends at the text boundary).
+    if (fetchers < 2 || pc >= fetch_table_.size()) return false;
+    const FetchSlot& fs = fetch_table_[pc];
+    auto& bank = im_banks_[fs.bank];
+    if (bank.power_gated()) return false;
+
+    // ---- one bank read serves every fetcher --------------------------------
+    (void)bank.read(fs.offset);
+    ++stats_.im_bank_accesses;
+    const bool ecc_trap = cfg_.ecc_enabled && bank.take_uncorrectable();
+    ixbar_.account_uncontended(fetchers, 1);
+    fetched_banks = fs.bank < 32 ? std::uint32_t{1} << fs.bank : 0;
+    for (const CoreId p : active_cores_) {
+        CoreCtx& c = cores_[p];
+        if (core_done(c)) continue;
+        if (ecc_trap && p == winner) {
+            raise_trap(c, core::Trap::EccFault);
+            continue;
+        }
+        ++stats_.core[p].im_fetches;
+        if (!fs.pre) {
+            raise_trap(c, core::Trap::IllegalInstruction);
+            continue;
+        }
+        c.ex = &fs.pre->instr;
+        (void)plan_access(c, fs.pre->has_mem);
+    }
+    ++lockstep_.fetch;
     return true;
 }
 
@@ -1199,43 +1322,48 @@ std::uint32_t Cluster::fetch_phase() {
         // address might raise below).
         if (c.reg_bad != 0 && !reg_fault_guard(c, *c.ex)) continue;
 
-        // Pre-compute the data-access plan; architectural state cannot
-        // change between this fetch and the execute phase (in-order,
-        // single issue), so the plan stays valid across stall cycles.
-        c.has_load = false;
-        c.has_store = false;
-        c.load_done = false;
-        c.loaded.reset();
-        if (!needs_plan) {
-            c.plan = {};
-            continue;
-        }
-        c.plan = core::plan_memory(*c.ex, c.state);
-        if (c.plan.load) {
-            const auto lpa = c.mmu.translate(*c.plan.load);
-            if (!lpa) {
-                raise_trap(c, core::Trap::MemoryFault);
-                continue;
-            }
-            c.load_pa = *lpa;
-            c.has_load = true;
-        }
-        if (c.plan.store) {
-            if (cfg_.barrier_enabled && *c.plan.store == kBarrierAddr) {
-                // Barrier register (extension): the store completes without
-                // touching the data memory; commit() parks the core.
-            } else {
-                const auto spa = c.mmu.translate(*c.plan.store);
-                if (!spa) {
-                    raise_trap(c, core::Trap::MemoryFault);
-                    continue;
-                }
-                c.store_pa = *spa;
-                c.has_store = true;
-            }
-        }
+        (void)plan_access(c, needs_plan);
     }
     return fetched_banks;
+}
+
+bool Cluster::plan_access(CoreCtx& c, bool needs_plan) {
+    // Pre-compute the data-access plan; architectural state cannot change
+    // between this fetch and the execute phase (in-order, single issue),
+    // so the plan stays valid across stall cycles.
+    c.has_load = false;
+    c.has_store = false;
+    c.load_done = false;
+    c.loaded.reset();
+    if (!needs_plan) {
+        c.plan = {};
+        return true;
+    }
+    c.plan = core::plan_memory(*c.ex, c.state);
+    if (c.plan.load) {
+        const auto lpa = c.mmu.translate(*c.plan.load);
+        if (!lpa) {
+            raise_trap(c, core::Trap::MemoryFault);
+            return false;
+        }
+        c.load_pa = *lpa;
+        c.has_load = true;
+    }
+    if (c.plan.store) {
+        if (cfg_.barrier_enabled && *c.plan.store == kBarrierAddr) {
+            // Barrier register (extension): the store completes without
+            // touching the data memory; commit() parks the core.
+        } else {
+            const auto spa = c.mmu.translate(*c.plan.store);
+            if (!spa) {
+                raise_trap(c, core::Trap::MemoryFault);
+                return false;
+            }
+            c.store_pa = *spa;
+            c.has_store = true;
+        }
+    }
+    return true;
 }
 
 void Cluster::scrub_dm_phase(std::uint32_t busy_banks) {

@@ -99,6 +99,17 @@ public:
     bool core_halted(CoreId pid) const;
     core::Trap core_trap(CoreId pid) const;
 
+    /// Host-side work counters of the trace tier's SPMD lockstep cycle
+    /// (DESIGN.md §10): cycles whose execute half / fetch half ran without
+    /// arbitration. Not simulated state — kept out of ClusterStats and
+    /// snapshots, so every tier reports identical statistics; they exist to
+    /// show the path engages. Cleared by reset().
+    struct LockstepCounts {
+        std::uint64_t execute = 0;
+        std::uint64_t fetch = 0;
+    };
+    const LockstepCounts& lockstep_counts() const { return lockstep_; }
+
     /// Attaches an event-trace sink (nullptr detaches). Not owned.
     void set_trace(TraceSink* sink) { trace_ = sink; }
 
@@ -331,6 +342,24 @@ private:
     /// exactly where the generic engine would have); false when the
     /// current state is not burst-eligible.
     bool trace_burst(Cycle max_cycles);
+    /// SPMD lockstep execute half (trace tier, DESIGN.md §10): when two or
+    /// more active cores hold the same pre-decoded instruction in EX and one
+    /// bitmask pass proves their D-side requests conflict-free, they commit
+    /// in core order without D-Xbar arbitration. Returns false — having
+    /// changed nothing — when the proof fails; execute_phase() runs instead.
+    bool lockstep_execute();
+    /// SPMD lockstep fetch half: when two or more live cores fetch the same
+    /// PC under IM broadcast, one bank read serves them all (the rotated-
+    /// priority winner's, the rest credited as riders). On success stores
+    /// the fetched-bank mask for scrub_im_phase in `fetched_banks`; returns
+    /// false, having changed nothing, when fetch_phase() must run instead.
+    bool lockstep_fetch(std::uint32_t& fetched_banks);
+    /// The tail of every fetch path: resets the EX slot's access state for
+    /// the instruction just latched in c.ex and, when `needs_plan`,
+    /// computes its data-access plan and translates the load/store
+    /// addresses (a store to the barrier register touches no memory).
+    /// Returns false when a translation raised MemoryFault.
+    bool plan_access(CoreCtx& c, bool needs_plan);
     /// Re-derives the trace engine's text image word + block map after an
     /// IM mutation (im_poke / inject_im_fault): `readback` is what a fetch
     /// at `pc` now returns. No-op unless the trace engine is active.
@@ -418,6 +447,7 @@ private:
     std::uint32_t text_size_ = 0;
     Cycle cycle_ = 0;
     TraceSink* trace_ = nullptr;
+    LockstepCounts lockstep_;
     std::uint64_t direct_faults_ = 0; ///< reg/xbar injections (banks count their own)
 
     /// Cores that are neither halted nor trapped: the per-cycle phases

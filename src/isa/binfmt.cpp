@@ -187,6 +187,7 @@ std::optional<Program> load_program(const std::vector<std::uint8_t>& bytes, std:
         error = "bad symbol count";
         return std::nullopt;
     }
+    std::string prev_name;
     for (std::uint32_t i = 0; i < n; ++i) {
         std::uint8_t space = 0;
         std::uint32_t value = 0;
@@ -204,6 +205,14 @@ std::optional<Program> load_program(const std::vector<std::uint8_t>& bytes, std:
             error = "empty symbol name";
             return std::nullopt;
         }
+        // save_program writes names in strictly ascending order (the
+        // symbol map's); anything else — a duplicate, a misordered name —
+        // would load into a program that saves to different bytes.
+        if (i > 0 && name <= prev_name) {
+            error = "symbol table out of order";
+            return std::nullopt;
+        }
+        prev_name = name;
         p.set_symbol(name, Symbol{space == 0 ? Symbol::Space::Text : Symbol::Space::Data, value});
     }
 

@@ -68,7 +68,6 @@ void Crossbar::arbitrate_into(std::span<const Request> reqs, Cycle cycle, std::s
         std::uint32_t claimed = 0;
         unsigned active = 0;
         unsigned winners = 0;
-        unsigned riders = 0;
         bool denial = false;
         // The rotating head without the 64-bit division (masters counts
         // are powers of two in every configuration).
@@ -101,7 +100,6 @@ void Crossbar::arbitrate_into(std::span<const Request> reqs, Cycle cycle, std::s
                 const Request& w = reqs[winner_[r.bank]];
                 if (broadcast_ && !r.is_write && !w.is_write && w.offset == r.offset) {
                     out[m] = Grant{.granted = true, .broadcast = true};
-                    ++riders;
                 } else {
                     denial = true;
                     break;
@@ -109,10 +107,7 @@ void Crossbar::arbitrate_into(std::span<const Request> reqs, Cycle cycle, std::s
             }
         }
         if (!denial) {
-            stats_.requests += active;
-            stats_.grants += active;
-            stats_.bank_accesses += winners;
-            stats_.broadcast_riders += riders;
+            account_uncontended(active, winners);
             return;
         }
     }

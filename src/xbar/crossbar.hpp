@@ -183,18 +183,22 @@ public:
     void set_fast_path(bool on) { fast_path_ = on; }
     bool fast_path() const { return fast_path_; }
 
-    /// Batched accounting for `n` arbitration cycles in which exactly one
-    /// master raised a request (the trace engine's single-active-core
-    /// burst, DESIGN.md §10). A sole requester is always granted its bank
-    /// port — no conflict, no denial, no broadcast ride is possible — so
-    /// each such cycle contributes requests+1, grants+1, bank_accesses+1,
-    /// identically to running either arbiter tier. Must not be used while
-    /// a glitch is armed (the burst checks glitch_pending() first).
-    void account_uncontended(std::uint64_t n) {
-        if (n == 0) return;
-        stats_.requests += n;
-        stats_.grants += n;
-        stats_.bank_accesses += n;
+    /// The one conflict-free credit: `requests` grants, all served, by
+    /// `bank_accesses` physical port activations — the difference rode
+    /// along as read-broadcast riders. It is what either arbiter tier
+    /// records for a denial-free round, so callers that proved a round
+    /// conflict-free skip arbitration and credit it here: the fast path
+    /// below, the trace engine's single-active-core burst (one request per
+    /// cycle, batched over many cycles) and the SPMD lockstep cycle
+    /// (DESIGN.md §10). A round with requests leaves the denial hysteresis
+    /// clear, exactly as the full arbiter would. Must not be used while a
+    /// glitch or arbiter upset is pending — those need a real round.
+    void account_uncontended(std::uint64_t requests, std::uint64_t bank_accesses) {
+        if (requests == 0) return;
+        stats_.requests += requests;
+        stats_.grants += requests;
+        stats_.bank_accesses += bank_accesses;
+        stats_.broadcast_riders += requests - bank_accesses;
         last_denied_ = false;
     }
 

@@ -27,6 +27,9 @@ PAIRS = [
      "BM_ClusterStep/int8_trace", "BM_ClusterStep/int8_slow", 1),
     ("cluster-step 8-core fast/ref",
      "BM_ClusterStep/int8_fast", "BM_ClusterStep/int8_slow", 1),
+    # Unstaggered SPMD: every trace-tier step() is a lockstep cycle.
+    ("cluster-step 8-core lockstep trace/ref",
+     "BM_ClusterStep/int8_lockstep_trace", "BM_ClusterStep/int8_lockstep_slow", 1),
     # run() executes 1024 instructions per benchmark iteration, step() one.
     ("functional-ISS block dispatch/step",
      "BM_FunctionalCoreRunBlocks", "BM_FunctionalCoreStep", 1024),
