@@ -10,9 +10,7 @@ namespace ulpmc::app {
 namespace {
 
 std::vector<std::vector<std::int16_t>> make_leads(std::uint64_t seed) {
-    EcgConfig cfg;
-    cfg.seed = seed;
-    const EcgGenerator gen(cfg);
+    const EcgGenerator gen(seed);
     std::vector<std::vector<std::int16_t>> leads;
     leads.reserve(kEcgLeads);
     for (unsigned l = 0; l < kEcgLeads; ++l) leads.push_back(gen.block(l));
@@ -98,15 +96,19 @@ void EcgBenchmark::load_inputs(cluster::Cluster& cl, unsigned cores) const {
 
 bool EcgBenchmark::verify(const cluster::Cluster& cl, unsigned cores) const {
     for (unsigned p = 0; p < cores; ++p) {
+        if (!lead_ok(cl, p)) return false;
         const auto pid = static_cast<CoreId>(p);
-        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid)) return false;
         const auto& y = golden_y_[p];
         for (std::size_t i = 0; i < y.size(); ++i) {
             if (cl.dm_peek(pid, static_cast<Addr>(layout_.y_base() + i)) != y[i]) return false;
         }
-        if (!bitstream_ok(cl, p)) return false;
     }
     return true;
+}
+
+bool EcgBenchmark::lead_ok(const cluster::Cluster& cl, unsigned lead) const {
+    const auto pid = static_cast<CoreId>(lead);
+    return cl.core_trap(pid) == core::Trap::None && cl.core_halted(pid) && bitstream_ok(cl, lead);
 }
 
 bool EcgBenchmark::bitstream_ok(const cluster::Cluster& cl, unsigned lead) const {

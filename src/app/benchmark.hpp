@@ -65,16 +65,20 @@ public:
     /// dm_layout and barrier flag must match this benchmark's layout.
     Outcome run(const cluster::ClusterConfig& cfg) const;
 
-    /// The one golden-output check: true when each of the first `cores`
-    /// cores halted untrapped and left its CS measurements and bitstream
-    /// in DM bit-exact against the golden pipeline. run() verifies with
-    /// it; the fault campaigns and the lifetime engine, which pause the
+    /// The one-shot golden-output check: true when each of the first
+    /// `cores` leads is lead_ok() and left its CS measurements in DM
+    /// bit-exact against the golden pipeline. run() verifies with it; the
+    /// one-shot fault campaigns and the lifetime engine, which pause the
     /// simulation mid-flight to strike it, classify their runs with it.
     bool verify(const cluster::Cluster& cl, unsigned cores) const;
 
-    /// The per-lead half of verify(): true when core `lead`'s output
-    /// window holds exactly its golden bitstream (word count and words).
-    /// The streaming monitor checks every block with it.
+    /// The one per-lead check: core `lead` halted untrapped and its
+    /// output window holds exactly its golden bitstream. The streaming
+    /// monitor and the adaptive campaign verify with it.
+    bool lead_ok(const cluster::Cluster& cl, unsigned lead) const;
+
+    /// The bitstream half of lead_ok(): core `lead`'s output window holds
+    /// exactly its golden bitstream (word count and words).
     bool bitstream_ok(const cluster::Cluster& cl, unsigned lead) const;
 
     /// Sensor front end: injects each lead's sample block into its core's

@@ -27,23 +27,18 @@ constexpr WaveComponent kBeat[] = {
 
 } // namespace
 
-EcgGenerator::EcgGenerator(const EcgConfig& cfg) : cfg_(cfg) {
-    ULPMC_EXPECTS(cfg.heart_rate_bpm > 20.0 && cfg.heart_rate_bpm < 250.0);
-    ULPMC_EXPECTS(cfg.full_scale > 0 && cfg.full_scale <= 32767);
-}
-
 std::vector<std::int16_t> EcgGenerator::lead(unsigned lead, std::size_t n) const {
     ULPMC_EXPECTS(lead < kEcgLeads);
 
     // Per-lead deterministic variation: projection gain/polarity and a
     // small conduction delay, as seen across real electrode placements.
-    Rng rng(cfg_.seed * 0x9E37u + lead * 0xC2B2u + 1);
+    Rng rng(seed_ * 0x9E37u + lead * 0xC2B2u + 1);
     const double gain = 0.6 + 0.4 * rng.uniform();
     const double polarity = (lead == 3 || lead == 6) ? -1.0 : 1.0; // aVR-like leads
     const double delay_s = 0.002 * lead;
     const double wander_phase = rng.uniform() * 2.0 * 3.14159265358979;
-    const double beat_period_s = 60.0 / cfg_.heart_rate_bpm;
-    const double r_amp = cfg_.full_scale * 0.85;
+    const double beat_period_s = 60.0 / kEcgHeartRateBpm;
+    const double r_amp = kEcgFullScale * 0.85;
 
     std::vector<std::int16_t> out(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -58,11 +53,11 @@ std::vector<std::int16_t> EcgGenerator::lead(unsigned lead, std::size_t n) const
         v *= r_amp * gain * polarity;
 
         // Respiration baseline wander (~0.3 Hz) and sensor noise.
-        v += cfg_.baseline_amplitude * std::sin(2.0 * 3.14159265358979 * 0.3 * t + wander_phase);
-        v += cfg_.noise_rms * rng.gaussian();
+        v += kEcgBaselineAmplitude * std::sin(2.0 * 3.14159265358979 * 0.3 * t + wander_phase);
+        v += kEcgNoiseRms * rng.gaussian();
 
         const double clamped =
-            std::clamp(v, -static_cast<double>(cfg_.full_scale), static_cast<double>(cfg_.full_scale));
+            std::clamp(v, -static_cast<double>(kEcgFullScale), static_cast<double>(kEcgFullScale));
         out[i] = static_cast<std::int16_t>(std::lround(clamped));
     }
     return out;

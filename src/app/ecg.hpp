@@ -25,20 +25,18 @@ inline constexpr std::size_t kEcgBlockSamples = 512;
 /// Number of leads == number of cores (one lead per core).
 inline constexpr unsigned kEcgLeads = 8;
 
-/// Generator configuration.
-struct EcgConfig {
-    std::uint64_t seed = 1;
-    double heart_rate_bpm = 72.0;
-    double noise_rms = 4.0;          ///< additive Gaussian noise (LSBs)
-    double baseline_amplitude = 20.0; ///< respiration wander (LSBs)
-    int full_scale = 500;            ///< ~10-bit signed signal range
-};
+/// The synthetic signal's shape.
+inline constexpr double kEcgHeartRateBpm = 72.0;
+inline constexpr double kEcgNoiseRms = 4.0;           ///< additive Gaussian noise (LSBs)
+inline constexpr double kEcgBaselineAmplitude = 20.0; ///< respiration wander (LSBs)
+inline constexpr int kEcgFullScale = 500;             ///< ~10-bit signed signal range
 
 /// Synthesizes ECG leads. Output samples are signed and bounded by
-/// +-full_scale (saturating), sized for direct use as TamaRISC data words.
+/// +-kEcgFullScale (saturating), sized for direct use as TamaRISC data
+/// words.
 class EcgGenerator {
 public:
-    explicit EcgGenerator(const EcgConfig& cfg = {});
+    explicit EcgGenerator(std::uint64_t seed = 1) : seed_(seed) {}
 
     /// `n` samples of lead `lead` (0-based), starting at time 0. The same
     /// (seed, lead) pair always produces the same signal.
@@ -47,10 +45,8 @@ public:
     /// One full compression block for a lead.
     std::vector<std::int16_t> block(unsigned lead) const { return this->lead(lead, kEcgBlockSamples); }
 
-    const EcgConfig& config() const { return cfg_; }
-
 private:
-    EcgConfig cfg_;
+    std::uint64_t seed_;
 };
 
 } // namespace ulpmc::app

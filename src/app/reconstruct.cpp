@@ -84,13 +84,12 @@ std::vector<double> dequantize_symbols(std::span<const Word> symbols) {
     return y;
 }
 
-std::vector<double> cs_reconstruct(const CsMatrix& matrix, std::span<const double> y,
-                                   const OmpConfig& cfg) {
+std::vector<double> cs_reconstruct(const CsMatrix& matrix, std::span<const double> y) {
     const std::size_t m = matrix.rows();
     const std::size_t n = matrix.cols();
     ULPMC_EXPECTS(y.size() == m);
     ULPMC_EXPECTS(is_pow2(n));
-    ULPMC_EXPECTS(cfg.max_support >= 1 && cfg.max_support <= m);
+    ULPMC_EXPECTS(kOmpMaxSupport <= m);
 
     // Effective dictionary A = Phi * Psi: column j is Phi applied to the
     // j-th Haar synthesis basis vector. Dense m x n, column-major.
@@ -130,7 +129,7 @@ std::vector<double> cs_reconstruct(const CsMatrix& matrix, std::span<const doubl
     std::vector<char> in_support(n, 0);
     std::vector<double> coeff;
 
-    for (unsigned it = 0; it < cfg.max_support; ++it) {
+    for (unsigned it = 0; it < kOmpMaxSupport; ++it) {
         // Most correlated unused column.
         std::size_t best = n;
         double best_corr = 0.0;
@@ -180,7 +179,7 @@ std::vector<double> cs_reconstruct(const CsMatrix& matrix, std::span<const doubl
         }
         double rn = 0.0;
         for (const double v : residual) rn += v * v;
-        if (std::sqrt(rn) / y_norm < cfg.residual_tol) break;
+        if (std::sqrt(rn) / y_norm < kOmpResidualTol) break;
     }
 
     // Synthesize x = Psi * s.

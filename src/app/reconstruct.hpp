@@ -31,16 +31,15 @@ void haar_inverse(std::span<double> x);
 /// (mid-rise reconstruction of the kernel's >>6 quantizer).
 std::vector<double> dequantize_symbols(std::span<const Word> symbols);
 
-/// Reconstruction configuration.
-struct OmpConfig {
-    unsigned max_support = 64;     ///< sparsity budget
-    double residual_tol = 1e-3;    ///< stop when ||r||/||y|| drops below
-};
+/// OMP sparsity budget: at most this many atoms, so a matrix needs at
+/// least this many rows.
+inline constexpr unsigned kOmpMaxSupport = 64;
+/// OMP stops once ||r||/||y|| drops below this.
+inline constexpr double kOmpResidualTol = 1e-3;
 
 /// Reconstructs a block from (possibly dequantized) measurements.
 /// `y` has matrix.rows() entries. Returns matrix.cols() samples.
-std::vector<double> cs_reconstruct(const CsMatrix& matrix, std::span<const double> y,
-                                   const OmpConfig& cfg = {});
+std::vector<double> cs_reconstruct(const CsMatrix& matrix, std::span<const double> y);
 
 /// PRD [%] between the original samples and a reconstruction.
 double prd_percent(std::span<const std::int16_t> original, std::span<const double> recon);

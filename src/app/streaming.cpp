@@ -30,14 +30,9 @@ StreamingBenchmark::Outcome StreamingBenchmark::run(const cluster::ClusterConfig
 
     Outcome out;
     out.stats = cl.stats();
+    // Every block recomputes the same outputs; verify the final state.
     out.verified = true;
-    for (unsigned p = 0; p < cfg.cores; ++p) {
-        // Every block recomputes the same outputs; verify the final state.
-        const auto pid = static_cast<CoreId>(p);
-        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid) ||
-            !base_.bitstream_ok(cl, p))
-            out.verified = false;
-    }
+    for (unsigned p = 0; p < cfg.cores; ++p) out.verified = out.verified && base_.lead_ok(cl, p);
 
     out.cycles_per_block = static_cast<double>(out.stats.cycles) / n_blocks_;
     const std::uint64_t served = out.stats.ixbar.grants;
@@ -68,11 +63,6 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
         base_.load_inputs(cl, cfg.cores);
         return cl;
     };
-    const auto lead_ok = [&](const cluster::Cluster& c, unsigned p) {
-        const auto pid = static_cast<CoreId>(p);
-        return c.core_trap(pid) == core::Trap::None && c.core_halted(pid) &&
-               base_.bitstream_ok(c, p);
-    };
 
     ResilientOutcome out;
     out.lead_alive.assign(cfg.cores, 1);
@@ -84,7 +74,7 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
     } else { // fault-free reference block: calibrates the per-attempt cycle budget
         cluster::Cluster& ref = launch_block();
         out.clean_block_cycles = ref.run();
-        for (unsigned p = 0; p < cfg.cores; ++p) ULPMC_EXPECTS(lead_ok(ref, p));
+        for (unsigned p = 0; p < cfg.cores; ++p) ULPMC_EXPECTS(base_.lead_ok(ref, p));
     }
     // A wedged attempt must terminate.
     const Cycle budget = cluster::hang_bound(cfg, out.clean_block_cycles);
@@ -111,13 +101,12 @@ StreamingBenchmark::run_resilient(const cluster::ClusterConfig& cfg_in, const Bl
             out.total_cycles += st.cycles;
             out.ecc_corrected += st.ecc_corrected();
             out.watchdog_trips += st.watchdog_trips;
-            out.xbar_selfchecks += st.ixbar.selfcheck_fixes + st.ixbar.selfcheck_resyncs +
-                                   st.dxbar.selfcheck_fixes + st.dxbar.selfcheck_resyncs;
+            out.xbar_selfchecks += st.xbar_selfchecks();
             out.im_scrub_corrected += st.im_scrub_corrected;
 
             std::vector<unsigned> corrupted;
             for (unsigned p = 0; p < cfg.cores; ++p) {
-                if (out.lead_alive[p] && !lead_ok(att, p)) corrupted.push_back(p);
+                if (out.lead_alive[p] && !base_.lead_ok(att, p)) corrupted.push_back(p);
             }
             if (corrupted.empty()) break; // block verified: commit checkpoint
             if (attempt == 0) {
@@ -271,16 +260,12 @@ StreamingBenchmark::run_checkpointed_impl(const cluster::ClusterConfig& cfg_in,
     // Resilience counters accumulate across attempts, but restore() rolls
     // the cluster's own statistics back with everything else — so each
     // attempt's delta is banked against a baseline sampled at its start.
-    const auto selfchecks = [](const cluster::ClusterStats& st) {
-        return st.ixbar.selfcheck_fixes + st.ixbar.selfcheck_resyncs + st.dxbar.selfcheck_fixes +
-               st.dxbar.selfcheck_resyncs;
-    };
     const auto bank = [&](const cluster::ClusterStats& now, const cluster::ClusterStats& since) {
         out.ecc_corrected += now.ecc_corrected() - since.ecc_corrected();
         out.reg_parity_traps += now.reg_parity_traps - since.reg_parity_traps;
         out.reg_tmr_votes += now.reg_tmr_votes - since.reg_tmr_votes;
         out.watchdog_trips += now.watchdog_trips - since.watchdog_trips;
-        out.xbar_selfchecks += selfchecks(now) - selfchecks(since);
+        out.xbar_selfchecks += now.xbar_selfchecks() - since.xbar_selfchecks();
         out.im_scrub_corrected += now.im_scrub_corrected - since.im_scrub_corrected;
     };
     cluster::ClusterStats base;

@@ -13,7 +13,7 @@ void CheckpointRunner::reset(const CheckpointConfig& cfg) {
     has_ckpt_ = false;
     snap_cycle_ = 0;
     retries_ = 0;
-    est_.reset(cfg.alpha);
+    est_.reset();
     cur_interval_ = cfg.adaptive && cfg.interval == 0 ? cfg.max_interval : cfg.interval;
     if (cfg.adaptive) stats_.current_interval = cur_interval_;
     if (cfg.delta_store) storage_.reset(cfg.storage);
@@ -132,7 +132,7 @@ Cycle CheckpointRunner::solve_interval(double lambda) const {
     const double save_energy = 2.0 * save_words * word_energy;
     const double e_cycle = cores * power::cal::kCoreEnergyPerOp;
     const double t = std::sqrt(save_energy / (lambda * e_cycle));
-    if (t <= static_cast<double>(cfg_.min_interval)) return cfg_.min_interval;
+    if (t <= static_cast<double>(kMinCheckpointInterval)) return kMinCheckpointInterval;
     if (t >= static_cast<double>(cfg_.max_interval)) return cfg_.max_interval;
     return static_cast<Cycle>(t);
 }

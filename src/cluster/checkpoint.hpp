@@ -26,6 +26,10 @@ namespace ulpmc::cluster {
 /// nothing.
 inline constexpr double kIntervalHysteresis = 0.25;
 
+/// Lower clamp for the adaptive controller's solved interval: below it
+/// checkpoint traffic dominates.
+inline constexpr Cycle kMinCheckpointInterval = 200;
+
 struct CheckpointConfig {
     /// Cycles between automatic checkpoints inside run(). 0 = explicit
     /// checkpoints only (the caller marks recovery points itself). Under
@@ -52,12 +56,9 @@ struct CheckpointConfig {
     /// W = kCheckpointWordsPerCore, E_word = kCheckpointWordEnergy and
     /// E_cycle = cores * kCoreEnergyPerOp.
     bool adaptive = false;
-    /// Clamp for the solved interval: below min_interval checkpoint
-    /// traffic dominates, above max_interval detection latency does.
-    Cycle min_interval = 200;
+    /// Upper clamp for the solved interval (the lower one is
+    /// kMinCheckpointInterval): above it detection latency dominates.
     Cycle max_interval = 100'000;
-    /// EWMA weight of the upset-rate estimator (per observation window).
-    double alpha = 0.3;
 
     // ---- durable delta storage (DESIGN.md §9.6) ------------------------
     /// Route every snapshot through the delta CheckpointStorage (keyframe

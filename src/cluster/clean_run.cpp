@@ -36,7 +36,6 @@ void add_tail(ClusterStats& dst, const ClusterStats& now, const ClusterStats& ba
         const CoreRunStats& b = base.core[p];
         d.instret += n.instret - b.instret;
         d.stall_cycles += n.stall_cycles - b.stall_cycles;
-        d.bubble_cycles += n.bubble_cycles - b.bubble_cycles;
         d.dm_loads += n.dm_loads - b.dm_loads;
         d.dm_stores += n.dm_stores - b.dm_stores;
         d.im_fetches += n.im_fetches - b.im_fetches;

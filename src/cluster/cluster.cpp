@@ -16,11 +16,7 @@ static unsigned read_port(unsigned pid) { return 2 * pid; }
 static unsigned write_port(unsigned pid) { return 2 * pid + 1; }
 
 Cluster::Cluster(const ClusterConfig& cfg, const isa::Program& prog)
-    : cfg_(cfg), im_map_(cfg.im_policy, cfg.im_banks, cfg.im_bank_words),
-      ixbar_(cfg.cores, cfg.im_banks, cfg.im_broadcast),
-      dxbar_(2 * cfg.cores, cfg.dm_banks, cfg.dm_broadcast) {
-    reset(cfg, prog);
-}
+    : Cluster(cfg, isa::ProgramImage::build(prog)) {}
 
 Cluster::Cluster(const ClusterConfig& cfg, std::shared_ptr<const isa::ProgramImage> image)
     : cfg_(cfg), im_map_(cfg.im_policy, cfg.im_banks, cfg.im_bank_words),
@@ -29,30 +25,13 @@ Cluster::Cluster(const ClusterConfig& cfg, std::shared_ptr<const isa::ProgramIma
     reset(cfg, std::move(image));
 }
 
-void Cluster::reset(const ClusterConfig& cfg, const isa::Program& prog) {
-    ULPMC_EXPECTS(!prog.text.empty());
-    // Legacy single-instance path: derive the image in place (buffers are
-    // reused, so a same-program reset stays allocation-free). Campaign and
-    // sweep loops pass a shared image instead and skip this entirely.
-    own_image_.rebuild(prog);
-    shared_image_.reset();
-    image_ptr_ = &own_image_;
-    cfg_ = cfg;
-    reset_from_image();
-}
-
-void Cluster::reset(const ClusterConfig& cfg, std::shared_ptr<const isa::ProgramImage> image) {
+void Cluster::reset(const ClusterConfig& cfg_in, std::shared_ptr<const isa::ProgramImage> image) {
     ULPMC_EXPECTS(image != nullptr);
     ULPMC_EXPECTS(!image->text().empty());
-    shared_image_ = std::move(image);
-    image_ptr_ = shared_image_.get();
-    cfg_ = cfg;
-    reset_from_image();
-}
-
-void Cluster::reset_from_image() {
+    image_ = std::move(image);
+    cfg_ = cfg_in;
     const ClusterConfig& cfg = cfg_;
-    const isa::ProgramImage& img = *image_ptr_;
+    const isa::ProgramImage& img = *image_;
     ULPMC_EXPECTS(cfg.cores > 0 && cfg.cores <= kNumCores);
     im_map_ = mmu::ImMap(cfg.im_policy, cfg.im_banks, cfg.im_bank_words);
     text_size_ = img.text_size();
@@ -337,7 +316,7 @@ void Cluster::restore(const Snapshot& s) {
         if (std::find(im_dirty_union_.begin(), im_dirty_union_.end(), pc) ==
             im_dirty_union_.end())
             im_dirty_union_.push_back(pc);
-    const auto& text = image_ptr_->text();
+    const auto& text = image_->text();
     const unsigned replicas = cfg_.im_policy == mmu::ImPolicy::Dedicated ? cfg_.cores : 1;
     for (const PAddr pc : im_dirty_union_) {
         const InstrWord pristine = pc < text.size() ? text[pc] : 0;
@@ -411,7 +390,7 @@ bool Cluster::state_equals(const Snapshot& s) const {
     // IM cells: both sides are pristine off their dirty lists, so only the
     // union needs comparing. Expected state of a PC on the snapshot's
     // dirty list is its saved raw cell; off it, the pristine image word.
-    const auto& text = image_ptr_->text();
+    const auto& text = image_->text();
     const unsigned replicas = cfg_.im_policy == mmu::ImPolicy::Dedicated ? cfg_.cores : 1;
     const auto pc_matches = [&](PAddr pc) {
         for (unsigned p = 0; p < replicas; ++p) {
@@ -1250,11 +1229,7 @@ std::uint32_t Cluster::fetch_phase() {
 
     for (const CoreId p : active_cores_) {
         CoreCtx& c = cores_[p];
-        if (!im_req_[p].active) {
-            if (!core_done(c) && !c.in_barrier && cycle_ >= c.start_cycle + 1 && !c.ex)
-                ++stats_.core[p].bubble_cycles;
-            continue;
-        }
+        if (!im_req_[p].active) continue;
         if (!im_grant_[p].granted) {
             ++stats_.core[p].stall_cycles;
             emit(static_cast<CoreId>(p), EventKind::FetchStall, fetch_pc_[p], im_req_[p].bank);

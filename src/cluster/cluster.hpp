@@ -50,31 +50,28 @@ class CleanRun;
 /// The cluster simulator.
 class Cluster {
 public:
-    /// Builds the memories and loads `prog`: text into the IM banks
-    /// according to the IM policy (replicated per core for mc-ref), the
-    /// data image's shared section once and its private-template section
-    /// into every core's private banks.
-    Cluster(const ClusterConfig& cfg, const isa::Program& prog);
-
-    /// Shared-image flavor (DESIGN.md §11): the campaign/sweep pattern
-    /// builds one isa::ProgramImage up front and hands the same shared_ptr
-    /// to every instance, so the program is decoded once per campaign
-    /// instead of once per reset. Semantically identical to the Program
-    /// overload.
+    /// Builds the memories and loads `image`, the one load path (DESIGN.md
+    /// §11): text into the IM banks according to the IM policy
+    /// (replicated per core for mc-ref), the data image's shared section
+    /// once and its private-template section into every core's private
+    /// banks. Campaigns, sweeps and fleets build one image up front and
+    /// hand the same shared_ptr to every instance, so the program is
+    /// decoded once, not once per reset.
     Cluster(const ClusterConfig& cfg, std::shared_ptr<const isa::ProgramImage> image);
 
+    /// Decodes `prog` into an image of its own and loads that.
+    Cluster(const ClusterConfig& cfg, const isa::Program& prog);
+
     /// Re-initializes this instance to the state a freshly constructed
-    /// Cluster(cfg, prog) would have — memories reloaded, statistics and
+    /// Cluster(cfg, image) would have — memories reloaded, statistics and
     /// cycle counter cleared, any trace sink detached. All internal
     /// buffers are reused: resetting to the same geometry performs zero
     /// heap allocations, which is what lets sweep and fault-campaign inner
     /// loops run allocation-free on pooled instances (DESIGN.md §10).
-    void reset(const ClusterConfig& cfg, const isa::Program& prog);
     void reset(const ClusterConfig& cfg, std::shared_ptr<const isa::ProgramImage> image);
 
-    /// The program image this instance was loaded from (the shared one, or
-    /// the internally owned rebuild for the Program overloads).
-    const isa::ProgramImage& image() const { return *image_ptr_; }
+    /// The program image this instance was loaded from.
+    const isa::ProgramImage& image() const { return *image_; }
 
     /// Advances one clock cycle. Returns false once every core has halted
     /// or trapped (the cluster is then quiescent).
@@ -391,18 +388,10 @@ private:
         std::uint32_t offset = 0;
     };
 
-    /// Loads banks/caches from *image_ptr_ under the current cfg_ — the
-    /// single body behind both reset() overloads.
-    void reset_from_image();
-
     ClusterConfig cfg_;
-    /// The immutable program half (DESIGN.md §11): either the campaign's
-    /// shared image (shared_image_ set, image_ptr_ aliases it) or the
-    /// instance-owned rebuild of a raw Program (own_image_, rebuilt in
-    /// place per reset so the legacy path stays zero-alloc).
-    std::shared_ptr<const isa::ProgramImage> shared_image_;
-    isa::ProgramImage own_image_;
-    const isa::ProgramImage* image_ptr_ = nullptr;
+    /// The immutable program half (DESIGN.md §11), shared by every
+    /// instance loaded from it.
+    std::shared_ptr<const isa::ProgramImage> image_;
     mmu::ImMap im_map_;
     std::vector<CoreCtx> cores_;
     std::vector<mem::MemoryBank> im_banks_;

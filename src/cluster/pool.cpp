@@ -80,16 +80,6 @@ thread_local Pool t_pool;
 
 } // namespace
 
-Cluster& pooled_cluster(const ClusterConfig& cfg, const isa::Program& prog) {
-    Bucket& b = t_pool.acquire(Shape::of(cfg));
-    if (!b.cluster) {
-        b.cluster = std::make_unique<Cluster>(cfg, prog);
-    } else {
-        b.cluster->reset(cfg, prog);
-    }
-    return *b.cluster;
-}
-
 Cluster& pooled_cluster(const ClusterConfig& cfg,
                         std::shared_ptr<const isa::ProgramImage> image) {
     Bucket& b = t_pool.acquire(Shape::of(cfg));

@@ -25,7 +25,6 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
-#include "isa/program.hpp"
 #include "isa/program_image.hpp"
 
 namespace ulpmc::cluster {
@@ -45,7 +44,7 @@ struct PoolStats {
 };
 
 /// Returns this thread's pooled Cluster for the configuration's shape,
-/// re-initialized to the state a freshly constructed Cluster(cfg, prog)
+/// re-initialized to the state a freshly constructed Cluster(cfg, image)
 /// would have. The first call with a new shape constructs the instance;
 /// later same-shape calls reuse its buffers (no heap allocation).
 ///
@@ -54,11 +53,6 @@ struct PoolStats {
 /// with one simulation before requesting the next, and never interleave
 /// two pooled uses on one thread. Callers needing two live clusters at
 /// once (differential tests) must construct their own.
-Cluster& pooled_cluster(const ClusterConfig& cfg, const isa::Program& prog);
-
-/// Shared-image flavor (DESIGN.md §11): the campaign/sweep/fleet pattern
-/// decodes the program once into an isa::ProgramImage and re-initializes
-/// the pooled instance from it, skipping the per-reset decode entirely.
 Cluster& pooled_cluster(const ClusterConfig& cfg,
                         std::shared_ptr<const isa::ProgramImage> image);
 

@@ -28,11 +28,11 @@ std::string core_status(const CoreRunStats& c) {
 }
 
 void print_run_summary(std::ostream& os, const ClusterStats& s) {
-    Table t({"core", "state", "instructions", "stalls", "bubbles"});
+    Table t({"core", "state", "instructions", "stalls"});
     for (std::size_t p = 0; p < s.core.size(); ++p) {
         const auto& c = s.core[p];
         t.add_row({std::to_string(p), core_status(c), format_count(c.instret),
-                   format_count(c.stall_cycles), format_count(c.bubble_cycles)});
+                   format_count(c.stall_cycles)});
     }
     t.print(os);
     if (s.cores_trapped() > 0)

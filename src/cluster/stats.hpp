@@ -34,7 +34,6 @@ const char* peel_reason_name(PeelReason r);
 struct CoreRunStats {
     std::uint64_t instret = 0;       ///< committed instructions ("ops")
     std::uint64_t stall_cycles = 0;  ///< cycles stalled on a denied grant
-    std::uint64_t bubble_cycles = 0; ///< cycles with no instruction in EX
     std::uint64_t dm_loads = 0;      ///< committed data reads
     std::uint64_t dm_stores = 0;     ///< committed data writes
     std::uint64_t im_fetches = 0;    ///< instruction fetches served
@@ -99,8 +98,13 @@ struct ClusterStats {
     std::uint64_t upset_events() const {
         return ecc_im_corrected + ecc_dm_corrected + ecc_uncorrectable + reg_parity_traps +
                reg_tmr_votes + im_scrub_corrected + im_scrub_uncorrectable +
-               dm_scrub_corrected + dm_scrub_uncorrectable + watchdog_trips +
-               ixbar.selfcheck_fixes + ixbar.selfcheck_resyncs + dxbar.selfcheck_fixes +
+               dm_scrub_corrected + dm_scrub_uncorrectable + watchdog_trips + xbar_selfchecks();
+    }
+
+    /// Repairs of both self-checking arbiters: suppressed grants plus
+    /// resynchronized priority heads.
+    std::uint64_t xbar_selfchecks() const {
+        return ixbar.selfcheck_fixes + ixbar.selfcheck_resyncs + dxbar.selfcheck_fixes +
                dxbar.selfcheck_resyncs;
     }
 

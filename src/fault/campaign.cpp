@@ -65,43 +65,6 @@ Workspace& workspace() {
     return ws;
 }
 
-} // namespace
-
-void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats& st,
-                      const app::EcgBenchmark& bench, unsigned cores, InjectionRecord& rec) {
-    rec.ecc_corrected = st.ecc_corrected();
-    bool any_running = false;
-    for (unsigned p = 0; p < cores; ++p) {
-        const auto pid = static_cast<CoreId>(p);
-        const core::Trap t = view.core_trap(pid);
-        if (t != core::Trap::None && rec.trap == core::Trap::None) rec.trap = t;
-        if (t == core::Trap::None && !view.core_halted(pid)) any_running = true;
-    }
-
-    const std::uint64_t selfchecks = st.ixbar.selfcheck_fixes + st.ixbar.selfcheck_resyncs +
-                                     st.dxbar.selfcheck_fixes + st.dxbar.selfcheck_resyncs;
-    if (any_running) {
-        rec.outcome = Outcome::Hang;
-    } else if (rec.trap != core::Trap::None) {
-        rec.outcome = Outcome::Trapped;
-    } else if (bench.verify(view, cores)) {
-        if (rec.rollbacks > 0) {
-            rec.outcome = Outcome::RolledBack;
-        } else if (rec.ecc_corrected > 0 || st.reg_tmr_votes > 0 || st.im_scrub_corrected > 0 ||
-                   selfchecks > 0) {
-            rec.outcome = Outcome::Corrected;
-        } else if (view.pending_reg_faults() > 0) {
-            rec.outcome = Outcome::Latent; // struck register never consumed
-        } else {
-            rec.outcome = Outcome::Masked;
-        }
-    } else {
-        rec.outcome = Outcome::Sdc;
-    }
-}
-
-namespace {
-
 /// The divergence bucket a fault kind's injection is counted in.
 cluster::PeelReason peel_reason_of(FaultKind k) {
     switch (k) {
@@ -127,6 +90,25 @@ double checkpoint_words_per_op(double checkpoints, unsigned cores, std::uint64_t
     if (ops == 0) return 0.0;
     return checkpoints * static_cast<double>(cores) *
            static_cast<double>(power::cal::kCheckpointWordsPerCore) / static_cast<double>(ops);
+}
+
+/// A stream's clean-run J/op, from the one-shot benchmark (same firmware
+/// inner loop). Block-boundary checkpoints amortize over the whole stream,
+/// so the one-shot run stands in for one block's worth of ops; their
+/// traffic is scaled by `stored_ratio`, the bytes the checkpoint store
+/// persists per full-snapshot byte.
+double stream_energy_per_op(const app::StreamingBenchmark& bench, cluster::ArchKind arch,
+                            const cluster::ClusterConfig& ccfg, std::uint64_t checkpoints,
+                            double stored_ratio) {
+    cluster::Cluster& cl = cluster::pooled_cluster(ccfg, bench.base().image());
+    bench.base().load_inputs(cl, ccfg.cores);
+    cl.run();
+    const double ckpts_per_block =
+        static_cast<double>(checkpoints) / static_cast<double>(bench.n_blocks());
+    return clean_energy_per_op(
+        arch, cl.stats(),
+        checkpoint_words_per_op(ckpts_per_block, ccfg.cores, cl.stats().total_ops()) *
+            stored_ratio);
 }
 
 /// The strike universe of one campaign: IM strikes over `prog`'s text,
@@ -264,12 +246,12 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
             } else {
                 cl.restore(ws.loaded);
             }
-            const unsigned rung = clean.restore_below(cl, rec.fault.cycle);
             if (cfg.checkpoint) {
                 // Generalized recovery: interval checkpoints, and any trap
                 // (ECC double-bit, register parity, watchdog) re-executes
                 // from the last one. Deterministic: the restored rung state
                 // and the strike cycle fully determine every checkpoint.
+                clean.restore_below(cl, rec.fault.cycle);
                 cluster::CheckpointRunner& runner = *ws.runner;
                 runner.reset({.interval = interval, .max_retries = 2, .parity_guard = true});
                 runner.checkpoint(); // recovery point at the rung (pre-fault)
@@ -283,23 +265,21 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
                 continue;
             }
 
-            cl.run(rec.fault.cycle);
-            FaultInjector::apply(cl, rec.fault);
+            // Every tier restores the rung below the strike; only the
+            // batched engine rejoins.
+            const StrikeEnd end = strike(cl, rec.fault, bound, &clean, rejoin, credited);
+            rec.cycles = end.cycles;
             if (rejoin) {
-                rec.batch_lockstep_cycles = clean.rung_cycle(rung);
+                rec.batch_lockstep_cycles = clean.rung_cycle(end.rung);
                 rec.batch_lane_peels = 1;
                 ++rec.batch_peel_reasons[static_cast<unsigned>(peel_reason_of(rec.fault.kind))];
-                if (clean.rejoin(cl, rung, credited)) {
+                if (end.rejoined) {
                     // Classified on the clean final state: exactly the
                     // state a standalone run would have reached.
                     rec.batch_lockstep_cycles += credited.cycles - cl.stats().cycles;
-                    rec.cycles = credited.cycles;
                     classify_oneshot(golden, credited, bench, ccfg.cores, rec);
                     continue;
                 }
-            }
-            rec.cycles = cl.run(bound); // divergent to the end: full simulation
-            if (rejoin) {
                 const auto why = cl.stats().watchdog_trips > 0 ? cluster::PeelReason::Watchdog
                                                                : cluster::PeelReason::MemoBail;
                 ++rec.batch_peel_reasons[static_cast<unsigned>(why)];
@@ -328,7 +308,6 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
     const bool batched = cfg.engine == cluster::SimEngine::Batched;
 
     Cycle clean_block = 0;
-    std::uint64_t clean_checkpoints = 0;
     // The checkpointed stream's clean-run ladder, captured once from the
     // reference run and shared read-only by every thread.
     std::optional<cluster::CleanRun> stream_clean;
@@ -339,19 +318,7 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
         ULPMC_EXPECTS(clean.rollbacks == 0 && clean.leads_dropped == 0);
         res.clean_cycles = clean.total_cycles;
         clean_block = clean.clean_block_cycles;
-        clean_checkpoints = clean.checkpoints;
-    }
-    { // energy from the one-shot benchmark (same firmware inner loop)
-        cluster::Cluster& cl = cluster::pooled_cluster(ccfg, bench.base().image());
-        bench.base().load_inputs(cl, ccfg.cores);
-        cl.run();
-        // Block-boundary checkpoints amortize over the whole stream: the
-        // one-shot run stands in for one block's worth of ops.
-        const double ckpts_per_block =
-            static_cast<double>(clean_checkpoints) / static_cast<double>(bench.n_blocks());
-        res.energy_per_op = clean_energy_per_op(
-            arch, cl.stats(),
-            checkpoint_words_per_op(ckpts_per_block, ccfg.cores, cl.stats().total_ops()));
+        res.energy_per_op = stream_energy_per_op(bench, arch, ccfg, clean.checkpoints, 1.0);
     }
 
     const FaultUniverse universe = // within-block strike cycle
@@ -406,23 +373,6 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
     return res;
 }
 
-namespace {
-
-/// End-of-stream verification, mirroring StreamingBenchmark::run(): every
-/// block recomputes the same outputs, so the final committed state must
-/// match the single-block golden bitstream on every core.
-bool stream_verified(const cluster::Cluster& cl, const app::StreamingBenchmark& bench,
-                     unsigned cores) {
-    for (unsigned p = 0; p < cores; ++p) {
-        const auto pid = static_cast<CoreId>(p);
-        if (cl.core_trap(pid) != core::Trap::None || !cl.core_halted(pid)) return false;
-        if (!bench.base().bitstream_ok(cl, p)) return false;
-    }
-    return true;
-}
-
-} // namespace
-
 CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
                                      cluster::ArchKind arch, const CampaignConfig& cfg,
                                      sweep::SweepRunner& pool) {
@@ -433,12 +383,20 @@ CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
     res.cfg = cfg;
 
     const cluster::ClusterConfig ccfg = resilient_config(bench.base(), arch, cfg);
+    // End-of-stream verification: every block recomputes the same outputs,
+    // so the final state must hold the single-block golden bitstream on
+    // every lead.
+    const auto leads_ok = [&](const cluster::Cluster& cl) {
+        for (unsigned p = 0; p < ccfg.cores; ++p)
+            if (!bench.base().lead_ok(cl, p)) return false;
+        return true;
+    };
 
     { // fault-free continuous reference: cycle count and energy
         cluster::Cluster& cl = cluster::pooled_cluster(ccfg, bench.image());
         bench.base().load_inputs(cl, ccfg.cores);
         res.clean_cycles = cl.run(static_cast<Cycle>(bench.n_blocks()) * 400'000);
-        ULPMC_EXPECTS(stream_verified(cl, bench, ccfg.cores));
+        ULPMC_EXPECTS(leads_ok(cl));
         res.energy_per_op = clean_energy_per_op(arch, cl.stats());
     }
 
@@ -513,41 +471,15 @@ CampaignResult run_adaptive_campaign(const app::StreamingBenchmark& bench,
         }
         if (!runner.stats().gave_up) runner.run(bound);
 
-        const auto& st = cl.stats();
-        rec.cycles = st.cycles;
-        rec.ecc_corrected = st.ecc_corrected();
+        rec.cycles = cl.stats().cycles;
         rec.rollbacks = runner.stats().rollbacks;
         rec.checkpoints = runner.stats().checkpoints;
         rec.reexec_cycles = runner.stats().reexec_cycles;
         updates[i] = runner.stats().interval_updates;
-
-        bool any_running = false;
-        for (unsigned p = 0; p < ccfg.cores; ++p) {
-            const auto pid = static_cast<CoreId>(p);
-            const core::Trap t = cl.core_trap(pid);
-            if (t != core::Trap::None && rec.trap == core::Trap::None) rec.trap = t;
-            if (t == core::Trap::None && !cl.core_halted(pid)) any_running = true;
-        }
-        const std::uint64_t selfchecks = st.ixbar.selfcheck_fixes + st.ixbar.selfcheck_resyncs +
-                                         st.dxbar.selfcheck_fixes + st.dxbar.selfcheck_resyncs;
-        if (runner.stats().gave_up || rec.trap != core::Trap::None) {
-            rec.outcome = Outcome::Trapped;
-        } else if (any_running) {
-            rec.outcome = Outcome::Hang;
-        } else if (stream_verified(cl, bench, ccfg.cores)) {
-            if (rec.rollbacks > 0) {
-                rec.outcome = Outcome::RolledBack;
-            } else if (rec.ecc_corrected > 0 || st.reg_tmr_votes > 0 ||
-                       st.im_scrub_corrected > 0 || selfchecks > 0) {
-                rec.outcome = Outcome::Corrected;
-            } else if (cl.pending_reg_faults() > 0) {
-                rec.outcome = Outcome::Latent;
-            } else {
-                rec.outcome = Outcome::Masked;
-            }
-        } else {
-            rec.outcome = Outcome::Sdc;
-        }
+        // A runner that gave up left a core trapped, and maybe others still
+        // running: the give-up is the verdict, not a hang.
+        classify_oneshot(cl, cl.stats(), ccfg.cores, rec, [&] { return leads_ok(cl); });
+        if (runner.stats().gave_up) rec.outcome = Outcome::Trapped;
         res.runs[i] = std::move(rec);
     });
 
@@ -596,18 +528,10 @@ CampaignResult run_storage_campaign(const app::StreamingBenchmark& bench,
             stored_ratio = static_cast<double>(clean.ckpt_stored_bytes) /
                            static_cast<double>(clean.ckpt_full_bytes);
         }
-        // Energy from the one-shot benchmark (same firmware inner loop);
-        // the checkpoint traffic term is scaled by the bytes the store
+        // The checkpoint traffic term is scaled by the bytes the store
         // ACTUALLY persists, which is where delta encoding pays off.
-        cluster::Cluster& cl = cluster::pooled_cluster(ccfg, bench.base().image());
-        bench.base().load_inputs(cl, ccfg.cores);
-        cl.run();
-        const double ckpts_per_block =
-            static_cast<double>(clean.checkpoints) / static_cast<double>(bench.n_blocks());
-        res.energy_per_op = clean_energy_per_op(
-            arch, cl.stats(),
-            checkpoint_words_per_op(ckpts_per_block, ccfg.cores, cl.stats().total_ops()) *
-                stored_ratio);
+        res.energy_per_op =
+            stream_energy_per_op(bench, arch, ccfg, clean.checkpoints, stored_ratio);
     }
 
     // The storage fault target: payload words of one full keyframe record

@@ -128,15 +128,49 @@ struct InjectionRecord {
 };
 
 /// One-shot outcome classification, shared by every one-shot campaign
-/// path and by the lifetime engine's struck blocks, so their verdicts
-/// agree by construction. `view` is the cluster embodying the
-/// injection's final state; `st` its (materialized) statistics — the same
+/// path, the adaptive campaign and the lifetime engine's struck blocks, so
+/// their verdicts agree by construction. `view` is the cluster embodying
+/// the run's final state; `st` its (materialized) statistics — the same
 /// object for a plain run; the clean final state and the credited
 /// statistics for a rejoined one. Any core still running is a Hang, else
-/// any trap is Trapped; only then does `bench.verify` run, splitting
+/// any trap is Trapped; only then is `verified()` called, splitting
 /// RolledBack / Corrected / Latent / Masked from Sdc.
+template <class Verified>
 void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats& st,
-                      const app::EcgBenchmark& bench, unsigned cores, InjectionRecord& rec);
+                      unsigned cores, InjectionRecord& rec, Verified&& verified) {
+    rec.ecc_corrected = st.ecc_corrected();
+    bool any_running = false;
+    for (unsigned p = 0; p < cores; ++p) {
+        const auto pid = static_cast<CoreId>(p);
+        const core::Trap t = view.core_trap(pid);
+        if (t != core::Trap::None && rec.trap == core::Trap::None) rec.trap = t;
+        if (t == core::Trap::None && !view.core_halted(pid)) any_running = true;
+    }
+    if (any_running) {
+        rec.outcome = Outcome::Hang;
+    } else if (rec.trap != core::Trap::None) {
+        rec.outcome = Outcome::Trapped;
+    } else if (!verified()) {
+        rec.outcome = Outcome::Sdc;
+    } else if (rec.rollbacks > 0) {
+        rec.outcome = Outcome::RolledBack;
+    } else if (rec.ecc_corrected > 0 || st.reg_tmr_votes > 0 || st.im_scrub_corrected > 0 ||
+               st.xbar_selfchecks() > 0) {
+        rec.outcome = Outcome::Corrected;
+    } else if (view.pending_reg_faults() > 0) {
+        rec.outcome = Outcome::Latent; // struck register never consumed
+    } else {
+        rec.outcome = Outcome::Masked;
+    }
+}
+
+/// The one-shot verdict: classify_oneshot() verified by `bench.verify`,
+/// which checks each lead's CS measurements and its bitstream.
+inline void classify_oneshot(const cluster::Cluster& view, const cluster::ClusterStats& st,
+                             const app::EcgBenchmark& bench, unsigned cores,
+                             InjectionRecord& rec) {
+    classify_oneshot(view, st, cores, rec, [&] { return bench.verify(view, cores); });
+}
 
 struct CampaignResult {
     cluster::ArchKind arch{};

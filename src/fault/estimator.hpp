@@ -34,14 +34,15 @@
 
 namespace ulpmc::fault {
 
+/// Per-observation EWMA weight of the upset-rate estimate: higher tracks
+/// rate changes faster, lower rejects noise harder.
+inline constexpr double kUpsetRateWeight = 0.3;
+
 /// EWMA over observed inter-event gaps. Feed it one observation per
-/// window with observe(); read the smoothed rate from lambda_hat().
+/// window with observe(); read the smoothed rate from lambda_hat(). The
+/// first event-bearing window primes the estimate directly.
 class UpsetRateEstimator {
 public:
-    /// `alpha` is the per-observation smoothing weight: higher tracks
-    /// rate changes faster, lower rejects noise harder. The first
-    /// event-bearing window primes the estimate directly.
-    explicit UpsetRateEstimator(double alpha = 0.3) : alpha_(alpha) {}
 
     /// One observation window: `events` correction/trap events counted
     /// over `elapsed` cycles. Empty zero-length windows are ignored (a
@@ -70,11 +71,9 @@ public:
     Cycle silence() const { return silence_; }
     /// EWMA updates absorbed so far (= observation windows with events).
     std::uint64_t updates() const { return updates_; }
-    double alpha() const { return alpha_; }
 
     /// Durable-execution state round-trip (DESIGN.md §9.6): reinstates a
-    /// previously observed trajectory bit-exactly (alpha comes from the
-    /// resuming run's own config, not the snapshot).
+    /// previously observed trajectory bit-exactly.
     void restore(double gap_hat, Cycle silence, bool primed, std::uint64_t updates) {
         gap_hat_ = gap_hat;
         silence_ = silence;
@@ -82,8 +81,7 @@ public:
         updates_ = updates;
     }
 
-    void reset(double alpha) {
-        alpha_ = alpha;
+    void reset() {
         gap_hat_ = 0.0;
         silence_ = 0;
         primed_ = false;
@@ -93,12 +91,11 @@ public:
 private:
     void update(double gap) {
         if (gap <= 0.0) return;
-        gap_hat_ = primed_ ? alpha_ * gap + (1.0 - alpha_) * gap_hat_ : gap;
+        gap_hat_ = primed_ ? kUpsetRateWeight * gap + (1.0 - kUpsetRateWeight) * gap_hat_ : gap;
         primed_ = true;
         ++updates_;
     }
 
-    double alpha_;
     double gap_hat_ = 0.0;
     Cycle silence_ = 0;
     bool primed_ = false;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "cluster/clean_run.hpp"
 #include "common/assert.hpp"
 
 namespace ulpmc::fault {
@@ -216,6 +217,22 @@ Cycle FaultInjector::run_with_fault(cluster::Cluster& cl, const FaultSpec& f, Cy
     cl.run(f.cycle);
     apply(cl, f);
     return cl.run(max_cycles);
+}
+
+StrikeEnd strike(cluster::Cluster& cl, const FaultSpec& f, Cycle bound,
+                 const cluster::CleanRun* clean, bool rejoin, cluster::ClusterStats& credited) {
+    ULPMC_EXPECTS(f.cycle <= bound && (clean != nullptr || !rejoin));
+    StrikeEnd end;
+    if (clean) end.rung = clean->restore_below(cl, f.cycle);
+    cl.run(f.cycle);
+    FaultInjector::apply(cl, f);
+    if (rejoin && clean->rejoin(cl, end.rung, credited)) {
+        end.rejoined = true;
+        end.cycles = credited.cycles;
+        return end;
+    }
+    end.cycles = cl.run(bound); // divergent to the end: full simulation
+    return end;
 }
 
 } // namespace ulpmc::fault

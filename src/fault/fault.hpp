@@ -136,7 +136,8 @@ public:
     static void apply(cluster::CheckpointStorage& store, const FaultSpec& f);
 
     /// Runs `cl` until `f.cycle`, applies `f`, then runs to completion
-    /// (bounded by `max_cycles`). Returns the final cycle count.
+    /// (bounded by `max_cycles`). Returns the final cycle count. The plain
+    /// oracle strike() is tested against.
     static Cycle run_with_fault(cluster::Cluster& cl, const FaultSpec& f, Cycle max_cycles);
 
     Rng& rng() { return rng_; }
@@ -144,5 +145,22 @@ public:
 private:
     Rng rng_;
 };
+
+/// How one strike() ended.
+struct StrikeEnd {
+    unsigned rung = 0;     ///< rung restored below the strike; 0 without a memo
+    bool rejoined = false; ///< back on the clean run: see strike()
+    Cycle cycles = 0;      ///< the run's final cycle count
+};
+
+/// The one strike protocol of one-shot campaigns and struck lifetime
+/// blocks (DESIGN.md §11). `cl` is freshly loaded. Given the clean-run
+/// memo `clean`, restores its highest rung below `f.cycle`; then runs to
+/// `f.cycle` and deposits `f`. With `rejoin` (which needs the memo) it
+/// walks the later rungs: on a match the run has rejoined, its final state
+/// is the clean run's and its final statistics are written to `credited`.
+/// Otherwise it runs to `bound`. Each caller picks its own tier rule.
+StrikeEnd strike(cluster::Cluster& cl, const FaultSpec& f, Cycle bound,
+                 const cluster::CleanRun* clean, bool rejoin, cluster::ClusterStats& credited);
 
 } // namespace ulpmc::fault

@@ -18,6 +18,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/journal.hpp"
+#include "common/numparse.hpp"
 #include "fault/fault.hpp"
 #include "fleet/report.hpp"
 #include "fleet/store.hpp"
@@ -25,6 +26,9 @@
 namespace ulpmc::fleet {
 
 namespace {
+
+/// Supervisor poll period.
+constexpr double kPollS = 0.05;
 
 double now_s() {
     return std::chrono::duration<double>(
@@ -88,6 +92,36 @@ std::vector<ChaosEvent> chaos_schedule(const FarmOptions& opt) {
                                                    : a.at_records < b.at_records;
                      });
     return events;
+}
+
+std::string chaos_at_arg(const std::vector<ChaosEvent>& events) {
+    std::string arg;
+    for (const ChaosEvent& ev : events) {
+        if (!arg.empty()) arg += ',';
+        arg += (ev.stall ? "stop@" : "kill@") + std::to_string(ev.at_records);
+    }
+    return arg;
+}
+
+bool parse_chaos_at(const std::string& arg, std::vector<ChaosEvent>& events) {
+    events.clear();
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t comma = arg.find(',', pos);
+        const std::string entry =
+            arg.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+        ChaosEvent ev;
+        if (entry.rfind("stop@", 0) == 0) {
+            ev.stall = true;
+        } else if (entry.rfind("kill@", 0) != 0) {
+            return false;
+        }
+        const std::uint64_t floor = events.empty() ? 0 : events.back().at_records;
+        if (!parse_u64(entry.substr(5), ev.at_records) || ev.at_records <= floor) return false;
+        events.push_back(ev);
+        if (comma == std::string::npos) return true;
+        pos = comma + 1;
+    }
 }
 
 double farm_backoff_s(double base_s, double max_s, unsigned restart, Rng& rng) {
@@ -219,9 +253,8 @@ Farm::Farm(const FarmOptions& opt, std::ostream* log) : opt_(opt), log_(log) {
     if (opt_.workers < 1) throw FarmError("farm: need at least one worker");
     if (opt_.workers > opt_.fleet.devices)
         throw FarmError("farm: more workers than devices leaves empty shards");
-    if (opt_.heartbeat_s <= 0 || opt_.timeout_s <= 0 || opt_.term_grace_s < 0 ||
-        opt_.poll_s <= 0)
-        throw FarmError("farm: heartbeat/timeout/grace/poll periods must be positive");
+    if (opt_.heartbeat_s <= 0 || opt_.timeout_s <= 0 || opt_.term_grace_s < 0)
+        throw FarmError("farm: heartbeat/timeout/grace periods must be positive");
     if (opt_.timeout_s <= opt_.heartbeat_s)
         throw FarmError("farm: timeout must exceed the heartbeat period, or every "
                         "healthy worker looks hung");
@@ -249,10 +282,10 @@ struct ShardSlot {
     double last_growth_t = 0;
     bool term_sent = false;
     double term_t = 0;
-    bool stopped = false; ///< a chaos SIGSTOP is in flight
+    bool kill_sent = false; ///< the supervisor SIGKILLed this worker
     double restart_at_t = 0;
     unsigned attempts = 0;
-    std::size_t next_chaos = 0; ///< index into this shard's chaos queue
+    std::size_t next_chaos = 0; ///< this shard's first event not yet seen delivered
     Rng backoff_rng{0};
     ShardOutcome out;
 };
@@ -309,6 +342,12 @@ FarmReport Farm::run() {
             args.push_back("--days");
             args.push_back(f64_arg(opt_.fleet.days));
         }
+        if (!chaos_by_shard[k].empty()) {
+            // The whole schedule: the worker skips the triggers its journal
+            // has already passed.
+            args.push_back("--chaos-at");
+            args.push_back(chaos_at_arg(chaos_by_shard[k]));
+        }
         std::vector<char*> argv;
         for (std::string& a : args) argv.push_back(a.data());
         argv.push_back(nullptr);
@@ -329,7 +368,7 @@ FarmReport Farm::run() {
         s.pid = pid;
         s.state = ShardState::Running;
         s.term_sent = false;
-        s.stopped = false;
+        s.kill_sent = false;
         s.last_growth_t = now_s();
         ++s.attempts;
         if (s.attempts > 1) ++rep.restarts;
@@ -361,9 +400,29 @@ FarmReport Farm::run() {
                     continue;
                 }
 
-                // ---- reap ------------------------------------------------
+                // ---- reap, and see the chaos the worker delivered -------
+                // A scheduled event is seen delivered when the worker stops
+                // or dies by it with the journal at exactly its trigger.
+                const auto chaos_landed = [&](bool stall) {
+                    const auto& queue = chaos_by_shard[k];
+                    if (s.next_chaos == queue.size()) return false;
+                    const ChaosEvent& ev = queue[s.next_chaos];
+                    if (ev.stall != stall || s.prog.record_frames != ev.at_records)
+                        return false;
+                    ++s.next_chaos;
+                    log("shard " + std::to_string(k) + ": chaos " +
+                        (stall ? "SIGSTOP" : "SIGKILL") + " at record " +
+                        std::to_string(ev.at_records) + (stall ? " (timeout path)" : ""));
+                    return true;
+                };
                 int status = 0;
-                const pid_t r = waitpid(s.pid, &status, WNOHANG);
+                const pid_t r = waitpid(s.pid, &status, WNOHANG | WUNTRACED);
+                if (r == s.pid && WIFSTOPPED(status)) {
+                    // Left stopped: the liveness timeout escalates it.
+                    scan_journal(jnl_path(k), s.prog);
+                    if (WSTOPSIG(status) == SIGSTOP && chaos_landed(true)) ++s.out.chaos_stalls;
+                    continue;
+                }
                 if (r == s.pid) {
                     s.pid = -1;
                     scan_journal(jnl_path(k), s.prog);
@@ -374,6 +433,9 @@ FarmReport Farm::run() {
                         code = -WTERMSIG(status);
                     }
                     s.out.last_status = code;
+                    const bool chaos_kill =
+                        code == -SIGKILL && !s.kill_sent && chaos_landed(false);
+                    if (chaos_kill) ++s.out.chaos_kills;
                     if (code == 0) {
                         s.state = ShardState::Done;
                         log("shard " + std::to_string(k) + ": complete after " +
@@ -392,7 +454,7 @@ FarmReport Farm::run() {
                         ++s.out.preempted_exits;
                         log("shard " + std::to_string(k) +
                             ": worker preempted politely (exit 3)");
-                    } else if (code < 0) {
+                    } else if (code < 0 && !chaos_kill) {
                         log("shard " + std::to_string(k) + ": worker killed by signal " +
                             std::to_string(-code));
                     } else {
@@ -419,31 +481,11 @@ FarmReport Farm::run() {
                     continue;
                 }
 
-                // ---- liveness + chaos ------------------------------------
+                // ---- liveness ------------------------------------------
                 scan_journal(jnl_path(k), s.prog);
                 if (s.prog.bytes > s.last_bytes) {
                     s.last_bytes = s.prog.bytes;
                     s.last_growth_t = now;
-                }
-
-                auto& queue = chaos_by_shard[k];
-                if (s.next_chaos < queue.size() && !s.stopped &&
-                    s.prog.record_frames >= queue[s.next_chaos].at_records) {
-                    const ChaosEvent& ev = queue[s.next_chaos++];
-                    if (ev.stall) {
-                        kill(s.pid, SIGSTOP);
-                        s.stopped = true;
-                        ++s.out.chaos_stalls;
-                        log("shard " + std::to_string(k) + ": chaos SIGSTOP at " +
-                            std::to_string(s.prog.record_frames) +
-                            " records (timeout path)");
-                    } else {
-                        kill(s.pid, SIGKILL);
-                        ++s.out.chaos_kills;
-                        log("shard " + std::to_string(k) + ": chaos SIGKILL at " +
-                            std::to_string(s.prog.record_frames) + " records");
-                    }
-                    continue; // reap on the next poll
                 }
 
                 if (!s.term_sent && now - s.last_growth_t > opt_.timeout_s) {
@@ -458,12 +500,13 @@ FarmReport Farm::run() {
                     // does not care.
                     kill(s.pid, SIGKILL);
                     s.term_sent = false;
+                    s.kill_sent = true;
                     ++s.out.timeout_kills;
                     log("shard " + std::to_string(k) + ": grace expired; SIGKILL");
                 }
             }
             if (all_settled) break;
-            std::this_thread::sleep_for(std::chrono::duration<double>(opt_.poll_s));
+            std::this_thread::sleep_for(std::chrono::duration<double>(kPollS));
         }
     } catch (...) {
         kill_all();

@@ -71,11 +71,13 @@ struct FarmOptions {
     unsigned chaos_kills = 0;  ///< seeded chaos: direct SIGKILLs to deliver
     unsigned chaos_stalls = 0; ///< seeded chaos: SIGSTOPs (hang -> timeout path)
     std::uint64_t chaos_seed = 1;
-    double poll_s = 0.05;      ///< supervisor poll period
 };
 
-/// One scheduled chaos disruption: fire once shard `shard`'s journal
-/// holds `at_records` device records.
+/// One scheduled chaos disruption of shard `shard`'s worker. The worker
+/// delivers it to itself at the record: right after it fsyncs the record
+/// frame that brings its journal to `at_records` device records (replayed
+/// frames included, as scan_journal counts them), and before it releases
+/// the journal.
 struct ChaosEvent {
     unsigned shard = 0;
     std::uint64_t at_records = 0;
@@ -88,6 +90,15 @@ struct ChaosEvent {
 /// [1, ~60% of the shard's device count] so the kill lands before the
 /// worker can finish.
 std::vector<ChaosEvent> chaos_schedule(const FarmOptions& opt);
+
+/// One shard's events as the worker's `--chaos-at` value:
+/// comma-separated `kill@N` / `stop@N`, triggers strictly increasing.
+std::string chaos_at_arg(const std::vector<ChaosEvent>& events);
+
+/// Parses a `--chaos-at` value into `events` (shard fields 0). False on
+/// anything malformed: an empty entry, another action, a trigger that is
+/// zero, not a number, or not above the one before.
+bool parse_chaos_at(const std::string& arg, std::vector<ChaosEvent>& events);
 
 /// Restart backoff for the `restart`-th restart (1-based): truncated
 /// binary exponential with ±25% seeded jitter, capped at `max_s` AFTER
@@ -133,7 +144,7 @@ struct FarmReport {
     unsigned restarts = 0; ///< worker launches beyond each shard's first
     unsigned chaos_kills = 0;
     unsigned chaos_stalls = 0;
-    unsigned chaos_undelivered = 0; ///< scheduled events the worker outran
+    unsigned chaos_undelivered = 0; ///< scheduled events no worker delivered
     unsigned timeout_terms = 0;
     unsigned timeout_kills = 0;
     unsigned preempted_exits = 0;

@@ -9,7 +9,7 @@
 
 namespace ulpmc::isa {
 
-std::string format_listing(const Program& p, const ListingOptions& opt) {
+std::string format_listing(const Program& p) {
     std::ostringstream os;
     char buf[128];
 
@@ -31,7 +31,7 @@ std::string format_listing(const Program& p, const ListingOptions& opt) {
         os << buf;
     }
 
-    if (opt.with_symbols && !p.symbols().empty()) {
+    if (!p.symbols().empty()) {
         os << "\n; symbols\n";
         for (const auto& [name, sym] : p.symbols()) {
             std::snprintf(buf, sizeof buf, ";   %-24s %5u  (%s)\n", name.c_str(), sym.value,
@@ -40,18 +40,6 @@ std::string format_listing(const Program& p, const ListingOptions& opt) {
         }
     }
 
-    if (opt.with_data && !p.data.empty()) {
-        os << "\n; data (hex words)\n";
-        for (std::size_t i = 0; i < p.data.size(); i += 8) {
-            std::snprintf(buf, sizeof buf, ";   %04zu:", i);
-            os << buf;
-            for (std::size_t j = i; j < std::min(i + 8, p.data.size()); ++j) {
-                std::snprintf(buf, sizeof buf, " %04X", p.data[j]);
-                os << buf;
-            }
-            os << '\n';
-        }
-    }
     return os.str();
 }
 

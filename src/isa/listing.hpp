@@ -9,13 +9,8 @@
 
 namespace ulpmc::isa {
 
-/// Options for format_listing.
-struct ListingOptions {
-    bool with_symbols = true; ///< append the symbol table
-    bool with_data = false;   ///< append a data-section hex dump
-};
-
-/// Renders a full listing of `p`.
-std::string format_listing(const Program& p, const ListingOptions& opt = {});
+/// Renders a full listing of `p`: header, one line per instruction with
+/// its labels, then the symbol table.
+std::string format_listing(const Program& p);
 
 } // namespace ulpmc::isa

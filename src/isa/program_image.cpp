@@ -2,14 +2,10 @@
 
 namespace ulpmc::isa {
 
-void ProgramImage::rebuild(const Program& prog) {
-    text_.assign(prog.text.begin(), prog.text.end());
-    data_.assign(prog.data.begin(), prog.data.end());
-    entry_ = prog.entry;
-    decoded_.resize(text_.size());
-    for (std::size_t pc = 0; pc < text_.size(); ++pc)
-        fill_entry(decoded_[pc], text_[pc]);
-    blockmap_.rebuild(text_);
+ProgramImage::ProgramImage(const Program& prog)
+    : text_(prog.text), data_(prog.data), entry_(prog.entry), decoded_(text_.size()),
+      blockmap_(text_) {
+    for (std::size_t pc = 0; pc < text_.size(); ++pc) fill_entry(decoded_[pc], text_[pc]);
 }
 
 } // namespace ulpmc::isa

@@ -26,13 +26,7 @@ namespace ulpmc::isa {
 /// cluster derives from its text at load time.
 class ProgramImage {
 public:
-    ProgramImage() = default;
-    explicit ProgramImage(const Program& prog) { rebuild(prog); }
-
-    /// Re-derives the whole image from `prog` in place, reusing buffer
-    /// capacity (a same-size rebuild performs no heap allocation — this is
-    /// what keeps the legacy Program-based Cluster::reset() zero-alloc).
-    void rebuild(const Program& prog);
+    explicit ProgramImage(const Program& prog);
 
     /// Shared-ownership factory for the campaign/sweep pattern: build one
     /// image up front, hand the same shared_ptr to every instance.

@@ -407,22 +407,14 @@ LifetimeReport LifetimeEngine::run(sweep::SweepRunner& pool, const LifeResume& r
             bench_->load_inputs(cl, cfg.cores);
             const Cycle bound = cluster::hang_bound(cfg, cal.clean_cycles);
             StruckOutcome& out = outcomes[j];
-            if (job.clean) {
-                // Restore the rung below the strike, strike, then try to
-                // rejoin the clean run: a rejoined block ends in the clean
-                // final state, verified by the calibration.
-                thread_local cluster::ClusterStats credited;
-                const unsigned from = job.clean->restore_below(cl, job.spec.cycle);
-                cl.run(job.spec.cycle);
-                fault::FaultInjector::apply(cl, job.spec);
-                if (job.clean->rejoin(cl, from, credited)) {
-                    out.events = credited.upset_events();
-                    out.ok = true;
-                    return;
-                }
-                cl.run(bound);
-            } else {
-                fault::FaultInjector::run_with_fault(cl, job.spec, bound);
+            // With the memo, restore, strike and rejoin: a rejoined block
+            // ends in the clean final state, verified by the calibration.
+            thread_local cluster::ClusterStats credited;
+            if (fault::strike(cl, job.spec, bound, job.clean, job.clean != nullptr, credited)
+                    .rejoined) {
+                out.events = credited.upset_events();
+                out.ok = true;
+                return;
             }
             const cluster::ClusterStats& st = cl.stats();
             out.events = st.upset_events();

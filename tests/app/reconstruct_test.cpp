@@ -134,9 +134,7 @@ TEST(Omp, MoreMeasurementsImproveFidelity) {
         std::vector<double> y(yw.size());
         for (std::size_t i = 0; i < yw.size(); ++i)
             y[i] = static_cast<double>(static_cast<SWord>(yw[i]));
-        OmpConfig cfg;
-        cfg.max_support = static_cast<unsigned>(m / 4);
-        const double prd = prd_percent(x, cs_reconstruct(matrix, y, cfg));
+        const double prd = prd_percent(x, cs_reconstruct(matrix, y));
         (m == 96 ? prd_small : prd_large) = prd;
     }
     EXPECT_LT(prd_large, prd_small);
@@ -144,10 +142,6 @@ TEST(Omp, MoreMeasurementsImproveFidelity) {
 
 TEST(Omp, ConfigValidation) {
     const CsMatrix matrix(1);
-    std::vector<double> y(matrix.rows(), 0.0);
-    OmpConfig bad;
-    bad.max_support = 0;
-    EXPECT_THROW(cs_reconstruct(matrix, y, bad), contract_violation);
     std::vector<double> wrong(10, 0.0);
     EXPECT_THROW(cs_reconstruct(matrix, wrong), contract_violation);
 }

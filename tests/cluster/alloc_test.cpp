@@ -100,18 +100,18 @@ TEST(ZeroAlloc, SteadyStateRunBurstIsHeapFree) {
 }
 
 TEST(ZeroAlloc, SweepAndCampaignInnerLoopIsHeapFree) {
-    const auto prog = loop_program();
+    const auto image = isa::ProgramImage::build(loop_program());
     const auto cfg = make_cfg(4);
 
     // Warm-up: one full pass through every reuse shape so each buffer and
     // snapshot reaches its steady-state capacity.
-    cluster::Cluster cl(cfg, prog);
+    cluster::Cluster cl(cfg, image);
     cluster::Cluster::Snapshot snap;
     cl.run(60);
     cl.save(snap);
     cl.restore(snap);
     cl.run(100'000);
-    cl.reset(cfg, prog);
+    cl.reset(cfg, image);
     cl.run(60);
     cl.save(snap);
 
@@ -123,7 +123,7 @@ TEST(ZeroAlloc, SweepAndCampaignInnerLoopIsHeapFree) {
     }
     // Sweep shape: re-launch the same geometry from scratch.
     for (int i = 0; i < 4; ++i) {
-        cl.reset(cfg, prog);
+        cl.reset(cfg, image);
         cl.run(100'000);
         cl.save(snap); // campaigns re-snapshot per ladder rebuild
     }

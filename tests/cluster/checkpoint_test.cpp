@@ -159,7 +159,7 @@ TEST(Checkpoint, TmrScrubRepairsAtCheckpointTime) {
 }
 
 TEST(UpsetRateEstimator, PrimesOnTheFirstEventBearingWindow) {
-    fault::UpsetRateEstimator est(0.5);
+    fault::UpsetRateEstimator est;
     EXPECT_FALSE(est.primed());
     EXPECT_DOUBLE_EQ(est.lambda_hat(), 0.0);
     est.observe(2, 300); // mean gap 150
@@ -170,15 +170,16 @@ TEST(UpsetRateEstimator, PrimesOnTheFirstEventBearingWindow) {
 }
 
 TEST(UpsetRateEstimator, SmoothsInterEventGapsNotWindowRates) {
-    fault::UpsetRateEstimator est(0.5);
+    fault::UpsetRateEstimator est;
     est.observe(1, 100);
-    est.observe(1, 300); // gap EWMA: 0.5 * 300 + 0.5 * 100
-    EXPECT_DOUBLE_EQ(est.gap_hat(), 200.0);
+    est.observe(1, 300); // gap EWMA over the two gaps, not the window rates
+    EXPECT_DOUBLE_EQ(est.gap_hat(),
+                     fault::kUpsetRateWeight * 300.0 + (1.0 - fault::kUpsetRateWeight) * 100.0);
     EXPECT_EQ(est.updates(), 2u);
 }
 
 TEST(UpsetRateEstimator, SilentWindowsBoundTheRateWithoutEnteringTheEwma) {
-    fault::UpsetRateEstimator est(0.5);
+    fault::UpsetRateEstimator est;
     est.observe(1, 100); // gap_hat = 100
     est.observe(0, 40);  // silence 40 < gap_hat: the bound is inactive
     EXPECT_DOUBLE_EQ(est.lambda_hat(), 1.0 / 100.0);
@@ -189,7 +190,8 @@ TEST(UpsetRateEstimator, SilentWindowsBoundTheRateWithoutEnteringTheEwma) {
     // When the event finally lands, the accumulated silence is that gap's
     // lead-in — counted exactly once.
     est.observe(1, 100); // gap = (400 + 100) / 1
-    EXPECT_DOUBLE_EQ(est.gap_hat(), 0.5 * 500.0 + 0.5 * 100.0);
+    EXPECT_DOUBLE_EQ(est.gap_hat(),
+                     fault::kUpsetRateWeight * 500.0 + (1.0 - fault::kUpsetRateWeight) * 100.0);
     EXPECT_DOUBLE_EQ(est.lambda_hat(), 1.0 / est.gap_hat());
 }
 
@@ -197,7 +199,7 @@ TEST(UpsetRateEstimator, SilenceSplitDoesNotChangeTheEstimate) {
     // Three silent windows followed by an event-bearing one must produce
     // the same estimate as one long window: the no-double-count property
     // that keeps lambda_hat unbiased across window-boundary placement.
-    fault::UpsetRateEstimator split(0.3), whole(0.3);
+    fault::UpsetRateEstimator split, whole;
     split.observe(1, 50);
     whole.observe(1, 50);
     split.observe(0, 100);
@@ -211,15 +213,14 @@ TEST(UpsetRateEstimator, SilenceSplitDoesNotChangeTheEstimate) {
 }
 
 TEST(UpsetRateEstimator, ResetRestoresTheUnprimedState) {
-    fault::UpsetRateEstimator est(0.3);
+    fault::UpsetRateEstimator est;
     est.observe(3, 900);
     est.observe(0, 50);
-    est.reset(0.7);
+    est.reset();
     EXPECT_FALSE(est.primed());
     EXPECT_DOUBLE_EQ(est.lambda_hat(), 0.0);
     EXPECT_DOUBLE_EQ(est.gap_hat(), 0.0);
     EXPECT_EQ(est.updates(), 0u);
-    EXPECT_DOUBLE_EQ(est.alpha(), 0.7);
     est.observe(1, 200); // silence from before the reset must be gone
     EXPECT_DOUBLE_EQ(est.gap_hat(), 200.0);
 }
@@ -245,7 +246,7 @@ TEST(Checkpoint, AdaptiveQuietRunParksAtMaxIntervalUntouched) {
     Cluster cl(cfg, prog);
     CheckpointRunner runner(cl);
     runner.reset({.interval = 0, .max_retries = 2, .parity_guard = true,
-                  .adaptive = true, .min_interval = 100, .max_interval = 2'000});
+                  .adaptive = true, .max_interval = 2'000});
     const Cycle cycles = runner.run(200'000);
 
     EXPECT_EQ(cycles, plain_cycles) << "the adaptive controller must not perturb a clean run";
@@ -268,8 +269,7 @@ TEST(Checkpoint, AdaptiveControllerShortensTheIntervalUnderFire) {
     Cluster cl(cfg, prog);
     CheckpointRunner runner(cl);
     runner.reset({.interval = 2'000, .max_retries = 2, .parity_guard = true,
-                  .adaptive = true, .min_interval = 100, .max_interval = 4'000,
-                  .alpha = 0.5});
+                  .adaptive = true, .max_interval = 4'000});
     while (!cl.core_halted(0) && cl.stats().cycles < 10'000) {
         cl.inject_reg_fault(0, 9, 0x4); // dead register: repaired by the scrub
         runner.run(cl.stats().cycles + 120);
@@ -278,7 +278,7 @@ TEST(Checkpoint, AdaptiveControllerShortensTheIntervalUnderFire) {
     EXPECT_GT(runner.stats().interval_updates, 0u);
     EXPECT_GT(runner.stats().lambda_hat, 0.0);
     EXPECT_LT(runner.stats().current_interval, 2'000u);
-    EXPECT_GE(runner.stats().current_interval, 100u);
+    EXPECT_GE(runner.stats().current_interval, kMinCheckpointInterval);
 }
 
 TEST(Checkpoint, DetectBeforeSaveReportsTheUpsetToTheEstimator) {
@@ -293,7 +293,7 @@ TEST(Checkpoint, DetectBeforeSaveReportsTheUpsetToTheEstimator) {
     Cluster cl(cfg, prog);
     CheckpointRunner runner(cl);
     runner.reset({.interval = 500, .max_retries = 4, .parity_guard = true,
-                  .adaptive = true, .min_interval = 100, .max_interval = 600});
+                  .adaptive = true, .max_interval = 600});
     runner.run(1'200); // a few clean windows: the estimator is still unprimed
     EXPECT_DOUBLE_EQ(runner.stats().lambda_hat, 0.0);
 

@@ -55,7 +55,7 @@ void expect_identical(cluster::Cluster& a, cluster::Cluster& b, unsigned cores,
 }
 
 TEST(ClusterReuse, ResetMatchesFreshConstruction) {
-    const auto prog = loop_program();
+    const auto image = isa::ProgramImage::build(loop_program());
     // Exercise a full geometry + engine change: the reused instance was
     // built as a 4-core banked trace cluster, the target is a 2-core
     // dedicated-IM reference cluster with ECC.
@@ -63,27 +63,27 @@ TEST(ClusterReuse, ResetMatchesFreshConstruction) {
     auto target = cfg_of(cluster::ArchKind::McRef, 2, cluster::SimEngine::Reference);
     target.ecc_enabled = true;
 
-    cluster::Cluster reused(first, prog);
+    cluster::Cluster reused(first, image);
     reused.run(100); // park mid-run so reset() has real state to erase
-    reused.reset(target, prog);
+    reused.reset(target, image);
 
-    cluster::Cluster fresh(target, prog);
+    cluster::Cluster fresh(target, image);
     ASSERT_EQ(reused.run(100'000), fresh.run(100'000));
     expect_identical(reused, fresh, target.cores, "reset vs fresh");
 }
 
 TEST(ClusterReuse, ResetErasesFaultsAndPatches) {
-    const auto prog = loop_program();
+    const auto image = isa::ProgramImage::build(loop_program());
     const auto cfg = cfg_of(cluster::ArchKind::UlpmcBank, 2);
 
-    cluster::Cluster reused(cfg, prog);
+    cluster::Cluster reused(cfg, image);
     reused.run(20);
     reused.inject_im_fault(2, 0x1); // corrupt a loop-body word
     reused.dm_poke(0, 700, 0xBEEF);
     reused.run(500);
-    reused.reset(cfg, prog);
+    reused.reset(cfg, image);
 
-    cluster::Cluster fresh(cfg, prog);
+    cluster::Cluster fresh(cfg, image);
     ASSERT_EQ(reused.run(100'000), fresh.run(100'000));
     expect_identical(reused, fresh, cfg.cores, "reset after faults");
 }
@@ -224,14 +224,14 @@ TEST(ClusterReuse, StateEqualsTracksDivergence) {
 }
 
 TEST(ClusterReuse, PooledClusterReinitializesSameInstance) {
-    const auto prog = loop_program();
+    const auto image = isa::ProgramImage::build(loop_program());
     const auto cfg = cfg_of(cluster::ArchKind::UlpmcBank, 2);
 
-    cluster::Cluster& a = cluster::pooled_cluster(cfg, prog);
+    cluster::Cluster& a = cluster::pooled_cluster(cfg, image);
     const Cycle cy = a.run(100'000);
     const auto stats = a.stats();
 
-    cluster::Cluster& b = cluster::pooled_cluster(cfg, prog);
+    cluster::Cluster& b = cluster::pooled_cluster(cfg, image);
     ASSERT_EQ(&a, &b) << "one instance per thread";
     ASSERT_EQ(b.stats().cycles, 0u) << "handed back re-initialized";
     ASSERT_EQ(b.run(100'000), cy);
@@ -239,7 +239,7 @@ TEST(ClusterReuse, PooledClusterReinitializesSameInstance) {
 }
 
 TEST(ClusterReuse, PooledClusterKeepsOneBucketPerShape) {
-    const auto prog = loop_program();
+    const auto image = isa::ProgramImage::build(loop_program());
     cluster::pooled_cluster_clear();
     const auto before = cluster::pooled_cluster_stats();
 
@@ -247,12 +247,12 @@ TEST(ClusterReuse, PooledClusterKeepsOneBucketPerShape) {
     // and alternating between them re-uses both instances.
     const auto cfg2 = cfg_of(cluster::ArchKind::UlpmcBank, 2);
     const auto cfg4 = cfg_of(cluster::ArchKind::UlpmcBank, 4);
-    cluster::Cluster* c2 = &cluster::pooled_cluster(cfg2, prog);
-    cluster::Cluster* c4 = &cluster::pooled_cluster(cfg4, prog);
+    cluster::Cluster* c2 = &cluster::pooled_cluster(cfg2, image);
+    cluster::Cluster* c4 = &cluster::pooled_cluster(cfg4, image);
     ASSERT_NE(c2, c4) << "distinct shapes must not share a bucket";
     for (int i = 0; i < 3; ++i) {
-        ASSERT_EQ(&cluster::pooled_cluster(cfg2, prog), c2);
-        ASSERT_EQ(&cluster::pooled_cluster(cfg4, prog), c4);
+        ASSERT_EQ(&cluster::pooled_cluster(cfg2, image), c2);
+        ASSERT_EQ(&cluster::pooled_cluster(cfg4, image), c4);
     }
 
     const auto after = cluster::pooled_cluster_stats();
@@ -266,12 +266,12 @@ TEST(ClusterReuse, PooledClusterKeepsOneBucketPerShape) {
     auto prot = cfg2;
     prot.ecc_enabled = true;
     prot.reg_protection = core::RegProtection::Tmr;
-    ASSERT_EQ(&cluster::pooled_cluster(prot, prog), c2);
+    ASSERT_EQ(&cluster::pooled_cluster(prot, image), c2);
     EXPECT_EQ(cluster::pooled_cluster_stats().hits - before.hits, 7u);
 }
 
 TEST(ClusterReuse, PooledClusterEvictsColdestShape) {
-    const auto prog = loop_program();
+    const auto image = isa::ProgramImage::build(loop_program());
     cluster::pooled_cluster_clear();
     const auto before = cluster::pooled_cluster_stats();
 
@@ -280,7 +280,7 @@ TEST(ClusterReuse, PooledClusterEvictsColdestShape) {
     for (unsigned n = 0; n < cluster::kPoolMaxBuckets + 2; ++n) {
         const auto cfg = cfg_of(n < 8 ? cluster::ArchKind::UlpmcBank : cluster::ArchKind::McRef,
                                 1 + (n % 8));
-        cluster::pooled_cluster(cfg, prog);
+        cluster::pooled_cluster(cfg, image);
     }
     const auto after = cluster::pooled_cluster_stats();
     EXPECT_EQ(after.buckets, cluster::kPoolMaxBuckets);

@@ -100,6 +100,34 @@ TEST(AdaptiveCheckpoint, CampaignIsIdenticalAcrossEngineTiers) {
     EXPECT_DOUBLE_EQ(ref.overhead_energy, trace.overhead_energy);
 }
 
+TEST(AdaptiveCheckpoint, AGiveUpIsTrappedEvenWhileAnotherCoreRuns) {
+    // Double-bit DM strikes ECC detects but cannot correct. One that lands
+    // before a checkpoint is saved with it, so every rollback re-traps
+    // until the runner gives up, and the cores it did not trap run on. The
+    // give-up is the verdict: Trapped, not Hang.
+    const app::StreamingBenchmark s({.use_barrier = true}, 2);
+    sweep::SweepRunner pool;
+    CampaignConfig cfg;
+    cfg.seed = 3;
+    cfg.injections = 8;
+    cfg.ecc = true;
+    cfg.kinds = fault_bit(FaultKind::DmBitFlip);
+    cfg.flip_bits = 2;
+    cfg.checkpoint = true;
+    cfg.checkpoint_interval = 2'000;
+    cfg.lambda_low = 1e-4;
+    cfg.lambda_high = 1e-3;
+    const auto res = run_adaptive_campaign(s, cluster::ArchKind::UlpmcBank, cfg, pool);
+
+    unsigned trapped = 0;
+    for (const InjectionRecord& r : res.runs) {
+        if (r.trap == core::Trap::None) continue;
+        ++trapped;
+        EXPECT_EQ(r.outcome, Outcome::Trapped) << r.fault.describe();
+    }
+    EXPECT_GT(trapped, 0u) << "no run gave up: the strikes miss the case";
+}
+
 TEST(ArbiterUpset, SelfCheckClosesTheSilentCorruptionChannel) {
     // Arbiter sequential-state upsets (stuck round-robin pointer, flipped
     // grant register) slip past the stall/retry protocol: the unprotected

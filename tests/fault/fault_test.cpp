@@ -114,6 +114,33 @@ TEST(Campaign, ReproducibleAcrossThreadCounts) {
     EXPECT_EQ(a.counts, b.counts);
 }
 
+TEST(Verdict, OneShotChecksTheMeasurementsTheBitstreamVerdictDoesNot) {
+    // The one-shot verdict verifies each lead's CS measurements (the y
+    // window) and its bitstream; the adaptive campaign's verifies the
+    // bitstream only. One wrong measurement word on a finished clean block
+    // tells the two apart.
+    const app::EcgBenchmark bench{};
+    const auto cfg = cluster::make_config(cluster::ArchKind::UlpmcBank, bench.layout().dm_layout());
+    cluster::Cluster cl(cfg, bench.image());
+    bench.load_inputs(cl, cfg.cores);
+    cl.run();
+    ASSERT_TRUE(bench.verify(cl, cfg.cores));
+    const Addr y = bench.layout().y_base();
+    cl.dm_poke(3, y, static_cast<Word>(cl.dm_peek(3, y) ^ 1));
+
+    InjectionRecord oneshot;
+    classify_oneshot(cl, cl.stats(), bench, cfg.cores, oneshot);
+    EXPECT_EQ(oneshot.outcome, Outcome::Sdc);
+
+    InjectionRecord bitstream;
+    classify_oneshot(cl, cl.stats(), cfg.cores, bitstream, [&] {
+        for (unsigned p = 0; p < cfg.cores; ++p)
+            if (!bench.lead_ok(cl, p)) return false;
+        return true;
+    });
+    EXPECT_EQ(bitstream.outcome, Outcome::Masked);
+}
+
 TEST(Campaign, EccTurnsDmSdcIntoCorrections) {
     // Acceptance (a): at least one strike that is silent data corruption
     // with ECC off is corrected by SEC-DED — same seeds, same strikes.

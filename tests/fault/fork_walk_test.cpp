@@ -1,7 +1,7 @@
-// Differential test of the lifetime engine's struck-block path through the
-// clean-run memo (cluster::CleanRun, DESIGN.md §11-12): restore the rung
-// below the strike, strike, then rejoin the clean run or run on to the
-// end. Strike by strike, that must give what a fresh run_with_fault from
+// Differential test of the one strike routine (fault::strike) through the
+// clean-run memo (cluster::CleanRun, DESIGN.md §11-12), as the lifetime
+// engine's struck blocks take it: restore the rung below the strike,
+// strike, then rejoin the clean run or run on to the end. Strike by strike, that must give what a fresh run_with_fault from
 // cycle 0 gives on the reference oracle — statistics (upset events
 // included), traps, halted flags, pending register faults and the golden
 // verdict — and end in the same future-determining state as a fresh run
@@ -150,21 +150,21 @@ void check_shape(Shape shape, cluster::SimEngine capture, cluster::SimEngine tie
         cluster::Cluster::Snapshot fresh_state;
         fresh.cl.save(fresh_state);
 
-        // The memo path, as LifetimeEngine::run takes it.
+        // The memo path, through the strike routine LifetimeEngine::run
+        // takes.
         Loaded block(cfg, bench);
-        const unsigned from = memo.restore_below(block.cl, f.cycle);
-        ASSERT_LE(memo.rung_cycle(from), f.cycle) << what;
-        block.cl.run(f.cycle);
-        FaultInjector::apply(block.cl, f);
         cluster::ClusterStats credited;
+        const StrikeEnd end = strike(block.cl, f, bound, &memo, true, credited);
+        ASSERT_LE(memo.rung_cycle(end.rung), f.cycle) << what;
         Outcome got;
-        if (memo.rejoin(block.cl, from, credited)) {
+        if (end.rejoined) {
             ++rejoined;
+            EXPECT_EQ(end.cycles, credited.cycles) << what;
             got = outcome_of(golden.cl, credited, bench, cfg.cores);
             EXPECT_TRUE(golden.cl.state_equals(fresh_state)) << what;
         } else {
             ++walked;
-            block.cl.run(bound);
+            EXPECT_EQ(end.cycles, block.cl.stats().cycles) << what;
             got = outcome_of(block.cl, block.cl.stats(), bench, cfg.cores);
             EXPECT_TRUE(block.cl.state_equals(fresh_state)) << what;
         }

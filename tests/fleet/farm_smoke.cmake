@@ -126,3 +126,9 @@ rejects(2 "no-such-timeline" "missing timeline"
 # An incomplete worker store set does not merge.
 rejects(2 "incomplete shard set" "incomplete --merge"
         "${FLEET}" ${SPEC} --merge farm/shard_0.ulpf,farm/shard_1.ulpf)
+# The farm-only worker chaos list: malformed, or with nothing to count.
+rejects(2 "--chaos-at" "chaos trigger of zero"
+        "${FLEET}" ${SPEC} --resume chaos.jnl --chaos-at kill@0)
+rejects(2 "--chaos-at" "chaos triggers out of order"
+        "${FLEET}" ${SPEC} --resume chaos.jnl --chaos-at kill@5,stop@5)
+rejects(2 "--chaos-at requires" "chaos without a journal" "${FLEET}" ${SPEC} --chaos-at kill@3)

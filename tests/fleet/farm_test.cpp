@@ -67,7 +67,6 @@ protected:
         opt.term_grace_s = 0.5;
         opt.backoff_base_s = 0.02;
         opt.backoff_max_s = 0.1;
-        opt.poll_s = 0.01;
         return opt;
     }
 
@@ -108,6 +107,22 @@ TEST_F(FarmTest, ChaosScheduleIsDeterministicAndLandsBeforeCompletion) {
     for (std::size_t i = 0; same && i < a.size(); ++i)
         same = c[i].shard == a[i].shard && c[i].at_records == a[i].at_records;
     EXPECT_FALSE(same) << "a different seed must produce a different schedule";
+}
+
+TEST_F(FarmTest, ChaosAtArgumentRoundTripsAndRejectsMalformedLists) {
+    const std::vector<ChaosEvent> shard = {{.shard = 0, .at_records = 3, .stall = false},
+                                           {.shard = 0, .at_records = 7, .stall = true}};
+    ASSERT_EQ(chaos_at_arg(shard), "kill@3,stop@7");
+    std::vector<ChaosEvent> back;
+    ASSERT_TRUE(parse_chaos_at("kill@3,stop@7", back));
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0].at_records, 3u);
+    EXPECT_FALSE(back[0].stall);
+    EXPECT_EQ(back[1].at_records, 7u);
+    EXPECT_TRUE(back[1].stall);
+    for (const char* bad : {"", "kill@", "kill@0", "stop@7,kill@7", "kill@3,", "hang@3",
+                            "kill@-1", "kill@3x", ",kill@3"})
+        EXPECT_FALSE(parse_chaos_at(bad, back)) << "'" << bad << "'";
 }
 
 TEST_F(FarmTest, BackoffMirrorsTheBleLinkDiscipline) {

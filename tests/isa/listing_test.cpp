@@ -28,31 +28,18 @@ TEST(Listing, ContainsHeaderAddressesAndLabels) {
     EXPECT_NE(lst.find("hlt"), std::string::npos);
 }
 
-TEST(Listing, SymbolTableOptional) {
-    ListingOptions no_syms;
-    no_syms.with_symbols = false;
-    const std::string with = format_listing(sample());
-    const std::string without = format_listing(sample(), no_syms);
-    EXPECT_NE(with.find("; symbols"), std::string::npos);
-    EXPECT_EQ(without.find("; symbols"), std::string::npos);
-    EXPECT_NE(with.find("tbl"), std::string::npos);
-}
-
-TEST(Listing, DataDumpOptional) {
-    ListingOptions with_data;
-    with_data.with_data = true;
-    const std::string lst = format_listing(sample(), with_data);
-    EXPECT_NE(lst.find("; data (hex words)"), std::string::npos);
-    EXPECT_NE(lst.find("BEEF"), std::string::npos);
+TEST(Listing, AppendsTheSymbolTable) {
+    const std::string lst = format_listing(sample());
+    EXPECT_NE(lst.find("; symbols"), std::string::npos);
+    EXPECT_NE(lst.find("tbl"), std::string::npos);
 }
 
 TEST(Listing, EveryInstructionGetsOneLine) {
     const Program p = sample();
-    ListingOptions bare;
-    bare.with_symbols = false;
-    const std::string lst = format_listing(p, bare);
+    const std::string lst = format_listing(p);
+    const std::string body = lst.substr(0, lst.find("\n; symbols"));
     std::size_t lines = 0;
-    for (const char c : lst)
+    for (const char c : body)
         if (c == '\n') ++lines;
     // header + one line per instruction + labels (main, loop).
     EXPECT_EQ(lines, 1 + p.text.size() + 2);

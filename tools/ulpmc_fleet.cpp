@@ -33,6 +33,13 @@
 //     --heartbeat S     append a liveness heartbeat frame to the journal every
 //                       S seconds (requires --journal/--resume) so a farm
 //                       supervisor can tell "slow device" from "hung worker"
+//     --chaos-at LIST   farm chaos (ulpmc-farm passes it; requires
+//                       --journal/--resume): comma-separated kill@N / stop@N,
+//                       N strictly increasing. Right after the record frame
+//                       that brings the journal to N device records (replayed
+//                       ones included) is durable, the worker SIGKILLs or
+//                       SIGSTOPs itself. Triggers the journal has already
+//                       passed are skipped
 //
 // --journal, --resume and graceful SIGTERM/SIGINT preemption (in-flight
 // devices' frames land, then exit 3 with no artifacts) follow the
@@ -44,6 +51,7 @@
 // 3 preempted by SIGTERM/SIGINT (journal flushed, artifacts unwritten).
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <condition_variable>
 #include <cstring>
 #include <iostream>
@@ -80,6 +88,7 @@ void usage(std::ostream& os) {
           "                   [--days D] [--baseline F] [--engine E] [--threads N]\n"
           "                   [--shard K/N] [--json FILE] [--store FILE]\n"
           "                   [--journal FILE | --resume FILE] [--heartbeat S]\n"
+          "                   [--chaos-at kill@N,stop@N,...]\n"
           "       ulpmc-fleet --timeline FILE --merge S0.ulpf,S1.ulpf,... [spec options]\n"
           "                   [--json FILE] [--store FILE]\n";
 }
@@ -163,6 +172,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> merge_paths;
     bool resume = false;
     double heartbeat_s = 0;
+    std::vector<ulpmc::fleet::ChaosEvent> chaos;
     ulpmc::fleet::FleetOptions opt;
 
     std::set<std::string> seen;
@@ -244,6 +254,12 @@ int main(int argc, char** argv) {
                 std::cerr << "--heartbeat: expected a positive period in seconds\n";
                 return 2;
             }
+        } else if (arg == "--chaos-at") {
+            if (!ulpmc::fleet::parse_chaos_at(value("--chaos-at"), chaos)) {
+                std::cerr << "--chaos-at: expected kill@N / stop@N entries, N strictly "
+                             "increasing from 1\n";
+                return 2;
+            }
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -266,6 +282,11 @@ int main(int argc, char** argv) {
     if (heartbeat_s > 0 && journal_path.empty()) {
         std::cerr << "--heartbeat requires --journal or --resume "
                      "(heartbeats are journal frames)\n";
+        return 2;
+    }
+    if (!chaos.empty() && journal_path.empty()) {
+        std::cerr << "--chaos-at requires --journal or --resume "
+                     "(its triggers count journal records)\n";
         return 2;
     }
     if (!merge_paths.empty() && (seen.count("--shard") || !journal_path.empty())) {
@@ -302,10 +323,12 @@ int main(int argc, char** argv) {
     // ---- durable progress journal (DESIGN.md §9.6) ---------------------
     std::unique_ptr<ulpmc::JournalWriter> journal;
     std::unordered_map<std::uint64_t, ulpmc::fleet::DeviceRecord> replay;
+    std::uint64_t journal_records = 0; // record frames, replayed ones included
     if (!journal_path.empty()) {
         auto replay_frame = [&](std::size_t f, const ulpmc::JournalFrame& fr) {
             // A heartbeat carries no replay state but is not unknown.
             if (fr.kind != kFleetRecordFrame) return fr.kind == kFleetHeartbeatFrame;
+            ++journal_records;
             ulpmc::fleet::DeviceRecord r;
             if (fr.payload.size() != sizeof(r))
                 throw ulpmc::JournalError(
@@ -380,6 +403,11 @@ int main(int argc, char** argv) {
         out = it->second;
         return true;
     };
+    // Farm chaos lands at the record: an earlier attempt delivered every
+    // event whose trigger the journal has already passed.
+    std::size_t next_chaos = 0;
+    while (next_chaos < chaos.size() && chaos[next_chaos].at_records <= journal_records)
+        ++next_chaos;
     if (journal) {
         hooks.on_complete = [&](const ulpmc::fleet::DeviceRecord& r) {
             std::vector<std::uint8_t> p(sizeof(r));
@@ -387,6 +415,11 @@ int main(int argc, char** argv) {
             {
                 std::lock_guard<std::mutex> jl(journal_m);
                 journal->append(kFleetRecordFrame, p);
+                ++journal_records;
+                // The frame is durable, and the journal is still held: the
+                // supervisor finds it at exactly the trigger.
+                if (next_chaos < chaos.size() && chaos[next_chaos].at_records == journal_records)
+                    std::raise(chaos[next_chaos++].stall ? SIGSTOP : SIGKILL);
             }
             completed.fetch_add(1);
         };
