@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "app/streaming.hpp"
-#include "common/numparse.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
@@ -94,31 +94,13 @@ int main(int argc, char** argv) {
     cfg.lambda_low = kLambdaLow;
     cfg.lambda_high = kLambdaHigh;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::uint64_t v = 0;
-        if (arg == "--runs" && i + 1 < argc) {
-            if (!parse_count(argv[++i], 1, fault::kMaxInjections, cfg.injections)) {
-                std::cerr << "--runs: expected a count in [1, " << fault::kMaxInjections
-                          << "]\n";
-                return 2;
-            }
-        } else if (arg == "--seed" && i + 1 < argc && parse_u64(argv[++i], v)) {
-            cfg.seed = v;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--engine" && i + 1 < argc) {
-            if (!cluster::parse_engine(argv[++i], cfg.engine)) {
-                std::cerr << "unknown engine '" << argv[i]
-                          << "' (expected reference, fast or trace)\n";
-                return 2;
-            }
-        } else {
-            std::cerr << "usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]\n"
-                         "                          [--engine reference|fast|trace]\n";
-            return 2;
-        }
-    }
+    cli::Parser cli("usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]\n"
+                    "                          [--engine reference|fast|trace]\n");
+    cli.count("--runs", cfg.injections, 1, fault::kMaxInjections);
+    cli.u64("--seed", cfg.seed);
+    cli.text("--json", json_path);
+    cli.bind("--engine", cfg.engine, cluster::parse_engine, cluster::kUnknownEngine);
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
 
     exp::print_experiment_header("Extension: adaptive checkpoint intervals",
                                  "beyond the paper (self-tuning resilience, DESIGN.md §9)");

@@ -31,7 +31,7 @@
 #include "app/benchmark.hpp"
 #include "app/streaming.hpp"
 #include "cluster/stats.hpp"
-#include "common/numparse.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
@@ -139,31 +139,13 @@ int main(int argc, char** argv) {
     cfg.injections = 400;
     cfg.seed = 42;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::uint64_t v = 0;
-        if (arg == "--injections" && i + 1 < argc) {
-            if (!parse_count(argv[++i], 1, fault::kMaxInjections, cfg.injections)) {
-                std::cerr << "--injections: expected a count in [1, " << fault::kMaxInjections
-                          << "]\n";
-                return 2;
-            }
-        } else if (arg == "--seed" && i + 1 < argc && parse_u64(argv[++i], v)) {
-            cfg.seed = v;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--engine" && i + 1 < argc) {
-            if (!cluster::parse_engine(argv[++i], cfg.engine)) {
-                std::cerr << "unknown engine '" << argv[i]
-                          << "' (expected reference, fast, trace or batched)\n";
-                return 2;
-            }
-        } else {
-            std::cerr << "usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]\n"
-                         "                          [--engine reference|fast|trace|batched]\n";
-            return 2;
-        }
-    }
+    cli::Parser cli("usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]\n"
+                    "                          [--engine reference|fast|trace|batched]\n");
+    cli.count("--injections", cfg.injections, 1, fault::kMaxInjections);
+    cli.u64("--seed", cfg.seed);
+    cli.text("--json", json_path);
+    cli.bind("--engine", cfg.engine, cluster::parse_engine, cluster::kUnknownEngine);
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
 
     exp::print_experiment_header("Extension: fault-injection campaigns",
                                  "beyond the paper (dependability axis, DESIGN.md §9)");

@@ -31,7 +31,8 @@
 #include <sstream>
 #include <string>
 
-#include "common/numparse.hpp"
+#include "common/cli.hpp"
+#include "common/path.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "scenario/engine.hpp"
@@ -70,54 +71,18 @@ int main(int argc, char** argv) {
     std::uint64_t naive_devices = 12;
     std::string json_path;
     std::string timeline_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            if (!parse_u64(value(), opt.seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--devices") {
-            if (!parse_u64(value(), opt.devices) || opt.devices < 1) {
-                std::cerr << "--devices: expected a positive count\n";
-                return 2;
-            }
-        } else if (arg == "--cohorts") {
-            if (!parse_count(value(), 1, 4096, opt.cohorts)) {
-                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
-                return 2;
-            }
-        } else if (arg == "--naive") {
-            if (!parse_u64(value(), naive_devices)) {
-                std::cerr << "--naive: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            if (!parse_count(value(), 0, 1024, opt.threads)) {
-                std::cerr << "--threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!cluster::parse_engine(value(), opt.engine)) {
-                std::cerr << "--engine: unknown engine\n";
-                return 2;
-            }
-        } else if (arg == "--timeline") {
-            timeline_path = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            return 2;
-        }
-    }
+    cli::Parser cli("usage: ext_fleet [--seed S] [--devices N] [--cohorts C] [--naive M]\n"
+                    "                 [--threads T] [--engine E] [--timeline FILE]\n"
+                    "                 [--json FILE]\n");
+    cli.u64("--seed", opt.seed);
+    cli.positive("--devices", opt.devices);
+    cli.count("--cohorts", opt.cohorts, 1, 4096);
+    cli.u64("--naive", naive_devices);
+    cli.count("--threads", opt.threads, 0, 1024);
+    cli.bind("--engine", opt.engine, cluster::parse_engine, cluster::kUnknownEngine);
+    cli.text("--timeline", timeline_path);
+    cli.text("--json", json_path);
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
     naive_devices = std::min(naive_devices, opt.devices);
     if (naive_devices == 0) naive_devices = 1;
 
@@ -129,9 +94,7 @@ int main(int argc, char** argv) {
             tl = scenario::parse_timeline(in);
         } else {
             tl = scenario::load_lifetime_timeline(timeline_path, opt.days);
-            tl_name = timeline_path;
-            if (const auto slash = tl_name.find_last_of('/'); slash != std::string::npos)
-                tl_name = tl_name.substr(slash + 1);
+            tl_name = basename_of(timeline_path);
         }
     } catch (const scenario::TimelineError& e) {
         std::cerr << e.what() << "\n";

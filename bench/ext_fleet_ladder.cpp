@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "common/numparse.hpp"
+#include "common/cli.hpp"
 #include "fleet/fleet.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/timeline.hpp"
@@ -83,49 +83,17 @@ int main(int argc, char** argv) {
     base.baseline_fraction = 0; // ladder-only: the sweep is about the rungs
     std::string json_path;
     std::string timeline_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            if (!parse_u64(value(), base.seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--devices") {
-            if (!parse_u64(value(), base.devices) || base.devices < 1) {
-                std::cerr << "--devices: expected a positive count\n";
-                return 2;
-            }
-        } else if (arg == "--cohorts") {
-            if (!parse_count(value(), 1, 4096, base.cohorts)) {
-                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            if (!parse_count(value(), 0, 1024, base.threads)) {
-                std::cerr << "--threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!cluster::parse_engine(value(), base.engine)) {
-                std::cerr << "--engine: unknown engine\n";
-                return 2;
-            }
-        } else if (arg == "--timeline") {
-            timeline_path = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            return 2;
-        }
-    }
+    cli::Parser cli("usage: ext_fleet_ladder [--seed S] [--devices N] [--cohorts C]\n"
+                    "                        [--threads T] [--engine E] [--timeline FILE]\n"
+                    "                        [--json FILE]\n");
+    cli.u64("--seed", base.seed);
+    cli.positive("--devices", base.devices);
+    cli.count("--cohorts", base.cohorts, 1, 4096);
+    cli.count("--threads", base.threads, 0, 1024);
+    cli.bind("--engine", base.engine, cluster::parse_engine, cluster::kUnknownEngine);
+    cli.text("--timeline", timeline_path);
+    cli.text("--json", json_path);
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
 
     scenario::Timeline tl;
     try {

@@ -74,8 +74,6 @@ public:
     /// when no intact record remains (detected, unrecoverable).
     bool load(Cluster::Snapshot& out);
 
-    bool has_record() const { return delta_.valid || cur_key_.valid || prev_key_.valid; }
-
     /// Number of stored records (newest first: 0 = newest). Fault
     /// targets address (record, payload word).
     unsigned record_count() const;

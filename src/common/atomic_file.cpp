@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 
 #include <unistd.h>
 
@@ -32,6 +33,13 @@ void write_file_atomic(const std::string& path, const std::string& content) {
         throw AtomicFileError("atomic write: rename to " + path + " failed: " +
                               std::strerror(e));
     }
+}
+
+void publish_file(const std::string& path, const std::string& content) {
+    if (path == "-")
+        std::cout << content;
+    else
+        write_file_atomic(path, content);
 }
 
 } // namespace ulpmc

@@ -22,4 +22,8 @@ public:
 /// AtomicFileError on any I/O failure (the temp file is removed).
 void write_file_atomic(const std::string& path, const std::string& content);
 
+/// Publishes a driver's artifact: `content` goes to stdout when `path` is
+/// "-", otherwise through write_file_atomic (which may throw).
+void publish_file(const std::string& path, const std::string& content);
+
 } // namespace ulpmc

@@ -20,12 +20,13 @@ inline bool parse_u64(std::string_view s, std::uint64_t& out) {
     return true;
 }
 
-/// Parses an unsigned decimal count in [lo, hi] (hi fits an unsigned).
+/// Parses an unsigned decimal count in [lo, hi] (hi fits a T).
 /// Leaves `out` alone on failure.
-inline bool parse_count(std::string_view s, std::uint64_t lo, std::uint64_t hi, unsigned& out) {
+template <class T>
+inline bool parse_count(std::string_view s, std::uint64_t lo, std::uint64_t hi, T& out) {
     std::uint64_t v = 0;
     if (!parse_u64(s, v) || v < lo || v > hi) return false;
-    out = static_cast<unsigned>(v);
+    out = static_cast<T>(v);
     return true;
 }
 

@@ -19,6 +19,7 @@
 #include "common/atomic_file.hpp"
 #include "common/journal.hpp"
 #include "common/numparse.hpp"
+#include "common/path.hpp"
 #include "fault/fault.hpp"
 #include "fleet/report.hpp"
 #include "fleet/store.hpp"
@@ -34,11 +35,6 @@ double now_s() {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-std::string basename_of(const std::string& path) {
-    const auto slash = path.find_last_of('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 /// %.17g rendering for doubles crossing the CLI boundary: enough digits

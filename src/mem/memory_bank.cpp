@@ -182,20 +182,6 @@ void MemoryBank::poke(std::size_t offset, std::uint32_t value) {
     if (ecc_) check_[offset] = ecc::encode(value, cell_bits_);
 }
 
-void MemoryBank::set_ecc(bool enabled) {
-    if (enabled == ecc_) return;
-    if (enabled) {
-        ULPMC_EXPECTS(cell_bits_ <= 26); // the (31,26) code's capacity
-        check_.resize(cells_.size());
-        for (std::size_t i = 0; i < cells_.size(); ++i)
-            check_[i] = ecc::encode(cells_[i], cell_bits_);
-    } else {
-        check_.clear();
-        check_.shrink_to_fit();
-    }
-    ecc_ = enabled;
-}
-
 void MemoryBank::corrupt(std::size_t offset, std::uint32_t flip_mask) {
     ULPMC_EXPECTS(offset < cells_.size());
     ULPMC_EXPECTS(!gated_);

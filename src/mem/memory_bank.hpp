@@ -132,11 +132,6 @@ public:
     bool uncorrectable_pending() const { return uncorrectable_pending_; }
     void set_uncorrectable_pending(bool u) { uncorrectable_pending_ = u; }
 
-    /// SEC-DED protection. Enabling (re)encodes check bits for the whole
-    /// array; disabling keeps the data but stops checking.
-    void set_ecc(bool enabled);
-    bool ecc_enabled() const { return ecc_; }
-
     /// Soft-error injection: XORs `flip_mask` into the stored cell without
     /// touching the check bits (a strike flips cells, not the code).
     /// Counted in stats().faults_injected.

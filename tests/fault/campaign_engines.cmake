@@ -7,7 +7,8 @@
 #
 # The batched engine only changes how much of each injection is simulated,
 # so the seeded campaign JSON under --engine batched must equal the trace
-# JSON byte for byte once its batched-only batch_* block is stripped.
+# JSON byte for byte once its batched-only batch_* block is stripped, and the
+# compare must catch a copy with one byte flipped.
 # WORK keeps the artifacts afterwards.
 
 foreach(var CAMPAIGN WORK)
@@ -17,6 +18,7 @@ foreach(var CAMPAIGN WORK)
 endforeach()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
+include("${CMAKE_CURRENT_LIST_DIR}/../tools/checks.cmake")
 
 foreach(engine trace batched)
   execute_process(COMMAND "${CAMPAIGN}" --injections 16 --seed 42 --engine ${engine}
@@ -36,9 +38,5 @@ if(stripped STREQUAL batched)
   message(FATAL_ERROR "batched.json carries no batch_* block to strip")
 endif()
 file(WRITE "${WORK}/batched_stripped.json" "${stripped}")
-execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                        "${WORK}/trace.json" "${WORK}/batched_stripped.json"
-                RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "batched.json without its batch_* block differs from trace.json")
-endif()
+same(trace.json batched_stripped.json)
+same_catches_a_flipped_byte(flipped.json trace.json)

@@ -10,7 +10,8 @@
 # Three supervised workers under seeded chaos (3 SIGKILLs and 1 SIGSTOP
 # stall, which walks the heartbeat-timeout -> SIGTERM -> grace -> SIGKILL
 # escalation) must merge to the bytes of an unsharded ulpmc-fleet run, JSON
-# and ULPF store alike. The supervision report must show that every
+# and ULPF store alike, by a compare that catches a copy with one byte
+# flipped. The supervision report must show that every
 # scheduled disruption landed, that the stall was escalated, and that no
 # journaled device was simulated twice. `ulpmc-fleet --merge` over the
 # restarted workers' own stores, in a shuffled order, reproduces the same
@@ -66,6 +67,7 @@ expect_exit(pass "chaos farm" "${FARM}" ${SPEC} ${WORKERS} --chaos kills=3,stall
             --json farmed.json --store farmed.ulpf --report farm_report.json)
 same(whole.json farmed.json)
 same(whole.ulpf farmed.ulpf)
+same_catches_a_flipped_byte(flipped.json farmed.json)
 
 # ---- what the supervision report must show --------------------------------
 file(READ "${WORK}/farm_report.json" report)

@@ -11,7 +11,8 @@
 #   * --threads 1 vs --threads 4 vs --engine batched vs --engine reference
 #     (JSON and store);
 #   * `--merge` over shard stores 0/2 + 1/2 and 0/3 + 1/3 + 2/3, in more
-#     than one input order, vs the unsharded JSON and ULPF store.
+#     than one input order, vs the unsharded JSON and ULPF store;
+# and the compare must catch a copy with one byte flipped.
 # Every malformed merge or invocation must exit 2 with a one-line
 # diagnostic and write nothing. With PYTHON and SOURCE set, the independent
 # ULPF oracle tools/read_fleet.py must agree with the JSON of the whole,
@@ -76,6 +77,7 @@ fleet(--engine batched --threads 4 --json batched.json --store batched.ulpf)
 fleet(--engine reference --threads 4 --json reference.json --store reference.ulpf)
 same(whole.json threads4.json batched.json reference.json)
 same(whole.ulpf threads4.ulpf batched.ulpf reference.ulpf)
+same_catches_a_flipped_byte(flipped.json whole.json)
 # The oracle pins the memo only if the fleet holds a struck device. An SDC
 # block can only come from a strike; the aggregate's first sdc_blocks is
 # the fleet-wide total.

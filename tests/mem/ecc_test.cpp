@@ -48,8 +48,8 @@ TEST(Ecc, DetectsEveryDoubleBitFlip) {
 }
 
 TEST(EccBank, ReadCorrectsCountsAndScrubs) {
-    MemoryBank bank(8, 16);
-    bank.set_ecc(true);
+    MemoryBank bank;
+    bank.reset(8, 16, true);
     bank.write(3, 0xBEEF);
     bank.corrupt(3, 0x0100);
 
@@ -63,8 +63,8 @@ TEST(EccBank, ReadCorrectsCountsAndScrubs) {
 }
 
 TEST(EccBank, PeekReturnsCorrectedViewWithoutCounting) {
-    MemoryBank bank(4, 16);
-    bank.set_ecc(true);
+    MemoryBank bank;
+    bank.reset(4, 16, true);
     bank.write(0, 0x00FF);
     bank.corrupt(0, 0x8000);
     EXPECT_EQ(bank.peek(0), 0x00FFu);
@@ -73,8 +73,8 @@ TEST(EccBank, PeekReturnsCorrectedViewWithoutCounting) {
 }
 
 TEST(EccBank, DoubleBitUpsetRaisesStickyFlag) {
-    MemoryBank bank(4, 16);
-    bank.set_ecc(true);
+    MemoryBank bank;
+    bank.reset(4, 16, true);
     bank.write(1, 0x0F0F);
     bank.corrupt(1, 0x0011);
     bank.read(1);

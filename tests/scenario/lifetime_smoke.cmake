@@ -9,8 +9,9 @@
 # One (timeline, seed) pair fully determines a device lifetime, so the JSON
 # may depend on neither the engine tier nor the worker count: trace on 1
 # thread, batched on 4 and the reference oracle on 2 must give the same
-# bytes. Every malformed invocation must exit 2 with a one-line
-# diagnostic and write nothing. WORK keeps the artifacts afterwards.
+# bytes, and the compare must catch a copy with one byte flipped. Every
+# malformed invocation must exit 2 with a one-line diagnostic and write
+# nothing. WORK keeps the artifacts afterwards.
 
 foreach(var LIFE TIMELINE WORK)
   if(NOT DEFINED ${var})
@@ -19,6 +20,7 @@ foreach(var LIFE TIMELINE WORK)
 endforeach()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
+include("${CMAKE_CURRENT_LIST_DIR}/../tools/checks.cmake")
 
 # Runs ulpmc-life on the smoke spec with `engine` and `threads`, writing
 # smoke_<engine>.json; requires exit 0.
@@ -36,14 +38,8 @@ endfunction()
 life(trace 1)
 life(batched 4)
 life(reference 2)
-foreach(other batched reference)
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                          "${WORK}/smoke_trace.json" "${WORK}/smoke_${other}.json"
-                  RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "smoke_${other}.json differs from smoke_trace.json")
-  endif()
-endforeach()
+same(smoke_trace.json smoke_batched.json smoke_reference.json)
+same_catches_a_flipped_byte(flipped.json smoke_trace.json)
 
 # Requires ulpmc-life with ARGN to exit 2 with a one-line diagnostic,
 # writing neither JSON nor journal.

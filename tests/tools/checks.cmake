@@ -1,6 +1,7 @@
 # Helpers shared by the end-to-end ctest scripts (fleet_smoke, farm_smoke,
-# coverage_gate, lifetime_gate): include() after setting WORK, and PYTHON
-# before calling perturb().
+# lifetime_smoke, campaign_engines, tools_smoke, coverage_gate,
+# lifetime_gate): include() after setting WORK, and PYTHON before calling
+# perturb().
 #
 # A gate that cannot fail proves nothing, so the gate ladders run a tool on
 # good inputs that must pass and on perturbed inputs that must fail, and a
@@ -58,14 +59,49 @@ function(truncate name source)
   file(WRITE "${WORK}/${name}" "${text}")
 endfunction()
 
-# Requires every file after the first to be byte-identical to the first.
-function(same ref)
+# Sets `var` in the caller to the files among ARGN that differ from `ref`
+# byte for byte.
+function(differing var ref)
+  set(diff)
   foreach(other ${ARGN})
     execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                             "${WORK}/${ref}" "${WORK}/${other}"
                     RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "${other} differs from ${ref}")
+      list(APPEND diff ${other})
     endif()
   endforeach()
+  set(${var} "${diff}" PARENT_SCOPE)
+endfunction()
+
+# Requires every file after the first to be byte-identical to the first.
+function(same ref)
+  differing(diff ${ref} ${ARGN})
+  if(diff)
+    message(FATAL_ERROR "${diff} differs from ${ref}")
+  endif()
+endfunction()
+
+# Copies the text file WORK/SOURCE to WORK/NAME with its middle byte
+# changed, and requires same()'s compare to report the copy: a byte diff
+# that cannot fail proves nothing.
+function(same_catches_a_flipped_byte name source)
+  file(READ "${WORK}/${source}" text)
+  string(LENGTH "${text}" len)
+  math(EXPR mid "${len} / 2")
+  math(EXPR after "${mid} + 1")
+  string(SUBSTRING "${text}" ${mid} 1 byte)
+  if(byte STREQUAL "0")
+    set(byte 1)
+  else()
+    set(byte 0)
+  endif()
+  string(SUBSTRING "${text}" 0 ${mid} head)
+  string(SUBSTRING "${text}" ${after} -1 tail)
+  file(WRITE "${WORK}/${name}" "${head}${byte}${tail}")
+  differing(diff ${source} ${name})
+  if(NOT diff STREQUAL name)
+    message(FATAL_ERROR "the byte compare missed a flipped byte in ${name}")
+  endif()
+  message(STATUS "rejected (flipped byte): ${name} differs from ${source}")
 endfunction()

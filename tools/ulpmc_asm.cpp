@@ -4,7 +4,8 @@
 //   ulpmc-asm -d prog.upmc               disassemble a binary image
 //   ulpmc-asm prog.asm --list            assemble and print the listing
 //
-// The binary container format is documented in src/isa/binfmt.hpp.
+// The binary container format is documented in src/isa/binfmt.hpp. Options
+// follow the shared grammar of common/cli.hpp.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "isa/assembler.hpp"
 #include "isa/binfmt.hpp"
 #include "isa/listing.hpp"
@@ -20,11 +22,8 @@ using namespace ulpmc;
 
 namespace {
 
-int usage() {
-    std::cerr << "usage: ulpmc-asm <prog.asm> [-o out.upmc] [--list]\n"
-              << "       ulpmc-asm -d <prog.upmc>\n";
-    return 2;
-}
+constexpr const char* kUsage = "usage: ulpmc-asm <prog.asm> [-o out.upmc] [--list]\n"
+                                "       ulpmc-asm -d <prog.upmc>\n";
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path, bool& ok) {
     std::ifstream in(path, std::ios::binary);
@@ -41,21 +40,16 @@ int main(int argc, char** argv) {
     std::string output;
     bool disassemble = false;
     bool list = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "-d") {
-            disassemble = true;
-        } else if (arg == "-o" && i + 1 < argc) {
-            output = argv[++i];
-        } else if (arg == "--list") {
-            list = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            input = arg;
-        }
+    cli::Parser cli(kUsage);
+    cli.positional(input, "input file");
+    cli.flag("-d", disassemble);
+    cli.text("-o", output);
+    cli.flag("--list", list);
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
+    if (input.empty()) {
+        std::cerr << kUsage;
+        return 2;
     }
-    if (input.empty()) return usage();
 
     if (disassemble) {
         bool ok = false;

@@ -33,15 +33,18 @@
 //     --chaos SPEC      kills=K[,stalls=S][,seed=N] — SIGKILL/SIGSTOP own
 //                       workers at seeded progress points
 //
+// Options follow the shared grammar of common/cli.hpp.
 // Exit codes: 0 complete (merged artifacts written), 2 bad usage or
 // shard stores that do not merge, 3 partial failure (a shard died after
 // exhausting its retry budget; the summary names it), 1 artifact I/O error.
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "common/atomic_file.hpp"
+#include "common/cli.hpp"
 #include "common/numparse.hpp"
 #include "fleet/farm.hpp"
 #include "fleet/store.hpp"
@@ -52,15 +55,14 @@ using ulpmc::parse_count;
 using ulpmc::parse_double;
 using ulpmc::parse_u64;
 
-void usage(std::ostream& os) {
-    os << "usage: ulpmc-farm --timeline FILE --fleet-bin PATH [--devices N] [--seed N]\n"
-          "                  [--cohorts N] [--days D] [--baseline F] [--engine E]\n"
-          "                  [--workers N] [--worker-threads N] [--dir DIR]\n"
-          "                  [--json FILE] [--store FILE] [--report FILE]\n"
-          "                  [--heartbeat S] [--timeout S] [--grace S]\n"
-          "                  [--backoff BASE/MAX] [--retries N]\n"
-          "                  [--chaos kills=K[,stalls=S][,seed=N]]\n";
-}
+constexpr const char* kUsage =
+    "usage: ulpmc-farm --timeline FILE --fleet-bin PATH [--devices N] [--seed N]\n"
+    "                  [--cohorts N] [--days D] [--baseline F] [--engine E]\n"
+    "                  [--workers N] [--worker-threads N] [--dir DIR]\n"
+    "                  [--json FILE] [--store FILE] [--report FILE]\n"
+    "                  [--heartbeat S] [--timeout S] [--grace S]\n"
+    "                  [--backoff BASE/MAX] [--retries N]\n"
+    "                  [--chaos kills=K[,stalls=S][,seed=N]]\n";
 
 /// kills=K[,stalls=S][,seed=N], any order, each key at most once; K and S
 /// share --retries' bound.
@@ -89,126 +91,46 @@ bool parse_chaos(const std::string& spec, ulpmc::fleet::FarmOptions& opt) {
     return keys.count("kills") > 0;
 }
 
+/// BASE/MAX with 0 < BASE <= MAX.
+bool parse_backoff(const std::string& v, ulpmc::fleet::FarmOptions& opt) {
+    const auto slash = v.find('/');
+    return slash != std::string::npos && parse_double(v.substr(0, slash), opt.backoff_base_s) &&
+           parse_double(v.substr(slash + 1), opt.backoff_max_s) && opt.backoff_base_s > 0 &&
+           opt.backoff_max_s >= opt.backoff_base_s;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
     ulpmc::fleet::FarmOptions opt;
     std::string report_path;
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        auto value = [&](const char* name) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << name << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--timeline") {
-            opt.timeline_path = value("--timeline");
-        } else if (arg == "--fleet-bin") {
-            opt.fleet_bin = value("--fleet-bin");
-        } else if (arg == "--devices") {
-            if (!parse_u64(value("--devices"), opt.fleet.devices) || opt.fleet.devices < 1) {
-                std::cerr << "--devices: expected a positive count\n";
-                return 2;
-            }
-        } else if (arg == "--seed") {
-            if (!parse_u64(value("--seed"), opt.fleet.seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--cohorts") {
-            if (!parse_count(value("--cohorts"), 1, 4096, opt.fleet.cohorts)) {
-                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
-                return 2;
-            }
-        } else if (arg == "--days") {
-            if (!parse_double(value("--days"), opt.fleet.days) || opt.fleet.days <= 0) {
-                std::cerr << "--days: expected a positive number\n";
-                return 2;
-            }
-        } else if (arg == "--baseline") {
-            if (!parse_double(value("--baseline"), opt.fleet.baseline_fraction) ||
-                opt.fleet.baseline_fraction < 0 || opt.fleet.baseline_fraction > 1) {
-                std::cerr << "--baseline: expected a fraction in [0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!ulpmc::cluster::parse_engine(value("--engine"), opt.fleet.engine)) {
-                std::cerr << "--engine: unknown engine (reference|fast|trace|batched)\n";
-                return 2;
-            }
-        } else if (arg == "--workers") {
-            if (!parse_count(value("--workers"), 1, 256, opt.workers)) {
-                std::cerr << "--workers: expected a count in [1, 256]\n";
-                return 2;
-            }
-        } else if (arg == "--worker-threads") {
-            if (!parse_count(value("--worker-threads"), 0, 1024, opt.worker_threads)) {
-                std::cerr << "--worker-threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-        } else if (arg == "--dir") {
-            opt.dir = value("--dir");
-        } else if (arg == "--json") {
-            opt.json_path = value("--json");
-        } else if (arg == "--store") {
-            opt.store_path = value("--store");
-        } else if (arg == "--report") {
-            report_path = value("--report");
-        } else if (arg == "--heartbeat") {
-            if (!parse_double(value("--heartbeat"), opt.heartbeat_s) || opt.heartbeat_s <= 0) {
-                std::cerr << "--heartbeat: expected a positive period in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--timeout") {
-            if (!parse_double(value("--timeout"), opt.timeout_s) || opt.timeout_s <= 0) {
-                std::cerr << "--timeout: expected a positive window in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--grace") {
-            if (!parse_double(value("--grace"), opt.term_grace_s) || opt.term_grace_s < 0) {
-                std::cerr << "--grace: expected a non-negative window in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--backoff") {
-            const std::string v = value("--backoff");
-            const auto slash = v.find('/');
-            if (slash == std::string::npos ||
-                !parse_double(v.substr(0, slash), opt.backoff_base_s) ||
-                !parse_double(v.substr(slash + 1), opt.backoff_max_s) ||
-                opt.backoff_base_s <= 0 || opt.backoff_max_s < opt.backoff_base_s) {
-                std::cerr << "--backoff: expected BASE/MAX seconds with 0 < BASE <= MAX\n";
-                return 2;
-            }
-        } else if (arg == "--retries") {
-            if (!parse_count(value("--retries"), 0, 10000, opt.retries)) {
-                std::cerr << "--retries: expected a count in [0, 10000]\n";
-                return 2;
-            }
-        } else if (arg == "--chaos") {
-            if (!parse_chaos(value("--chaos"), opt)) {
-                std::cerr << "--chaos: expected kills=K[,stalls=S][,seed=N]\n";
-                return 2;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    ulpmc::cli::Parser cli(kUsage);
+    cli.text("--timeline", opt.timeline_path);
+    cli.text("--fleet-bin", opt.fleet_bin);
+    cli.positive("--devices", opt.fleet.devices);
+    cli.u64("--seed", opt.fleet.seed);
+    cli.count("--cohorts", opt.fleet.cohorts, 1, 4096);
+    cli.positive("--days", opt.fleet.days, "expected a positive number");
+    cli.real("--baseline", opt.fleet.baseline_fraction, 0, 1, "expected a fraction in [0, 1]");
+    cli.bind("--engine", opt.fleet.engine, ulpmc::cluster::parse_engine,
+             ulpmc::cluster::kUnknownEngine);
+    cli.count("--workers", opt.workers, 1, 256);
+    cli.count("--worker-threads", opt.worker_threads, 0, 1024);
+    cli.text("--dir", opt.dir);
+    cli.text("--json", opt.json_path);
+    cli.text("--store", opt.store_path);
+    cli.text("--report", report_path);
+    cli.positive("--heartbeat", opt.heartbeat_s, "expected a positive period in seconds");
+    cli.positive("--timeout", opt.timeout_s, "expected a positive window in seconds");
+    cli.real("--grace", opt.term_grace_s, 0, std::numeric_limits<double>::infinity(),
+             "expected a non-negative window in seconds");
+    cli.bind("--backoff", opt, parse_backoff, "expected BASE/MAX seconds with 0 < BASE <= MAX");
+    cli.count("--retries", opt.retries, 0, 10000);
+    cli.bind("--chaos", opt, parse_chaos, "expected kills=K[,stalls=S][,seed=N]");
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
     if (opt.timeline_path.empty() || opt.fleet_bin.empty()) {
-        std::cerr << "--timeline and --fleet-bin are required\n";
-        usage(std::cerr);
+        std::cerr << "--timeline and --fleet-bin are required\n" << kUsage;
         return 2;
     }
 
@@ -217,13 +139,9 @@ int main(int argc, char** argv) {
         const ulpmc::fleet::FarmReport rep = farm.run();
         ulpmc::fleet::print_farm_summary(std::cout, opt, rep);
         if (!report_path.empty()) {
-            if (report_path == "-") {
-                ulpmc::fleet::write_farm_report(std::cout, opt, rep);
-            } else {
-                std::ostringstream out;
-                ulpmc::fleet::write_farm_report(out, opt, rep);
-                ulpmc::write_file_atomic(report_path, out.str());
-            }
+            std::ostringstream out;
+            ulpmc::fleet::write_farm_report(out, opt, rep);
+            ulpmc::publish_file(report_path, out.str());
         }
         return rep.complete ? 0 : 3;
     } catch (const ulpmc::fleet::FarmError& e) {

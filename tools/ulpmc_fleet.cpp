@@ -45,10 +45,12 @@
 // devices' frames land, then exit 3 with no artifacts) follow the
 // durable-run protocol of DESIGN.md §9.6.
 //
-// Exit codes: 0 success, 2 bad usage (malformed, duplicate or
-// inconsistent options, unreadable or corrupt timeline/journal, a shard
-// set that does not merge),
+// Options follow the shared grammar of common/cli.hpp.
+// Exit codes: 0 success, 2 bad usage (see common/cli.hpp, inconsistent
+// options, unreadable or corrupt timeline/journal, a shard set that does
+// not merge),
 // 3 preempted by SIGTERM/SIGINT (journal flushed, artifacts unwritten).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -57,7 +59,6 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -65,8 +66,10 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
+#include "common/cli.hpp"
 #include "common/journal.hpp"
 #include "common/numparse.hpp"
+#include "common/path.hpp"
 #include "common/serial.hpp"
 #include "fleet/farm.hpp"
 #include "fleet/fleet.hpp"
@@ -79,19 +82,16 @@ namespace {
 
 using ulpmc::fleet::kFleetHeartbeatFrame;
 using ulpmc::fleet::kFleetRecordFrame;
-using ulpmc::parse_count;
-using ulpmc::parse_double;
 using ulpmc::parse_u64;
 
-void usage(std::ostream& os) {
-    os << "usage: ulpmc-fleet --timeline FILE [--devices N] [--seed N] [--cohorts N]\n"
-          "                   [--days D] [--baseline F] [--engine E] [--threads N]\n"
-          "                   [--shard K/N] [--json FILE] [--store FILE]\n"
-          "                   [--journal FILE | --resume FILE] [--heartbeat S]\n"
-          "                   [--chaos-at kill@N,stop@N,...]\n"
-          "       ulpmc-fleet --timeline FILE --merge S0.ulpf,S1.ulpf,... [spec options]\n"
-          "                   [--json FILE] [--store FILE]\n";
-}
+constexpr const char* kUsage =
+    "usage: ulpmc-fleet --timeline FILE [--devices N] [--seed N] [--cohorts N]\n"
+    "                   [--days D] [--baseline F] [--engine E] [--threads N]\n"
+    "                   [--shard K/N] [--json FILE] [--store FILE]\n"
+    "                   [--journal FILE | --resume FILE] [--heartbeat S]\n"
+    "                   [--chaos-at kill@N,stop@N,...]\n"
+    "       ulpmc-fleet --timeline FILE --merge S0.ulpf,S1.ulpf,... [spec options]\n"
+    "                   [--json FILE] [--store FILE]\n";
 
 /// Everything a journaled record depends on. `threads` is deliberately
 /// absent: results are thread-count-independent, so a resume may use a
@@ -152,12 +152,8 @@ int write_artifacts(const std::string& json_path, const std::string& store_path,
     if (json_path.empty()) return 0;
     std::ostringstream out;
     ulpmc::fleet::write_json(out, timeline_name, opt, tl.block_period_s, agg, records.size());
-    if (json_path == "-") {
-        std::cout << out.str();
-        return 0;
-    }
     try {
-        ulpmc::write_file_atomic(json_path, out.str());
+        ulpmc::publish_file(json_path, out.str());
     } catch (const ulpmc::AtomicFileError& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -175,106 +171,45 @@ int main(int argc, char** argv) {
     std::vector<ulpmc::fleet::ChaosEvent> chaos;
     ulpmc::fleet::FleetOptions opt;
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        auto value = [&](const char* name) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << name << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--timeline") {
-            timeline_path = value("--timeline");
-        } else if (arg == "--devices") {
-            if (!parse_u64(value("--devices"), opt.devices) || opt.devices < 1) {
-                std::cerr << "--devices: expected a positive count\n";
-                return 2;
-            }
-        } else if (arg == "--seed") {
-            if (!parse_u64(value("--seed"), opt.seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--cohorts") {
-            if (!parse_count(value("--cohorts"), 1, 4096, opt.cohorts)) {
-                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
-                return 2;
-            }
-        } else if (arg == "--days") {
-            if (!parse_double(value("--days"), opt.days) || opt.days <= 0) {
-                std::cerr << "--days: expected a positive number\n";
-                return 2;
-            }
-        } else if (arg == "--baseline") {
-            if (!parse_double(value("--baseline"), opt.baseline_fraction) ||
-                opt.baseline_fraction < 0 || opt.baseline_fraction > 1) {
-                std::cerr << "--baseline: expected a fraction in [0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!ulpmc::cluster::parse_engine(value("--engine"), opt.engine)) {
-                std::cerr << "--engine: unknown engine (reference|fast|trace|batched)\n";
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            if (!parse_count(value("--threads"), 0, 1024, opt.threads)) {
-                std::cerr << "--threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-        } else if (arg == "--shard") {
-            if (!parse_shard(value("--shard"), opt.shard_k, opt.shard_n)) {
-                std::cerr << "--shard: expected K/N with 0 <= K < N\n";
-                return 2;
-            }
-        } else if (arg == "--merge") {
-            merge_paths = split_list(value("--merge"));
-            for (const std::string& p : merge_paths) {
-                if (p.empty()) {
-                    std::cerr << "--merge: expected a comma-separated list of shard stores\n";
-                    return 2;
-                }
-            }
-        } else if (arg == "--json") {
-            json_path = value("--json");
-        } else if (arg == "--store") {
-            store_path = value("--store");
-        } else if (arg == "--journal") {
-            journal_path = value("--journal");
-        } else if (arg == "--resume") {
-            journal_path = value("--resume");
-            resume = true;
-        } else if (arg == "--heartbeat") {
-            if (!parse_double(value("--heartbeat"), heartbeat_s) || heartbeat_s <= 0) {
-                std::cerr << "--heartbeat: expected a positive period in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--chaos-at") {
-            if (!ulpmc::fleet::parse_chaos_at(value("--chaos-at"), chaos)) {
-                std::cerr << "--chaos-at: expected kill@N / stop@N entries, N strictly "
-                             "increasing from 1\n";
-                return 2;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    ulpmc::cli::Parser cli(kUsage);
+    cli.text("--timeline", timeline_path);
+    cli.positive("--devices", opt.devices);
+    cli.u64("--seed", opt.seed);
+    cli.count("--cohorts", opt.cohorts, 1, 4096);
+    cli.positive("--days", opt.days, "expected a positive number");
+    cli.real("--baseline", opt.baseline_fraction, 0, 1, "expected a fraction in [0, 1]");
+    cli.bind("--engine", opt.engine, ulpmc::cluster::parse_engine,
+             ulpmc::cluster::kUnknownEngine);
+    cli.count("--threads", opt.threads, 0, 1024);
+    cli.option("--shard",
+               [&](const std::string& v) { return parse_shard(v, opt.shard_k, opt.shard_n); },
+               "expected K/N with 0 <= K < N");
+    cli.option("--merge",
+               [&](const std::string& v) {
+                   merge_paths = split_list(v);
+                   return std::find(merge_paths.begin(), merge_paths.end(), "") ==
+                          merge_paths.end();
+               },
+               "expected a comma-separated list of shard stores");
+    cli.text("--json", json_path);
+    cli.text("--store", store_path);
+    cli.text("--journal", journal_path);
+    cli.option("--resume",
+               [&](const std::string& v) {
+                   journal_path = v;
+                   resume = true;
+                   return true;
+               },
+               "");
+    cli.positive("--heartbeat", heartbeat_s, "expected a positive period in seconds");
+    cli.bind("--chaos-at", chaos, ulpmc::fleet::parse_chaos_at,
+             "expected kill@N / stop@N entries, N strictly increasing from 1");
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
     if (timeline_path.empty()) {
-        std::cerr << "--timeline is required\n";
-        usage(std::cerr);
+        std::cerr << "--timeline is required\n" << kUsage;
         return 2;
     }
-    if (seen.count("--journal") && seen.count("--resume")) {
+    if (cli.given("--journal") && resume) {
         std::cerr << "--journal and --resume are mutually exclusive "
                      "(--resume already journals to its file)\n";
         return 2;
@@ -289,7 +224,7 @@ int main(int argc, char** argv) {
                      "(its triggers count journal records)\n";
         return 2;
     }
-    if (!merge_paths.empty() && (seen.count("--shard") || !journal_path.empty())) {
+    if (!merge_paths.empty() && (cli.given("--shard") || !journal_path.empty())) {
         std::cerr << "--merge simulates nothing: it takes no --shard, --journal or --resume\n";
         return 2;
     }
@@ -302,9 +237,7 @@ int main(int argc, char** argv) {
         std::cerr << e.what() << "\n";
         return 2;
     }
-    std::string tl_name = timeline_path;
-    if (const auto slash = tl_name.find_last_of('/'); slash != std::string::npos)
-        tl_name = tl_name.substr(slash + 1);
+    const std::string tl_name = ulpmc::basename_of(timeline_path);
 
     if (!merge_paths.empty()) {
         ulpmc::fleet::MergedFleet merged;

@@ -23,19 +23,20 @@
 // in-flight chunk's frame lands, then exit 3 with no JSON) follow the
 // durable-run protocol of DESIGN.md §9.6.
 //
-// Exit codes: 0 success, 2 bad usage (malformed, duplicate or
-// inconsistent options, unreadable or corrupt timeline/journal),
+// Options follow the shared grammar of common/cli.hpp.
+// Exit codes: 0 success, 2 bad usage (see common/cli.hpp, inconsistent
+// options, unreadable or corrupt timeline/journal),
 // 3 preempted by SIGTERM/SIGINT (journal flushed, artifacts unwritten).
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/atomic_file.hpp"
+#include "common/cli.hpp"
 #include "common/journal.hpp"
-#include "common/numparse.hpp"
+#include "common/path.hpp"
 #include "common/serial.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/report.hpp"
@@ -47,11 +48,10 @@ namespace {
 /// Chunk journal frame kind ("CHNK" in ASCII): [u8 policy][engine state].
 constexpr std::uint32_t kChunkFrame = 0x4B4E4843u;
 
-void usage(std::ostream& os) {
-    os << "usage: ulpmc-life --timeline FILE [--seed N] [--engine E] [--days D]\n"
-          "                  [--policy ladder|baseline|both] [--threads N] [--json FILE]\n"
-          "                  [--journal FILE | --resume FILE]\n";
-}
+constexpr const char* kUsage =
+    "usage: ulpmc-life --timeline FILE [--seed N] [--engine E] [--days D]\n"
+    "                  [--policy ladder|baseline|both] [--threads N] [--json FILE]\n"
+    "                  [--journal FILE | --resume FILE]\n";
 
 /// Everything a journaled chunk state depends on (`threads` deliberately
 /// absent: results are thread-count-independent by construction).
@@ -71,9 +71,6 @@ std::vector<std::uint8_t> meta_payload(std::uint64_t seed, double days,
 } // namespace
 
 int main(int argc, char** argv) {
-    using ulpmc::parse_count;
-    using ulpmc::parse_double;
-    using ulpmc::parse_u64;
     using ulpmc::scenario::Policy;
 
     std::string timeline_path;
@@ -86,74 +83,34 @@ int main(int argc, char** argv) {
     ulpmc::cluster::SimEngine engine = ulpmc::cluster::SimEngine::Trace;
     bool ladder = true, baseline = true;
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        auto value = [&](const char* name) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << name << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--timeline") {
-            timeline_path = value("--timeline");
-        } else if (arg == "--seed") {
-            if (!parse_u64(value("--seed"), seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            if (!parse_count(value("--threads"), 0, 1024, threads)) {
-                std::cerr << "--threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-        } else if (arg == "--days") {
-            if (!parse_double(value("--days"), days) || days <= 0) {
-                std::cerr << "--days: expected a positive number\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!ulpmc::cluster::parse_engine(value("--engine"), engine)) {
-                std::cerr << "--engine: unknown engine (reference|fast|trace|batched)\n";
-                return 2;
-            }
-        } else if (arg == "--policy") {
-            const std::string p = value("--policy");
-            if (p == "ladder") {
-                baseline = false;
-            } else if (p == "baseline") {
-                ladder = false;
-            } else if (p != "both") {
-                std::cerr << "--policy: expected ladder, baseline or both\n";
-                return 2;
-            }
-        } else if (arg == "--json") {
-            json_path = value("--json");
-        } else if (arg == "--journal") {
-            journal_path = value("--journal");
-        } else if (arg == "--resume") {
-            journal_path = value("--resume");
-            resume = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    ulpmc::cli::Parser cli(kUsage);
+    cli.text("--timeline", timeline_path);
+    cli.u64("--seed", seed);
+    cli.count("--threads", threads, 0, 1024);
+    cli.positive("--days", days, "expected a positive number");
+    cli.bind("--engine", engine, ulpmc::cluster::parse_engine, ulpmc::cluster::kUnknownEngine);
+    cli.option("--policy",
+               [&](const std::string& p) {
+                   ladder = p != "baseline";
+                   baseline = p != "ladder";
+                   return p == "ladder" || p == "baseline" || p == "both";
+               },
+               "expected ladder, baseline or both");
+    cli.text("--json", json_path);
+    cli.text("--journal", journal_path);
+    cli.option("--resume",
+               [&](const std::string& p) {
+                   journal_path = p;
+                   resume = true;
+                   return true;
+               },
+               "");
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
     if (timeline_path.empty()) {
-        std::cerr << "--timeline is required\n";
-        usage(std::cerr);
+        std::cerr << "--timeline is required\n" << kUsage;
         return 2;
     }
-    if (seen.count("--journal") && seen.count("--resume")) {
+    if (cli.given("--journal") && resume) {
         std::cerr << "--journal and --resume are mutually exclusive "
                      "(--resume already journals to its file)\n";
         return 2;
@@ -233,22 +190,13 @@ int main(int argc, char** argv) {
 
     if (!json_path.empty()) {
         // The timeline's basename identifies the script in the JSON.
-        std::string name = timeline_path;
-        if (const auto slash = name.find_last_of('/'); slash != std::string::npos)
-            name = name.substr(slash + 1);
-        if (json_path == "-") {
-            ulpmc::scenario::write_json(std::cout, name, runs);
-        } else {
-            // Rendered in memory, published via fsync+rename: a killed run
-            // never leaves a truncated artifact for a CI gate to misread.
-            std::ostringstream out;
-            ulpmc::scenario::write_json(out, name, runs);
-            try {
-                ulpmc::write_file_atomic(json_path, out.str());
-            } catch (const ulpmc::AtomicFileError& e) {
-                std::cerr << e.what() << "\n";
-                return 2;
-            }
+        std::ostringstream out;
+        ulpmc::scenario::write_json(out, ulpmc::basename_of(timeline_path), runs);
+        try {
+            ulpmc::publish_file(json_path, out.str());
+        } catch (const ulpmc::AtomicFileError& e) {
+            std::cerr << e.what() << "\n";
+            return 2;
         }
     }
     return 0;

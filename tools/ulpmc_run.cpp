@@ -20,20 +20,17 @@
 //     --max-cycles N                       safety limit (default 10M)
 //
 // Assembly sources are also accepted directly (detected by extension).
-// Every option may be given at most once — a repeat is rejected with a
-// one-line error.
-// Exit codes: 0 all cores halted, 1 load error, 2 bad usage (malformed,
-// duplicate or inconsistent options), 3 a core trapped (name printed),
-// 4 the max-cycles limit was hit.
-#include <cstring>
+// Options follow the shared grammar of common/cli.hpp.
+// Exit codes: 0 all cores halted, 1 load error, 2 bad usage (see
+// common/cli.hpp, or inconsistent options), 3 a core trapped (name
+// printed), 4 the max-cycles limit was hit.
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 
 #include "cluster/cluster.hpp"
-#include "common/numparse.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "isa/assembler.hpp"
 #include "isa/binfmt.hpp"
@@ -42,31 +39,13 @@ using namespace ulpmc;
 
 namespace {
 
-int usage() {
-    std::cerr << "usage: ulpmc-run <prog.upmc|prog.asm> [--arch A] [--cores N]\n"
-                 "                 [--shared W] [--private W] [--engine E]\n"
-                 "                 [--ecc]\n"
-                 "                 [--regprot none|parity|tmr] [--im-scrub] [--dm-scrub]\n"
-                 "                 [--xbar-selfcheck] [--watchdog N]\n"
-                 "                 [--trace N] [--dump ADDR LEN] [--max-cycles N]\n";
-    return 2;
-}
-
-/// Strict decimal parse with range check; exits with a clear message on
-/// anything malformed (no silent wrap, no std::stoul aborts).
-std::uint64_t parse_num(const std::string& arg, const std::string& value, std::uint64_t min,
-                        std::uint64_t max) {
-    std::uint64_t v = 0;
-    if (!parse_u64(value, v)) {
-        std::cerr << arg << ": '" << value << "' is not a number\n";
-        std::exit(2);
-    }
-    if (v < min || v > max) {
-        std::cerr << arg << ": " << v << " out of range [" << min << ", " << max << "]\n";
-        std::exit(2);
-    }
-    return v;
-}
+constexpr const char* kUsage =
+    "usage: ulpmc-run <prog.upmc|prog.asm> [--arch A] [--cores N]\n"
+    "                 [--shared W] [--private W] [--engine E]\n"
+    "                 [--ecc]\n"
+    "                 [--regprot none|parity|tmr] [--im-scrub] [--dm-scrub]\n"
+    "                 [--xbar-selfcheck] [--watchdog N]\n"
+    "                 [--trace N] [--dump ADDR LEN] [--max-cycles N]\n";
 
 } // namespace
 
@@ -84,79 +63,40 @@ int main(int argc, char** argv) {
     cluster::SimEngine engine = cluster::SimEngine::Trace;
     Cycle watchdog = 0;
     std::size_t trace_n = 0;
-    long dump_addr = -1;
+    unsigned dump_addr = 0;
     unsigned dump_len = 0;
     Cycle max_cycles = 10'000'000;
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        // Repeating an option is always a mistake (the second occurrence
-        // would silently win) — reject it instead of guessing intent.
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        const auto next = [&](const char* what) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs " << what << '\n';
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--arch") {
-            arch_name = next("a name");
-        } else if (arg == "--cores") {
-            cores = static_cast<unsigned>(parse_num(arg, next("a count"), 1, kNumCores));
-        } else if (arg == "--shared") {
-            shared_words =
-                static_cast<Addr>(parse_num(arg, next("words"), 0, kDmWordsTotal));
-        } else if (arg == "--private") {
-            private_words =
-                static_cast<Addr>(parse_num(arg, next("words"), 1, kDmWordsTotal));
-        } else if (arg == "--ecc") {
-            ecc = true;
-        } else if (arg == "--im-scrub") {
-            im_scrub = true;
-        } else if (arg == "--dm-scrub") {
-            dm_scrub = true;
-        } else if (arg == "--xbar-selfcheck") {
-            xbar_self_check = true;
-        } else if (arg == "--regprot") {
-            const std::string name = next("none|parity|tmr");
-            if (!core::parse_reg_protection(name.c_str(), regprot)) {
-                std::cerr << "unknown protection mode '" << name
-                          << "' (expected none, parity or tmr)\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            const std::string name = next("reference|fast|trace|batched");
-            if (!cluster::parse_engine(name, engine)) {
-                std::cerr << "unknown engine '" << name
-                          << "' (expected reference, fast, trace or batched)\n";
-                return 2;
-            }
-        } else if (arg == "--watchdog") {
-            watchdog = parse_num(arg, next("a cycle count"), 1, 1'000'000'000);
-        } else if (arg == "--trace") {
-            trace_n = parse_num(arg, next("a count"), 0, 1'000'000);
-        } else if (arg == "--dump") {
-            dump_addr = static_cast<long>(parse_num(arg, next("an address"), 0, kDmWordsTotal));
-            dump_len = static_cast<unsigned>(parse_num(arg, next("a length"), 1, kDmWordsTotal));
-        } else if (arg == "--max-cycles") {
-            max_cycles = parse_num(arg, next("a count"), 1, ~0ull);
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            if (!input.empty()) {
-                std::cerr << "more than one program file given ('" << input << "' and '" << arg
-                          << "')\n";
-                return 2;
-            }
-            input = arg;
-        }
+    cli::Parser cli(kUsage);
+    cli.positional(input, "program file");
+    cli.text("--arch", arch_name);
+    cli.count("--cores", cores, 1, kNumCores);
+    cli.count("--shared", shared_words, 0, kDmWordsTotal);
+    cli.count("--private", private_words, 1, kDmWordsTotal);
+    cli.flag("--ecc", ecc);
+    cli.flag("--im-scrub", im_scrub);
+    cli.flag("--dm-scrub", dm_scrub);
+    cli.flag("--xbar-selfcheck", xbar_self_check);
+    cli.option("--regprot",
+               [&](const std::string& v) { return core::parse_reg_protection(v.c_str(), regprot); },
+               "unknown protection mode (none|parity|tmr)");
+    cli.bind("--engine", engine, cluster::parse_engine, cluster::kUnknownEngine);
+    cli.count("--watchdog", watchdog, 1, 1'000'000'000);
+    cli.count("--trace", trace_n, 0, 1'000'000);
+    cli.option2("--dump",
+                [&](const std::string& addr, const std::string& len) {
+                    return parse_count(addr, 0, kDmWordsTotal, dump_addr) &&
+                           parse_count(len, 1, kDmWordsTotal, dump_len);
+                },
+                "expected ADDR in [0, " + std::to_string(kDmWordsTotal) + "] and LEN in [1, " +
+                    std::to_string(kDmWordsTotal) + "]");
+    cli.positive("--max-cycles", max_cycles);
+    if (const auto rc = cli.parse(argc, argv)) return *rc;
+    if (input.empty()) {
+        std::cerr << kUsage;
+        return 2;
     }
-    if (input.empty()) return usage();
+    const bool dump = cli.given("--dump");
 
     // --- load the program ----------------------------------------------------
     isa::Program prog;
@@ -231,8 +171,7 @@ int main(int argc, char** argv) {
                   << " words) exceeds the DM layout (" << cfg.dm_layout.limit() << " words)\n";
         return 1;
     }
-    if (dump_addr >= 0 &&
-        static_cast<std::size_t>(dump_addr) + dump_len > cfg.dm_layout.limit()) {
+    if (dump && std::size_t{dump_addr} + dump_len > cfg.dm_layout.limit()) {
         std::cerr << "--dump range [" << dump_addr << ", " << dump_addr + dump_len
                   << ") exceeds the DM layout (" << cfg.dm_layout.limit() << " words)\n";
         return 2;
@@ -280,7 +219,7 @@ int main(int argc, char** argv) {
         std::cerr << "max-cycles limit (" << max_cycles << ") hit with cores still running\n";
     }
 
-    if (dump_addr >= 0) {
+    if (dump) {
         std::cout << "\ncore 0 memory @" << dump_addr << ":\n ";
         for (unsigned i = 0; i < dump_len; ++i)
             std::cout << ' ' << cl.dm_peek(0, static_cast<Addr>(dump_addr + i));
