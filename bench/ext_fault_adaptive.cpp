@@ -29,9 +29,11 @@
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
+#include "outcome_row.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace ulpmc;
+using enum fault::Outcome;
 
 namespace {
 
@@ -121,12 +123,11 @@ int main(int argc, char** argv) {
         c.checkpoint_interval = interval;
         const auto r =
             fault::run_adaptive_campaign(stream, cluster::ArchKind::UlpmcBank, c, pool);
-        t.add_row({"fixed-" + std::to_string(interval),
-                   std::to_string(r.count(fault::Outcome::RolledBack)),
-                   std::to_string(r.count(fault::Outcome::Trapped)),
-                   std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1),
-                   std::to_string(r.strikes), std::to_string(r.checkpoints),
-                   std::to_string(r.reexec_cycles), "-", format_si(r.overhead_energy, "J")});
+        t.add_row(outcome_row({"fixed-" + std::to_string(interval)}, r,
+                              {RolledBack, Trapped, Sdc},
+                              {std::to_string(r.strikes), std::to_string(r.checkpoints),
+                               std::to_string(r.reexec_cycles), "-",
+                               format_si(r.overhead_energy, "J")}));
         results.push_back({"fixed-" + std::to_string(interval), r});
     }
     {
@@ -135,12 +136,11 @@ int main(int argc, char** argv) {
         c.checkpoint_interval = 2000; // starting interval; the controller re-solves
         const auto r =
             fault::run_adaptive_campaign(stream, cluster::ArchKind::UlpmcBank, c, pool);
-        t.add_row({"adaptive", std::to_string(r.count(fault::Outcome::RolledBack)),
-                   std::to_string(r.count(fault::Outcome::Trapped)),
-                   std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1),
-                   std::to_string(r.strikes), std::to_string(r.checkpoints),
-                   std::to_string(r.reexec_cycles), std::to_string(r.interval_updates),
-                   format_si(r.overhead_energy, "J")});
+        t.add_row(outcome_row({"adaptive"}, r, {RolledBack, Trapped, Sdc},
+                              {std::to_string(r.strikes), std::to_string(r.checkpoints),
+                               std::to_string(r.reexec_cycles),
+                               std::to_string(r.interval_updates),
+                               format_si(r.overhead_energy, "J")}));
         results.push_back({"adaptive", r});
     }
     t.print(std::cout);

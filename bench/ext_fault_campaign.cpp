@@ -35,9 +35,11 @@
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
+#include "outcome_row.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace ulpmc;
+using enum fault::Outcome;
 
 namespace {
 
@@ -165,15 +167,11 @@ int main(int argc, char** argv) {
             c.ecc = ecc;
             const auto r = fault::run_campaign(bench, arch, c, pool);
             if (!ecc) epo_off = r.energy_per_op;
-            t.add_row({cluster::arch_name(arch), ecc ? "on" : "off",
-                       std::to_string(r.count(fault::Outcome::Masked)),
-                       std::to_string(r.count(fault::Outcome::Latent)),
-                       std::to_string(r.count(fault::Outcome::Corrected)),
-                       std::to_string(r.count(fault::Outcome::Trapped)),
-                       std::to_string(r.count(fault::Outcome::Hang)),
-                       std::to_string(r.count(fault::Outcome::Sdc)),
-                       format_percent(r.coverage(), 1), format_si(r.energy_per_op, "J"),
-                       ecc ? format_percent(r.energy_per_op / epo_off - 1.0, 1) : "-"});
+            t.add_row(outcome_row({cluster::arch_name(arch), ecc ? "on" : "off"}, r,
+                                  {Masked, Latent, Corrected, Trapped, Hang, Sdc},
+                                  {format_si(r.energy_per_op, "J"),
+                                   ecc ? format_percent(r.energy_per_op / epo_off - 1.0, 1)
+                                       : "-"}));
             results.push_back({"oneshot", r});
         }
         if (arch != cluster::ArchKind::UlpmcBank) t.add_separator();
@@ -197,14 +195,9 @@ int main(int argc, char** argv) {
         c.burst_len = kBurstLen;
         c.reg_burst = kRegBurst;
         const auto r = fault::run_campaign(bench, cluster::ArchKind::UlpmcBank, c, pool);
-        bt.add_row({tier.name, std::to_string(r.count(fault::Outcome::Masked)),
-                    std::to_string(r.count(fault::Outcome::Latent)),
-                    std::to_string(r.count(fault::Outcome::Corrected)),
-                    std::to_string(r.count(fault::Outcome::RolledBack)),
-                    std::to_string(r.count(fault::Outcome::Trapped)),
-                    std::to_string(r.count(fault::Outcome::Hang)),
-                    std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1),
-                    format_si(r.energy_per_op, "J")});
+        bt.add_row(outcome_row({tier.name}, r,
+                               {Masked, Latent, Corrected, RolledBack, Trapped, Hang, Sdc},
+                               {format_si(r.energy_per_op, "J")}));
         results.push_back({"oneshot", r, tier.policy});
     }
     bt.print(std::cout);
@@ -226,12 +219,8 @@ int main(int argc, char** argv) {
         fault::CampaignConfig c = sc;
         c.ecc = ecc;
         const auto r = fault::run_streaming_campaign(stream, cluster::ArchKind::UlpmcBank, c, pool);
-        st.add_row({ecc ? "on" : "off", std::to_string(r.count(fault::Outcome::Masked)),
-                    std::to_string(r.count(fault::Outcome::Latent)),
-                    std::to_string(r.count(fault::Outcome::Corrected)),
-                    std::to_string(r.count(fault::Outcome::RolledBack)),
-                    std::to_string(r.count(fault::Outcome::LeadDropped)),
-                    std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1)});
+        st.add_row(outcome_row({ecc ? "on" : "off"}, r,
+                               {Masked, Latent, Corrected, RolledBack, LeadDropped, Sdc}));
         results.push_back({"streaming", r});
     }
     st.print(std::cout);
@@ -256,13 +245,9 @@ int main(int argc, char** argv) {
                            : static_cast<double>(r.reexec_cycles) /
                                  (static_cast<double>(r.clean_cycles) *
                                   static_cast<double>(r.runs.size()));
-        mt.add_row({tier.name, std::to_string(r.count(fault::Outcome::Masked)),
-                    std::to_string(r.count(fault::Outcome::Latent)),
-                    std::to_string(r.count(fault::Outcome::Corrected)),
-                    std::to_string(r.count(fault::Outcome::RolledBack)),
-                    std::to_string(r.count(fault::Outcome::LeadDropped)),
-                    std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1),
-                    format_percent(reexec, 2), format_si(r.energy_per_op, "J")});
+        mt.add_row(outcome_row({tier.name}, r,
+                               {Masked, Latent, Corrected, RolledBack, LeadDropped, Sdc},
+                               {format_percent(reexec, 2), format_si(r.energy_per_op, "J")}));
         results.push_back({"streaming", r});
     }
     mt.print(std::cout);
@@ -283,12 +268,8 @@ int main(int argc, char** argv) {
         c.xbar_self_check = tier.self_check;
         c.kinds = fault::kArbiterFaultKinds;
         const auto r = fault::run_campaign(bench, cluster::ArchKind::UlpmcBank, c, pool);
-        at.add_row({tier.name, std::to_string(r.count(fault::Outcome::Masked)),
-                    std::to_string(r.count(fault::Outcome::Corrected)),
-                    std::to_string(r.count(fault::Outcome::Trapped)),
-                    std::to_string(r.count(fault::Outcome::Hang)),
-                    std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1),
-                    format_si(r.energy_per_op, "J")});
+        at.add_row(outcome_row({tier.name}, r, {Masked, Corrected, Trapped, Hang, Sdc},
+                               {format_si(r.energy_per_op, "J")}));
         results.push_back({"oneshot", r, tier.policy});
     }
     at.print(std::cout);
@@ -334,15 +315,12 @@ int main(int argc, char** argv) {
                                                    {.storage = arm.storage,
                                                     .storage_strikes = arm.strikes},
                                                    pool);
-        kt.add_row({arm.name, std::to_string(r.count(fault::Outcome::Masked)),
-                    std::to_string(r.count(fault::Outcome::Corrected)),
-                    std::to_string(r.count(fault::Outcome::RolledBack)),
-                    std::to_string(r.count(fault::Outcome::LeadDropped)),
-                    std::to_string(r.count(fault::Outcome::Trapped)),
-                    std::to_string(r.count(fault::Outcome::Sdc)), format_percent(r.coverage(), 1),
-                    format_si(static_cast<double>(r.ckpt_stored_bytes), "B"),
-                    format_si(static_cast<double>(r.ckpt_full_bytes), "B"),
-                    std::to_string(r.ckpt_crc_failures), std::to_string(r.ckpt_fallbacks)});
+        kt.add_row(outcome_row({arm.name}, r,
+                               {Masked, Corrected, RolledBack, LeadDropped, Trapped, Sdc},
+                               {format_si(static_cast<double>(r.ckpt_stored_bytes), "B"),
+                                format_si(static_cast<double>(r.ckpt_full_bytes), "B"),
+                                std::to_string(r.ckpt_crc_failures),
+                                std::to_string(r.ckpt_fallbacks)}));
         store_runs.push_back(r);
         results.push_back({"streaming", store_runs.back(), arm.policy});
     }

@@ -1,5 +1,6 @@
 #include "cluster/ckpt_store.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -61,44 +62,23 @@ void CheckpointStorage::reset(const CkptStorageConfig& cfg) {
 }
 
 std::uint64_t CheckpointStorage::keyframe_payload_size(const Cluster::Snapshot& snap) const {
-    std::uint64_t bytes = snap.cores.size() * kArchWords * sizeof(Word);
-    for (const mem::BankSnapshot& b : snap.dm_banks)
+    std::uint64_t bytes = snap.ctl.cores.size() * kArchWords * sizeof(Word);
+    for (const mem::BankSnapshot& b : snap.dm)
         bytes += b.cells.size() * sizeof(std::uint32_t) + b.check.size();
-    bytes += snap.im_cells.size() * (sizeof(std::uint32_t) + 1);
+    bytes += snap.ctl.im_cells.size() * (sizeof(std::uint32_t) + 1);
     return bytes;
 }
 
 void CheckpointStorage::copy_meta(const Cluster::Snapshot& snap, Record& rec) const {
-    Cluster::Snapshot& m = rec.meta;
-    m.cycle = snap.cycle;
-    m.stats = snap.stats;
-    m.direct_faults = snap.direct_faults;
-    m.cores = snap.cores;
-    for (auto& c : m.cores) c.state = {}; // arch state lives in the payload
-    m.ex_in_buf = snap.ex_in_buf;
-    m.im_dirty = snap.im_dirty;
-    m.im_cells = snap.im_cells;
-    for (auto& ic : m.im_cells) ic.cell = {}; // cell data lives in the payload
-    m.im_stats = snap.im_stats;
-    m.im_uncorrectable = snap.im_uncorrectable;
-    m.dm_banks.resize(snap.dm_banks.size());
-    rec.dm_cells.resize(snap.dm_banks.size());
-    rec.dm_has_check.resize(snap.dm_banks.size());
-    for (std::size_t b = 0; b < snap.dm_banks.size(); ++b) {
-        mem::BankSnapshot& dst = m.dm_banks[b];
-        const mem::BankSnapshot& src = snap.dm_banks[b];
-        dst.cells.clear(); // cell data lives in the payload
-        dst.check.clear();
-        dst.stats = src.stats;
-        dst.gated = src.gated;
-        dst.uncorrectable_pending = src.uncorrectable_pending;
-        rec.dm_cells[b] = static_cast<std::uint32_t>(src.cells.size());
-        rec.dm_has_check[b] = src.check.empty() ? 0 : 1;
+    rec.meta = snap.ctl;
+    for (auto& c : rec.meta.cores) c.state = {};     // arch state lives in the payload
+    for (auto& ic : rec.meta.im_cells) ic.cell = {}; // cell data lives in the payload
+    rec.dm_cells.resize(snap.dm.size());
+    rec.dm_has_check.resize(snap.dm.size());
+    for (std::size_t b = 0; b < snap.dm.size(); ++b) {
+        rec.dm_cells[b] = static_cast<std::uint32_t>(snap.dm[b].cells.size());
+        rec.dm_has_check[b] = snap.dm[b].check.empty() ? 0 : 1;
     }
-    m.ixbar = snap.ixbar;
-    m.dxbar = snap.dxbar;
-    m.im_scrub_ptr = snap.im_scrub_ptr;
-    m.dm_scrub_ptr = snap.dm_scrub_ptr;
 }
 
 void CheckpointStorage::encode_keyframe(const Cluster::Snapshot& snap, Record& rec) {
@@ -106,13 +86,13 @@ void CheckpointStorage::encode_keyframe(const Cluster::Snapshot& snap, Record& r
     rec.reg_masks.clear();
     rec.dm_addrs.clear();
     rec.payload.clear();
-    for (const auto& c : snap.cores)
+    for (const auto& c : snap.ctl.cores)
         for (unsigned i = 0; i < kArchWords; ++i) put_raw(rec.payload, arch_word(c.state, i));
-    for (const mem::BankSnapshot& b : snap.dm_banks) {
+    for (const mem::BankSnapshot& b : snap.dm) {
         for (std::uint32_t cell : b.cells) put_raw(rec.payload, cell);
         for (std::uint8_t chk : b.check) put_raw(rec.payload, chk);
     }
-    for (const auto& ic : snap.im_cells) {
+    for (const auto& ic : snap.ctl.im_cells) {
         put_raw(rec.payload, ic.cell.cell);
         put_raw(rec.payload, ic.cell.check);
     }
@@ -123,30 +103,30 @@ void CheckpointStorage::encode_keyframe(const Cluster::Snapshot& snap, Record& r
 
 bool CheckpointStorage::encode_delta(const Cluster::Snapshot& snap, Record& rec) {
     // Same-geometry base required; a config change means a fresh store.
-    if (snap.cores.size() != base_full_.cores.size() ||
-        snap.dm_banks.size() != base_full_.dm_banks.size())
-        return false;
+    const auto& cores = snap.ctl.cores;
+    const auto& base_cores = base_full_.ctl.cores;
+    if (cores.size() != base_cores.size() || snap.dm.size() != base_full_.dm.size()) return false;
 
     copy_meta(snap, rec);
     rec.reg_masks.clear();
     rec.dm_addrs.clear();
     rec.payload.clear();
     std::uint64_t words = 0;
-    for (std::size_t c = 0; c < snap.cores.size(); ++c) {
+    for (std::size_t c = 0; c < cores.size(); ++c) {
         std::uint32_t mask = 0;
         for (unsigned i = 0; i < kArchWords; ++i)
-            if (arch_word(snap.cores[c].state, i) != arch_word(base_full_.cores[c].state, i))
+            if (arch_word(cores[c].state, i) != arch_word(base_cores[c].state, i))
                 mask |= 1u << i;
         rec.reg_masks.push_back(mask);
         for (unsigned i = 0; i < kArchWords; ++i)
             if (mask & (1u << i)) {
-                put_raw(rec.payload, arch_word(snap.cores[c].state, i));
+                put_raw(rec.payload, arch_word(cores[c].state, i));
                 ++words;
             }
     }
-    for (std::size_t b = 0; b < snap.dm_banks.size(); ++b) {
-        const mem::BankSnapshot& now = snap.dm_banks[b];
-        const mem::BankSnapshot& base = base_full_.dm_banks[b];
+    for (std::size_t b = 0; b < snap.dm.size(); ++b) {
+        const mem::BankSnapshot& now = snap.dm[b];
+        const mem::BankSnapshot& base = base_full_.dm[b];
         if (now.cells.size() != base.cells.size() || now.check.size() != base.check.size())
             return false;
         for (std::size_t i = 0; i < now.cells.size(); ++i) {
@@ -159,7 +139,7 @@ bool CheckpointStorage::encode_delta(const Cluster::Snapshot& snap, Record& rec)
             words += 2;
         }
     }
-    for (const auto& ic : snap.im_cells) {
+    for (const auto& ic : snap.ctl.im_cells) {
         put_raw(rec.payload, ic.cell.cell);
         put_raw(rec.payload, ic.cell.check);
         words += 2;
@@ -201,66 +181,44 @@ bool CheckpointStorage::crc_ok(const Record& rec) const {
 
 bool CheckpointStorage::decode(const Record& rec, Cluster::Snapshot& out) const {
     ByteReader r(rec.payload);
+    auto& cores = out.ctl.cores;
     if (rec.keyframe) {
-        out = rec.meta;
-        for (auto& c : out.cores)
+        out.ctl = rec.meta;
+        for (auto& c : cores)
             for (unsigned i = 0; i < kArchWords; ++i) set_arch_word(c.state, i, r.get<Word>());
-        for (std::size_t b = 0; b < out.dm_banks.size(); ++b) {
-            mem::BankSnapshot& bank = out.dm_banks[b];
+        out.dm.resize(rec.dm_cells.size());
+        for (std::size_t b = 0; b < out.dm.size(); ++b) {
+            mem::BankSnapshot& bank = out.dm[b];
             bank.cells.resize(rec.dm_cells[b]);
             for (auto& cell : bank.cells) cell = r.get<std::uint32_t>();
             bank.check.resize(rec.dm_has_check[b] ? rec.dm_cells[b] : 0);
             for (auto& chk : bank.check) chk = r.get<std::uint8_t>();
         }
-        for (auto& ic : out.im_cells) {
-            ic.cell.cell = r.get<std::uint32_t>();
-            ic.cell.check = r.get<std::uint8_t>();
+    } else {
+        // Delta: `out` holds the reconstructed base keyframe. Take the
+        // record's control state, keep the base's architectural words,
+        // then apply the dirty words.
+        if (cores.size() != rec.meta.cores.size() || cores.size() > kNumCores ||
+            out.dm.size() != rec.dm_cells.size() || rec.reg_masks.size() != cores.size())
+            return false;
+        std::array<core::CoreState, kNumCores> base;
+        for (std::size_t c = 0; c < cores.size(); ++c) base[c] = cores[c].state;
+        out.ctl = rec.meta;
+        for (std::size_t c = 0; c < cores.size(); ++c) {
+            cores[c].state = base[c];
+            for (unsigned i = 0; i < kArchWords; ++i)
+                if (rec.reg_masks[c] & (1u << i)) set_arch_word(cores[c].state, i, r.get<Word>());
         }
-        return !r.fail() && r.remaining() == 0;
+        for (const Record::DmAddr& a : rec.dm_addrs) {
+            if (a.bank >= out.dm.size()) return false;
+            mem::BankSnapshot& bank = out.dm[a.bank];
+            if (a.offset >= bank.cells.size()) return false;
+            bank.cells[a.offset] = r.get<std::uint32_t>();
+            const std::uint8_t chk = r.get<std::uint8_t>();
+            if (!bank.check.empty()) bank.check[a.offset] = chk;
+        }
     }
-
-    // Delta: `out` holds the reconstructed base keyframe. Overlay the
-    // record's control state first (keeping the base's payload-backed
-    // state), then apply the dirty words.
-    if (out.cores.size() != rec.meta.cores.size() ||
-        out.dm_banks.size() != rec.meta.dm_banks.size())
-        return false;
-    out.cycle = rec.meta.cycle;
-    out.stats = rec.meta.stats;
-    out.direct_faults = rec.meta.direct_faults;
-    for (std::size_t c = 0; c < out.cores.size(); ++c) {
-        const core::CoreState base_state = out.cores[c].state;
-        out.cores[c] = rec.meta.cores[c];
-        out.cores[c].state = base_state;
-    }
-    out.ex_in_buf = rec.meta.ex_in_buf;
-    out.im_dirty = rec.meta.im_dirty;
-    out.im_cells = rec.meta.im_cells;
-    out.im_stats = rec.meta.im_stats;
-    out.im_uncorrectable = rec.meta.im_uncorrectable;
-    for (std::size_t b = 0; b < out.dm_banks.size(); ++b) {
-        out.dm_banks[b].stats = rec.meta.dm_banks[b].stats;
-        out.dm_banks[b].gated = rec.meta.dm_banks[b].gated;
-        out.dm_banks[b].uncorrectable_pending = rec.meta.dm_banks[b].uncorrectable_pending;
-    }
-    out.ixbar = rec.meta.ixbar;
-    out.dxbar = rec.meta.dxbar;
-    out.im_scrub_ptr = rec.meta.im_scrub_ptr;
-    out.dm_scrub_ptr = rec.meta.dm_scrub_ptr;
-
-    if (rec.reg_masks.size() != out.cores.size()) return false;
-    for (std::size_t c = 0; c < out.cores.size(); ++c)
-        for (unsigned i = 0; i < kArchWords; ++i)
-            if (rec.reg_masks[c] & (1u << i)) set_arch_word(out.cores[c].state, i, r.get<Word>());
-    for (const Record::DmAddr& a : rec.dm_addrs) {
-        if (a.bank >= out.dm_banks.size()) return false;
-        mem::BankSnapshot& bank = out.dm_banks[a.bank];
-        if (a.offset >= bank.cells.size()) return false;
-        bank.cells[a.offset] = r.get<std::uint32_t>();
-        const std::uint8_t chk = r.get<std::uint8_t>();
-        if (!bank.check.empty()) bank.check[a.offset] = chk;
-    }
-    for (auto& ic : out.im_cells) {
+    for (auto& ic : out.ctl.im_cells) {
         ic.cell.cell = r.get<std::uint32_t>();
         ic.cell.check = r.get<std::uint8_t>();
     }

@@ -1,18 +1,23 @@
 // Durable checkpoint storage with delta encoding (DESIGN.md §9.6).
 //
-// A Cluster::Snapshot splits into two halves with different trust:
+// A record splits a Cluster::Snapshot into two parts with different
+// trust:
 //
 //   * the PAYLOAD — the bytes real checkpoint hardware would stream into
-//     a retention SRAM / NVM region: every core's architectural words
-//     (16 GPRs + PC + packed flags), the DM bank cells + ECC check
-//     bytes, and the dirty IM cells. This is the corruptible surface:
-//     fault::CkptBitFlip strikes land here, a CRC32 over it is verified
-//     before any restore applies it, and silent corruption of it (CRC
-//     verification off) flows through restore into real SDC.
-//   * the METADATA — simulator observability (statistics, microarch
-//     latches, scrub pointers, per-bank geometry). It has no silicon
-//     counterpart and is modeled as protected control state: kept
-//     verbatim per record, never a fault target.
+//     a retention SRAM / NVM region: the DM bank cells + ECC check bytes,
+//     and from the snapshot's Control half only every core's
+//     architectural words (16 GPRs + PC + packed flags) and every dirty
+//     IM cell's data. This is the corruptible surface: fault::CkptBitFlip
+//     strikes land here, a CRC32 over it is verified before any restore
+//     applies it, and silent corruption of it (CRC verification off)
+//     flows through restore into real SDC.
+//   * the METADATA — the rest of the Control half: statistics, the
+//     banks' mem::BankMeta, microarch latches, scrub pointers, the dirty
+//     IM cells' addresses. It has no silicon counterpart and is modeled
+//     as protected control state, never a fault target: a record keeps
+//     the Control half whole, with the payload's words zeroed, plus the
+//     payload's geometry. Only the payload's fields are named here; every
+//     other snapshot field is Cluster's alone.
 //
 // Delta encoding (the same spirit as the dirty-PC IM dedup, DESIGN.md
 // §11): most saves change a handful of registers and DM words, so a
@@ -91,12 +96,14 @@ private:
         bool keyframe = false;
         std::vector<std::uint8_t> payload;
         std::uint32_t crc = 0;
-        Cluster::Snapshot meta; ///< protected control state (see header comment)
+        /// The snapshot's Control half with the payload's words zeroed:
+        /// protected control state (see header comment).
+        Cluster::Snapshot::Control meta;
         /// Trusted payload geometry — structure is control state, only
         /// the data words in `payload` are the fault surface: per-DM-bank
         /// (cells, has_check), per-core dirty-word bitmaps and the dirty
         /// DM addresses (deltas), and the dirty-IM addresses (kept in
-        /// meta.im_cells with their cell data zeroed).
+        /// `meta` with their cell data zeroed).
         std::vector<std::uint32_t> dm_cells;
         std::vector<std::uint8_t> dm_has_check;
         std::vector<std::uint32_t> reg_masks; ///< bit i: arch word i differs from base

@@ -110,11 +110,10 @@ void CleanRun::append(const Cluster& cl) {
     Materialized& m = materialized();
     ULPMC_EXPECTS(m.run == id_ && m.rung == final_rung());
     ULPMC_EXPECTS(cl.dm_banks_.size() <= 0x100);
-    const Cluster::Snapshot& prev = m.snap;
     Rung g;
     for (std::size_t b = 0; b < cl.dm_banks_.size(); ++b) {
         const mem::MemoryBank& bank = cl.dm_banks_[b];
-        const mem::BankSnapshot& was = prev.dm_banks[b];
+        const mem::BankSnapshot& was = m.snap.dm[b];
         ULPMC_EXPECTS(bank.size() <= 0x10000);
         for (std::size_t o = 0; o < bank.size(); ++o) {
             const mem::MemoryBank::CellState now = bank.cell_state(o);
@@ -124,14 +123,10 @@ void CleanRun::append(const Cluster& cl) {
             g.dm.push_back({static_cast<std::uint16_t>(o), static_cast<std::uint8_t>(b),
                             now.check, static_cast<std::uint16_t>(now.cell)});
         }
-        g.dm_stats.push_back(bank.stats());
-        g.dm_flags.push_back(static_cast<std::uint8_t>(
-            (bank.power_gated() ? kGated : 0) |
-            (bank.uncorrectable_pending() ? kUncorrectable : 0)));
     }
     g.dm.shrink_to_fit();
     cl.save(m.snap);
-    assign_all_but_dm(g.state, m.snap);
+    g.state = m.snap.ctl;
     rungs_.push_back(std::move(g));
     m.rung = final_rung();
 }
@@ -145,19 +140,12 @@ void CleanRun::advance(Materialized& m, unsigned r) const {
     if (r == m.rung) return;
     for (unsigned k = m.rung + 1; k <= r; ++k) {
         for (const DmCell& c : rungs_[k].dm) {
-            mem::BankSnapshot& bank = m.snap.dm_banks[c.bank];
+            mem::BankSnapshot& bank = m.snap.dm[c.bank];
             bank.cells[c.offset] = c.cell;
             if (!bank.check.empty()) bank.check[c.offset] = c.check;
         }
     }
-    const Rung& g = rungs_[r];
-    assign_all_but_dm(m.snap, g.state);
-    for (std::size_t b = 0; b < m.snap.dm_banks.size(); ++b) {
-        mem::BankSnapshot& bank = m.snap.dm_banks[b];
-        bank.stats = g.dm_stats[b];
-        bank.gated = (g.dm_flags[b] & kGated) != 0;
-        bank.uncorrectable_pending = (g.dm_flags[b] & kUncorrectable) != 0;
-    }
+    m.snap.ctl = rungs_[r].state;
     m.rung = r;
 }
 
@@ -204,35 +192,8 @@ std::optional<unsigned> CleanRun::rejoin(Cluster& cl, unsigned from, ClusterStat
 
 std::size_t CleanRun::resident_bytes() const {
     std::size_t bytes = sizeof(*this) + rungs_.capacity() * sizeof(Rung);
-    for (const Rung& g : rungs_) {
-        const Cluster::Snapshot& s = g.state;
-        bytes += g.dm.capacity() * sizeof(DmCell);
-        bytes += s.stats.core.capacity() * sizeof(CoreRunStats);
-        bytes += s.cores.capacity() * sizeof(s.cores[0]);
-        bytes += s.ex_in_buf.capacity() + s.im_uncorrectable.capacity();
-        bytes += s.im_dirty.capacity() * sizeof(PAddr);
-        bytes += s.im_cells.capacity() * sizeof(Cluster::Snapshot::ImCell);
-        bytes += s.im_stats.capacity() * sizeof(mem::BankStats);
-        bytes += g.dm_stats.capacity() * sizeof(mem::BankStats) + g.dm_flags.capacity();
-        bytes += (s.im_scrub_ptr.capacity() + s.dm_scrub_ptr.capacity()) * sizeof(std::uint32_t);
-    }
+    for (const Rung& g : rungs_) bytes += g.state.heap_bytes() + g.dm.capacity() * sizeof(DmCell);
     return bytes;
-}
-
-void CleanRun::assign_all_but_dm(Cluster::Snapshot& dst, const Cluster::Snapshot& src) {
-    dst.cycle = src.cycle;
-    dst.stats = src.stats;
-    dst.direct_faults = src.direct_faults;
-    dst.cores = src.cores;
-    dst.ex_in_buf = src.ex_in_buf;
-    dst.im_dirty = src.im_dirty;
-    dst.im_cells = src.im_cells;
-    dst.im_stats = src.im_stats;
-    dst.im_uncorrectable = src.im_uncorrectable;
-    dst.ixbar = src.ixbar;
-    dst.dxbar = src.dxbar;
-    dst.im_scrub_ptr = src.im_scrub_ptr;
-    dst.dm_scrub_ptr = src.dm_scrub_ptr;
 }
 
 } // namespace ulpmc::cluster

@@ -19,10 +19,10 @@
 //
 // Rungs are compact. Rung 0 is not stored at all: it is the freshly
 // loaded cluster every caller builds anyway. Every later rung stores its
-// non-DM state plus the DM cells that changed since the rung before it,
-// a few hundred words where a full snapshot carries the whole DM. A rung
-// is materialized on demand against the loaded state, into one snapshot
-// per thread that moves forward rung by rung.
+// snapshot's Control half whole plus the DM cells that changed since the
+// rung before it, a few hundred words where a full snapshot carries the
+// whole DM. A rung is materialized on demand against the loaded state,
+// into one snapshot per thread that moves forward rung by rung.
 //
 // All operations are exact by determinism: the results are bit-identical
 // to a standalone run (tests/cluster/clean_run_test.cpp,
@@ -38,7 +38,6 @@
 #include "cluster/cluster.hpp"
 #include "cluster/stats.hpp"
 #include "common/types.hpp"
-#include "mem/memory_bank.hpp"
 
 namespace ulpmc::cluster {
 
@@ -118,19 +117,14 @@ private:
         std::uint16_t cell = 0;
     };
     struct Rung {
-        Cluster::Snapshot state;             ///< everything but the DM banks
-        std::vector<mem::BankStats> dm_stats; ///< per DM bank
-        std::vector<std::uint8_t> dm_flags;  ///< per DM bank: kGated | kUncorrectable
-        std::vector<DmCell> dm;              ///< DM cells that differ from the rung before
+        Cluster::Snapshot::Control state; ///< everything but the DM cells
+        std::vector<DmCell> dm;           ///< DM cells that differ from the rung before
     };
-    static constexpr std::uint8_t kGated = 1, kUncorrectable = 2;
     /// This thread's one materialized rung.
     struct Materialized;
     static Materialized& materialized();
     /// Moves this thread's materialized rung forward to `r`.
     void advance(Materialized& m, unsigned r) const;
-    /// Copies every field of `src` into `dst` except the DM banks.
-    static void assign_all_but_dm(Cluster::Snapshot& dst, const Cluster::Snapshot& src);
 
     CleanRun() = default;
 

@@ -96,8 +96,8 @@ void Cluster::reset(const ClusterConfig& cfg_in, std::shared_ptr<const isa::Prog
     cores_.clear();
     cores_.reserve(cfg.cores);
     for (unsigned p = 0; p < cfg.cores; ++p) {
-        CoreCtx c{.state = {}, .mmu = mmu::DataMmu(cfg.dm_layout, static_cast<CoreId>(p),
-                                                    cfg.dm_banks, cfg.dm_bank_words)};
+        CoreCtx c{.mmu = mmu::DataMmu(cfg.dm_layout, static_cast<CoreId>(p), cfg.dm_banks,
+                                      cfg.dm_bank_words)};
         c.start_cycle = cfg.stagger_start ? static_cast<Cycle>(p) : 0;
         c.state.pc = img.entry();
         cores_.push_back(std::move(c));
@@ -234,11 +234,12 @@ InstrWord Cluster::im_peek(PAddr pc, CoreId pid) const {
     return static_cast<InstrWord>(im_banks_[pa->bank].peek(pa->offset));
 }
 
-void Cluster::im_poke(PAddr pc, InstrWord word) {
+template <class Edit>
+void Cluster::refresh_im_word(PAddr pc, Edit&& edit) {
     // Mirrors the loader: the Dedicated policy replicates text per core,
-    // so a patch must reach every replica. Each poke re-decodes exactly
-    // the poked word, keeping the fast path coherent.
+    // so an edit must reach every replica.
     const unsigned replicas = cfg_.im_policy == mmu::ImPolicy::Dedicated ? cfg_.cores : 1;
+    InstrWord readback = 0;
     for (unsigned p = 0; p < replicas; ++p) {
         const auto pa = im_map_.translate(pc, static_cast<CoreId>(p));
         ULPMC_EXPECTS(pa.has_value());
@@ -252,73 +253,88 @@ void Cluster::im_poke(PAddr pc, InstrWord word) {
                 c.ex = &c.ex_buf;
             }
         }
-        im_banks_[pa->bank].poke(pa->offset, word);
-        predecoded_.refresh(pa->bank, pa->offset, word);
+        mem::MemoryBank& bank = im_banks_[pa->bank];
+        edit(bank, pa->offset);
+        // The readback view: the corrected word when ECC heals an upset,
+        // the stored word when it doesn't.
+        readback = static_cast<InstrWord>(bank.peek(pa->offset));
+        predecoded_.refresh(pa->bank, pa->offset, readback);
         if (pc < fetch_table_.size())
             fetch_table_[pc].pre = predecoded_.lookup(pa->bank, pa->offset);
     }
-    refresh_blockmap(pc, word);
+    if (cfg_.trace_path() && pc < text_image_.size()) text_image_[pc] = readback & kInstrWordMask;
 }
 
-void Cluster::refresh_blockmap(PAddr pc, InstrWord readback) {
+void Cluster::note_im_mutation(PAddr pc) {
     if (std::find(im_dirty_.begin(), im_dirty_.end(), pc) == im_dirty_.end())
         im_dirty_.push_back(pc);
-    if (!cfg_.trace_path() || pc >= text_image_.size()) return;
-    text_image_[pc] = readback & kInstrWordMask;
-    blockmap_.rebuild(text_image_);
+    if (cfg_.trace_path() && pc < text_image_.size()) blockmap_.rebuild(text_image_);
+}
+
+void Cluster::im_poke(PAddr pc, InstrWord word) {
+    refresh_im_word(pc, [word](mem::MemoryBank& bank, std::uint32_t offset) {
+        bank.poke(offset, word);
+    });
+    note_im_mutation(pc);
 }
 
 void Cluster::save(Snapshot& out) const {
-    out.cycle = cycle_;
+    Snapshot::Control& c = out.ctl;
+    c.cycle = cycle_;
     // Through the accessor: the crossbar / resilience aggregates sync
     // lazily, and saved_stats() consumers (rejoin-tail materialization)
     // need the fully materialized view.
-    out.stats = stats();
-    out.direct_faults = direct_faults_;
-    out.cores = cores_;
+    c.stats = stats();
+    c.direct_faults = direct_faults_;
+    c.cores = cores_;
     // Materialize every live EX slot into its ex_buf so the snapshot is
     // self-contained: a slot aliasing this instance's predecoded_ array
     // would otherwise pin the snapshot to this instance (campaign threads
     // restore one shared ladder's rungs into their own clusters). Content is
-    // identical either way — the re-latch in im_poke/inject_im_fault just
-    // becomes a no-op for restored cores.
-    out.ex_in_buf.assign(cores_.size(), 0);
+    // identical either way — the re-latch in refresh_im_word just becomes a
+    // no-op for restored cores.
+    c.ex_in_buf.assign(cores_.size(), 0);
     for (std::size_t p = 0; p < cores_.size(); ++p) {
-        const CoreCtx& c = cores_[p];
-        out.ex_in_buf[p] = c.ex != nullptr ? 1 : 0;
-        if (c.ex != nullptr && c.ex != &c.ex_buf) out.cores[p].ex_buf = *c.ex;
+        const CoreCtx& core = cores_[p];
+        c.ex_in_buf[p] = core.ex != nullptr ? 1 : 0;
+        if (core.ex != nullptr && core.ex != &core.ex_buf) c.cores[p].ex_buf = *core.ex;
     }
-    // Deduplicated IM capture: per-bank stats/flags plus the raw state of
-    // exactly the dirty cells (see the Snapshot class comment).
-    out.im_dirty = im_dirty_;
-    out.im_cells.clear();
+    // Deduplicated IM capture: the raw state of exactly the dirty cells
+    // (see the Snapshot class comment).
+    c.im_dirty = im_dirty_;
+    c.im_cells.clear();
     const unsigned replicas = cfg_.im_policy == mmu::ImPolicy::Dedicated ? cfg_.cores : 1;
     for (const PAddr pc : im_dirty_) {
         for (unsigned p = 0; p < replicas; ++p) {
             const auto pa = im_map_.translate(pc, static_cast<CoreId>(p));
             ULPMC_EXPECTS(pa.has_value());
-            out.im_cells.push_back(
+            c.im_cells.push_back(
                 {pc, pa->bank, pa->offset, im_banks_[pa->bank].cell_state(pa->offset)});
         }
     }
-    out.im_stats.resize(im_banks_.size());
-    out.im_uncorrectable.resize(im_banks_.size());
+    c.im_stats.resize(im_banks_.size());
+    c.im_uncorrectable.resize(im_banks_.size());
     for (std::size_t b = 0; b < im_banks_.size(); ++b) {
-        out.im_stats[b] = im_banks_[b].stats();
-        out.im_uncorrectable[b] = im_banks_[b].uncorrectable_pending() ? 1 : 0;
+        c.im_stats[b] = im_banks_[b].stats();
+        c.im_uncorrectable[b] = im_banks_[b].uncorrectable_pending() ? 1 : 0;
     }
-    out.dm_banks.resize(dm_banks_.size());
-    for (std::size_t b = 0; b < dm_banks_.size(); ++b) dm_banks_[b].save(out.dm_banks[b]);
-    ixbar_.save(out.ixbar);
-    dxbar_.save(out.dxbar);
-    out.im_scrub_ptr = im_scrub_ptr_;
-    out.dm_scrub_ptr = dm_scrub_ptr_;
+    c.dm_meta.resize(dm_banks_.size());
+    out.dm.resize(dm_banks_.size());
+    for (std::size_t b = 0; b < dm_banks_.size(); ++b) {
+        c.dm_meta[b] = dm_banks_[b].meta();
+        dm_banks_[b].save(out.dm[b]);
+    }
+    ixbar_.save(c.ixbar);
+    dxbar_.save(c.dxbar);
+    c.im_scrub_ptr = im_scrub_ptr_;
+    c.dm_scrub_ptr = dm_scrub_ptr_;
 }
 
-void Cluster::restore(const Snapshot& s) {
+void Cluster::restore(const Snapshot& snap) {
+    const Snapshot::Control& s = snap.ctl;
     ULPMC_EXPECTS(s.cores.size() == cores_.size());
     ULPMC_EXPECTS(s.im_stats.size() == im_banks_.size());
-    ULPMC_EXPECTS(s.dm_banks.size() == dm_banks_.size());
+    ULPMC_EXPECTS(s.dm_meta.size() == dm_banks_.size() && snap.dm.size() == dm_banks_.size());
     cycle_ = s.cycle;
     stats_ = s.stats;
     direct_faults_ = s.direct_faults;
@@ -349,12 +365,14 @@ void Cluster::restore(const Snapshot& s) {
         }
     }
     for (const Snapshot::ImCell& c : s.im_cells) im_banks_[c.bank].set_cell_state(c.offset, c.cell);
-    for (std::size_t b = 0; b < im_banks_.size(); ++b) {
-        im_banks_[b].set_stats(s.im_stats[b]);
-        im_banks_[b].set_uncorrectable_pending(s.im_uncorrectable[b] != 0);
-    }
+    for (std::size_t b = 0; b < im_banks_.size(); ++b)
+        im_banks_[b].set_meta(
+            {s.im_stats[b], im_banks_[b].power_gated(), s.im_uncorrectable[b] != 0});
     im_dirty_ = s.im_dirty;
-    for (std::size_t b = 0; b < dm_banks_.size(); ++b) dm_banks_[b].restore(s.dm_banks[b]);
+    for (std::size_t b = 0; b < dm_banks_.size(); ++b) {
+        dm_banks_[b].restore(snap.dm[b]);
+        dm_banks_[b].set_meta(s.dm_meta[b]);
+    }
     ixbar_.restore(s.ixbar);
     dxbar_.restore(s.dxbar);
     im_scrub_ptr_ = s.im_scrub_ptr;
@@ -362,21 +380,10 @@ void Cluster::restore(const Snapshot& s) {
 
     // Decode caches: rolling the cells back can strand the cache entries of
     // any word that was dirty on either side; re-derive exactly those from
-    // the restored cells (the readback view, as inject_im_fault would).
+    // the restored cells, then the block map once.
     if (!im_dirty_union_.empty()) {
-        for (const PAddr pc : im_dirty_union_) {
-            InstrWord readback = 0;
-            for (unsigned p = 0; p < replicas; ++p) {
-                const auto pa = im_map_.translate(pc, static_cast<CoreId>(p));
-                ULPMC_EXPECTS(pa.has_value());
-                readback =
-                    static_cast<InstrWord>(im_banks_[pa->bank].peek(pa->offset)) & kInstrWordMask;
-                predecoded_.refresh(pa->bank, pa->offset, readback);
-                if (pc < fetch_table_.size())
-                    fetch_table_[pc].pre = predecoded_.lookup(pa->bank, pa->offset);
-            }
-            if (cfg_.trace_path() && pc < text_image_.size()) text_image_[pc] = readback;
-        }
+        for (const PAddr pc : im_dirty_union_)
+            refresh_im_word(pc, [](mem::MemoryBank&, std::uint32_t) {});
         if (cfg_.trace_path()) blockmap_.rebuild(text_image_);
     }
 
@@ -389,7 +396,16 @@ void Cluster::restore(const Snapshot& s) {
     active_dirty_ = false;
 }
 
-bool Cluster::state_equals(const Snapshot& s) const {
+std::size_t Cluster::Snapshot::Control::heap_bytes() const {
+    return stats.core.capacity() * sizeof(CoreRunStats) + cores.capacity() * sizeof(CoreCtx) +
+           ex_in_buf.capacity() + im_dirty.capacity() * sizeof(PAddr) +
+           im_cells.capacity() * sizeof(ImCell) + im_stats.capacity() * sizeof(mem::BankStats) +
+           im_uncorrectable.capacity() + dm_meta.capacity() * sizeof(mem::BankMeta) +
+           (im_scrub_ptr.capacity() + dm_scrub_ptr.capacity()) * sizeof(std::uint32_t);
+}
+
+bool Cluster::state_equals(const Snapshot& snap) const {
+    const Snapshot::Control& s = snap.ctl;
     if (cycle_ != s.cycle || cores_.size() != s.cores.size()) return false;
     for (std::size_t p = 0; p < cores_.size(); ++p) {
         const CoreCtx& a = cores_[p];
@@ -447,7 +463,7 @@ bool Cluster::state_equals(const Snapshot& s) const {
     for (std::size_t b = 0; b < im_banks_.size(); ++b)
         if (im_banks_[b].uncorrectable_pending() != (s.im_uncorrectable[b] != 0)) return false;
     for (std::size_t b = 0; b < dm_banks_.size(); ++b)
-        if (!dm_banks_[b].state_equals(s.dm_banks[b])) return false;
+        if (!dm_banks_[b].state_equals(snap.dm[b], s.dm_meta[b])) return false;
     if (!ixbar_.state_equals(s.ixbar) || !dxbar_.state_equals(s.dxbar)) return false;
     return im_scrub_ptr_ == s.im_scrub_ptr && dm_scrub_ptr_ == s.dm_scrub_ptr;
 }
@@ -460,30 +476,12 @@ void Cluster::inject_dm_fault(CoreId pid, Addr vaddr, Word flip_mask) {
 }
 
 void Cluster::inject_im_fault(PAddr pc, InstrWord flip_mask) {
-    // Same structure as im_poke — the strike reaches every replica under
-    // the Dedicated policy — but the bank cell is corrupted in place
-    // (check bits untouched) and the pre-decoded side array is refreshed
-    // from the bank's *readback* view: the corrected word when ECC heals
-    // the flip, the corrupted word when it doesn't.
-    const unsigned replicas = cfg_.im_policy == mmu::ImPolicy::Dedicated ? cfg_.cores : 1;
-    InstrWord readback = 0;
-    for (unsigned p = 0; p < replicas; ++p) {
-        const auto pa = im_map_.translate(pc, static_cast<CoreId>(p));
-        ULPMC_EXPECTS(pa.has_value());
-        const isa::DecodedInstr& old = predecoded_.entry(pa->bank, pa->offset);
-        for (auto& c : cores_) {
-            if (c.ex == &old.instr) {
-                c.ex_buf = old.instr;
-                c.ex = &c.ex_buf;
-            }
-        }
-        im_banks_[pa->bank].corrupt(pa->offset, flip_mask & kInstrWordMask);
-        readback = static_cast<InstrWord>(im_banks_[pa->bank].peek(pa->offset)) & kInstrWordMask;
-        predecoded_.refresh(pa->bank, pa->offset, readback);
-        if (pc < fetch_table_.size())
-            fetch_table_[pc].pre = predecoded_.lookup(pa->bank, pa->offset);
-    }
-    refresh_blockmap(pc, readback);
+    // Same path as im_poke, but the bank cell is corrupted in place (check
+    // bits untouched), so the decode caches follow the bank's readback.
+    refresh_im_word(pc, [flip_mask](mem::MemoryBank& bank, std::uint32_t offset) {
+        bank.corrupt(offset, flip_mask & kInstrWordMask);
+    });
+    note_im_mutation(pc);
 }
 
 void Cluster::inject_reg_fault(CoreId pid, unsigned reg, Word flip_mask) {

@@ -195,18 +195,18 @@ public:
     void scrub_registers();
 
 private:
-    // The checkpoint-storage codec (cluster/ckpt_store) serializes
-    // snapshot internals into durable delta records; the clean-run ladder
-    // (cluster/clean_run) diffs the DM banks against its previous rung.
-    friend class CheckpointStorage;
+    // The clean-run ladder (cluster/clean_run) reads its DM deltas
+    // straight off the live DM banks.
     friend class CleanRun;
 
     // CoreCtx precedes the public Snapshot class so snapshots can store
-    // core contexts by value.
+    // core contexts by value. Fields are ordered by alignment, so the
+    // struct has no padding: every snapshot and clean-run rung holds one
+    // per core.
     struct CoreCtx {
-        core::CoreState state;
         mmu::DataMmu mmu;
         Cycle start_cycle = 0;
+        Cycle last_commit = 0; ///< watchdog progress marker
 
         // EX slot: decoded instruction awaiting/performing data access.
         // On the fast path `ex` points into the pre-decode array (stable
@@ -215,18 +215,11 @@ private:
         // slow path). The slow path decodes into ex_buf.
         const isa::Instruction* ex = nullptr;
         isa::Instruction ex_buf{};
+        mmu::BankedAddr load_pa{};        // translated load/store, valid
+        mmu::BankedAddr store_pa{};       // when has_load / has_store is set
+        core::CoreState state{};
         core::MemPlan plan = {};          // virtual addresses
-        bool has_load = false;            // translated load/store, valid
-        bool has_store = false;           // when the flag is set
-        mmu::BankedAddr load_pa{};
-        mmu::BankedAddr store_pa{};
-        bool load_done = false;
         std::optional<Word> loaded = std::nullopt;
-
-        bool halted = false;
-        bool in_barrier = false;
-        core::Trap trap = core::Trap::None;
-        Cycle last_commit = 0; ///< watchdog progress marker
 
         // Register-protection tracking (DESIGN.md §9): bit r set in
         // reg_bad = register r holds an unobserved upset; reg_parity_bad
@@ -235,6 +228,13 @@ private:
         // silent consumption) or overwrite of the register.
         Word reg_bad = 0;
         Word reg_parity_bad = 0;
+
+        bool has_load = false;
+        bool has_store = false;
+        bool load_done = false;
+        bool halted = false;
+        bool in_barrier = false;
+        core::Trap trap = core::Trap::None;
     };
 
 public:
@@ -243,14 +243,20 @@ public:
     /// injection). Opaque; buffers keep their capacity across save()
     /// calls, so re-saving into the same snapshot allocates nothing.
     ///
-    /// The IM is captured deduplicated (DESIGN.md §11): the text is
-    /// immutable per campaign and IM cells can differ from the pristine
-    /// program image only at the PCs on the cluster's dirty list (pokes
-    /// and injected faults record themselves there; ECC scrubbing only
-    /// repairs already-dirty cells back toward pristine), so a snapshot
-    /// stores per-bank statistics/flags plus the raw cell state of the
-    /// dirty PCs — not kImWordsTotal cells per ladder rung. DM banks,
-    /// whose contents are genuinely per-instance, are captured in full.
+    /// Two halves. The DM banks' cells and check bytes, which are
+    /// genuinely per-instance, are captured in full. Everything else is
+    /// the Control half: cores, crossbars, scrub pointers, statistics,
+    /// every bank's statistics and flags (mem::BankMeta), and the IM. The
+    /// IM is captured deduplicated (DESIGN.md §11): the text is immutable
+    /// per campaign and IM cells can differ from the pristine program
+    /// image only at the PCs on the cluster's dirty list (pokes and
+    /// injected faults record themselves there; ECC scrubbing only repairs
+    /// already-dirty cells back toward pristine), so the Control half
+    /// holds the raw cell state of the dirty PCs, not kImWordsTotal cells.
+    /// Holders that keep the DM elsewhere — the clean-run ladder's DM
+    /// deltas, a checkpoint record's payload — copy the Control half whole;
+    /// only Cluster names its fields (save, restore, state_equals), plus
+    /// CheckpointStorage for the words its payload carries.
     ///
     /// Contract: a snapshot is portable across instances sharing the same
     /// configuration and program image (every campaign thread restores
@@ -271,28 +277,44 @@ public:
             mem::MemoryBank::CellState cell;
         };
 
-        Cycle cycle = 0;
-        ClusterStats stats;
-        std::uint64_t direct_faults = 0;
-        std::vector<CoreCtx> cores;
-        std::vector<std::uint8_t> ex_in_buf; ///< per core: EX aliased its own ex_buf
-        std::vector<PAddr> im_dirty;         ///< dirty-PC list at save time
-        std::vector<ImCell> im_cells;        ///< raw cells of every dirty PC
-        std::vector<mem::BankStats> im_stats;
-        std::vector<std::uint8_t> im_uncorrectable; ///< per-bank sticky flag
-        std::vector<mem::BankSnapshot> dm_banks;
-        xbar::XbarSnapshot ixbar;
-        xbar::XbarSnapshot dxbar;
-        std::vector<std::uint32_t> im_scrub_ptr;
-        std::vector<std::uint32_t> dm_scrub_ptr;
-
     public:
-        /// Read-only views for the clean-run ladder's rung bookkeeping.
-        Cycle saved_cycle() const { return cycle; }
-        const ClusterStats& saved_stats() const { return stats; }
+        /// Every saved field but the DM banks' cells and check bytes.
+        class Control {
+            friend class Cluster;
+            friend class Snapshot;
+            friend class CheckpointStorage; // the payload: arch words, dirty IM cells
+
+            Cycle cycle = 0;
+            ClusterStats stats;
+            std::uint64_t direct_faults = 0;
+            std::vector<CoreCtx> cores;
+            std::vector<std::uint8_t> ex_in_buf; ///< per core: EX aliased its own ex_buf
+            std::vector<PAddr> im_dirty;         ///< dirty-PC list at save time
+            std::vector<ImCell> im_cells;        ///< raw cells of every dirty PC
+            std::vector<mem::BankStats> im_stats;
+            std::vector<std::uint8_t> im_uncorrectable; ///< per-bank sticky flag
+            std::vector<mem::BankMeta> dm_meta;
+            xbar::XbarSnapshot ixbar;
+            xbar::XbarSnapshot dxbar;
+            std::vector<std::uint32_t> im_scrub_ptr;
+            std::vector<std::uint32_t> dm_scrub_ptr;
+
+        public:
+            Cycle saved_cycle() const { return cycle; }
+            const ClusterStats& saved_stats() const { return stats; }
+            /// Heap bytes this half holds (by capacity).
+            std::size_t heap_bytes() const;
+        };
+
+        Cycle saved_cycle() const { return ctl.saved_cycle(); }
+        const ClusterStats& saved_stats() const { return ctl.saved_stats(); }
         /// Raw IM cells captured — one per dirty-PC bank replica, NOT
         /// kImWordsTotal (the dedup contract above, pinned by reuse_test).
-        std::size_t saved_im_cells() const { return im_cells.size(); }
+        std::size_t saved_im_cells() const { return ctl.im_cells.size(); }
+
+    private:
+        Control ctl;
+        std::vector<mem::BankSnapshot> dm; ///< per DM bank: cells and check bytes
     };
 
     /// Copies the full mutable execution state into `out` / back. restore()
@@ -346,10 +368,17 @@ private:
     /// addresses (a store to the barrier register touches no memory).
     /// Returns false when a translation raised MemoryFault.
     bool plan_access(CoreCtx& c, bool needs_plan);
-    /// Re-derives the trace engine's text image word + block map after an
-    /// IM mutation (im_poke / inject_im_fault): `readback` is what a fetch
-    /// at `pc` now returns. No-op unless the trace engine is active.
-    void refresh_blockmap(PAddr pc, InstrWord readback);
+    /// The one IM-word refresh (im_poke, inject_im_fault, restore): applies
+    /// `edit(bank, offset)` to every replica of `pc`'s IM cell, keeps an EX
+    /// slot that aliases the old pre-decoded entry on the instruction it
+    /// latched, and re-derives the pre-decoded entry, the fetch-table slot
+    /// and the trace engine's text image word from what a fetch at `pc` now
+    /// reads back. The caller keeps the dirty list and the block map.
+    template <class Edit>
+    void refresh_im_word(PAddr pc, Edit&& edit);
+    /// The tail of im_poke / inject_im_fault: puts `pc` on the dirty list
+    /// and rebuilds the trace engine's block map.
+    void note_im_mutation(PAddr pc);
     void commit(CoreCtx& c, CoreId pid);
     /// Register-protection check on the instruction about to enter EX /
     /// commit: applies the configured scheme to the registers it reads

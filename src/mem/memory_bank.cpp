@@ -108,9 +108,6 @@ void MemoryBank::reset(std::size_t size, unsigned cell_bits, bool ecc) {
 void MemoryBank::save(BankSnapshot& out) const {
     out.cells = cells_;
     out.check = check_;
-    out.stats = stats_;
-    out.gated = gated_;
-    out.uncorrectable_pending = uncorrectable_pending_;
 }
 
 void MemoryBank::restore(const BankSnapshot& s) {
@@ -118,9 +115,6 @@ void MemoryBank::restore(const BankSnapshot& s) {
     ULPMC_EXPECTS(s.check.size() == check_.size());
     cells_ = s.cells;
     check_ = s.check;
-    stats_ = s.stats;
-    gated_ = s.gated;
-    uncorrectable_pending_ = s.uncorrectable_pending;
 }
 
 MemoryBank::CellState MemoryBank::cell_state(std::size_t offset) const {
@@ -135,9 +129,9 @@ void MemoryBank::set_cell_state(std::size_t offset, CellState s) {
     if (ecc_) check_[offset] = s.check;
 }
 
-bool MemoryBank::state_equals(const BankSnapshot& s) const {
-    return cells_ == s.cells && check_ == s.check && gated_ == s.gated &&
-           uncorrectable_pending_ == s.uncorrectable_pending;
+bool MemoryBank::state_equals(const BankSnapshot& s, const BankMeta& m) const {
+    return cells_ == s.cells && check_ == s.check && gated_ == m.gated &&
+           uncorrectable_pending_ == m.uncorrectable_pending;
 }
 
 std::uint32_t MemoryBank::read(std::size_t offset) {

@@ -49,16 +49,21 @@ struct Decode {
 Decode check(std::uint32_t data, std::uint8_t stored_check, unsigned data_bits);
 } // namespace ecc
 
-/// Saved state of one bank (Cluster snapshots, DESIGN.md §10): contents,
-/// check bits, statistics and status flags. Opaque to everything but
-/// MemoryBank; reused buffers keep their capacity across save() calls so a
-/// snapshot ladder allocates only on first use.
-struct BankSnapshot {
-    std::vector<std::uint32_t> cells;
-    std::vector<std::uint8_t> check;
+/// Saved state of one bank besides its contents (Cluster snapshots,
+/// DESIGN.md §10): statistics and status flags. A fixed-size value, so
+/// snapshot holders copy a bank array's metadata with one assignment.
+struct BankMeta {
     BankStats stats;
     bool gated = false;
     bool uncorrectable_pending = false;
+};
+
+/// Saved contents of one bank: cells and check bits. Opaque to everything
+/// but MemoryBank; reused buffers keep their capacity across save() calls
+/// so a snapshot ladder allocates only on first use.
+struct BankSnapshot {
+    std::vector<std::uint32_t> cells;
+    std::vector<std::uint8_t> check;
 };
 
 /// A single SRAM bank.
@@ -79,11 +84,19 @@ public:
     /// same-geometry reset performs no heap allocation.
     void reset(std::size_t size, unsigned cell_bits, bool ecc);
 
-    /// Copies the bank's full mutable state into `out` / back. The
-    /// configuration (size, cell bits, ECC) must match between save and
-    /// restore; restore() contract-checks it.
+    /// Copies the bank's contents into `out` / back. The configuration
+    /// (size, cell bits, ECC) must match between save and restore;
+    /// restore() contract-checks it.
     void save(BankSnapshot& out) const;
     void restore(const BankSnapshot& s);
+
+    /// The bank's statistics and status flags / their restore.
+    BankMeta meta() const { return {stats_, gated_, uncorrectable_pending_}; }
+    void set_meta(const BankMeta& m) {
+        stats_ = m.stats;
+        gated_ = m.gated;
+        uncorrectable_pending_ = m.uncorrectable_pending;
+    }
 
     std::size_t size() const { return cells_.size(); }
     unsigned cell_bits() const { return cell_bits_; }
@@ -123,14 +136,9 @@ public:
     /// True when the bank's future-determining state — cells, check bits,
     /// gating and the sticky uncorrectable flag, but NOT statistics —
     /// matches the snapshot. The clean-run ladder's rejoin comparator.
-    bool state_equals(const BankSnapshot& s) const;
-
-    /// Statistics restore for deduplicated snapshots (full restores go
-    /// through restore()).
-    void set_stats(const BankStats& s) { stats_ = s; }
+    bool state_equals(const BankSnapshot& s, const BankMeta& m) const;
 
     bool uncorrectable_pending() const { return uncorrectable_pending_; }
-    void set_uncorrectable_pending(bool u) { uncorrectable_pending_ = u; }
 
     /// Soft-error injection: XORs `flip_mask` into the stored cell without
     /// touching the check bits (a strike flips cells, not the code).

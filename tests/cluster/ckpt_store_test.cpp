@@ -4,11 +4,14 @@
 // keyframe, CRC32 verification catches single-bit and adjacent-burst
 // storage strikes and falls back along the keyframe chain, corruption
 // flows through restore when verification is off (the SDC contrast arm),
-// and a stored record is portable across simulator engine tiers. The
+// a stored record is portable across simulator engine tiers, and every
+// record keeps the snapshot's statistics and protection state. The
 // CheckpointRunner half: a storage-backed rollback restores DECODED
 // payload bytes, falls back to an older recovery point past a corrupt
 // delta, and fail-stops when every record is lost.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "cluster/checkpoint.hpp"
 #include "cluster/ckpt_store.hpp"
@@ -56,6 +59,67 @@ TEST(CkptStore, KeyframeRoundTripsBitExactly) {
     EXPECT_EQ(out.saved_cycle(), snap.saved_cycle());
     EXPECT_EQ(store.stats().keyframes, 1u);
     EXPECT_EQ(store.stats().crc_failures, 0u);
+}
+
+TEST(CkptStore, RecordsKeepEveryFieldStatisticsIncluded) {
+    // state_equals ignores statistics by contract, so this case compares
+    // them too, on a cluster whose snapshot carries every kind of control
+    // state: ECC on with a corrected DM upset, both scrub walkers part-way
+    // through, a dirty IM cell and a pending register upset. A direct
+    // restore, a keyframe load and a delta load must each give the saved
+    // state, the saved statistics and the same continued run.
+    auto cfg = single_core(ArchKind::UlpmcInt); // no IM bank gated: both walkers run
+    cfg.ecc_enabled = true;
+    cfg.im_scrub = true;
+    cfg.dm_scrub = true;
+    cfg.reg_protection = core::RegProtection::Parity;
+    const auto prog = isa::assemble(kLoadLoop);
+    Cluster cl(cfg, prog);
+    cl.run(20);
+    Cluster::Snapshot early; // the delta's base, before any upset
+    cl.save(early);
+    cl.inject_dm_fault(0, 70, 0x4); // read every iteration: corrected on the next read
+    cl.inject_im_fault(5, 0x10);    // the hlt, fetched only at the end
+    cl.inject_reg_fault(0, 7, 0x1); // r7 is never read: stays pending
+    cl.run(120);
+    const ClusterStats saved = cl.stats();
+    ASSERT_GT(saved.ecc_dm_corrected, 0u);
+    ASSERT_GT(saved.im_scrub_reads, 0u);
+    ASSERT_GT(saved.dm_scrub_reads, 0u);
+    ASSERT_EQ(cl.pending_reg_faults(), 1u);
+    Cluster::Snapshot snap;
+    cl.save(snap);
+    cl.run();
+    const ClusterStats final_stats = cl.stats();
+    Cluster::Snapshot final_state;
+    cl.save(final_state);
+
+    CheckpointStorage keyframe;
+    keyframe.reset({});
+    keyframe.store(snap);
+    CheckpointStorage delta;
+    delta.reset({});
+    delta.store(early);
+    delta.store(snap);
+    ASSERT_EQ(delta.stats().delta_saves, 1u);
+    Cluster::Snapshot from_keyframe;
+    Cluster::Snapshot from_delta;
+    ASSERT_TRUE(keyframe.load(from_keyframe));
+    ASSERT_TRUE(delta.load(from_delta));
+
+    const std::pair<const char*, const Cluster::Snapshot*> cases[] = {
+        {"direct", &snap}, {"keyframe", &from_keyframe}, {"delta", &from_delta}};
+    for (const auto& [name, s] : cases) {
+        SCOPED_TRACE(name);
+        Cluster other(cfg, prog);
+        other.run(300); // somewhere else entirely
+        other.restore(*s);
+        EXPECT_TRUE(other.state_equals(snap));
+        EXPECT_TRUE(other.stats() == saved);
+        other.run();
+        EXPECT_TRUE(other.stats() == final_stats);
+        EXPECT_TRUE(other.state_equals(final_state));
+    }
 }
 
 TEST(CkptStore, UnchangedSnapshotDeltasToNothing) {
